@@ -31,7 +31,7 @@ bench:
 # allocation counts are scheduler-dependent, and the exact-allocs gate
 # would trip on noise — req/sec and p99_us are their gated metrics.
 bench-json:
-	{ $(GO) test -bench='Portfolio|Memoized|Sweep|SimReplay|Construct' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -45,7 +45,7 @@ bench-json:
 # The scale metrics gate direction-aware: events/sec on drops, peak RSS on
 # growth, both with generous fractions since they ride on wall time.
 bench-gate:
-	{ $(GO) test -bench='Portfolio|Memoized|Sweep|SimReplay|Construct' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \

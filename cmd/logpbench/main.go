@@ -72,8 +72,6 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids")
 		parallel = flag.Int("parallel", par.Limit(),
 			"worker-pool width for solver portfolios and table sweeps (default GOMAXPROCS); results are identical for any value")
-		ctor = flag.String("constructor", "auto",
-			"broadcast-tree constructor for every experiment: auto, search, or logtime (auto: logtime at P >= 512); output is identical for all three")
 		traceOut  = flag.String("trace", "", cliutil.TraceUsage)
 		reportOut = flag.String("report", "", cliutil.ReportUsage+"; the report covers the paper's canonical broadcast (P=8 L=6 o=2 g=4) and annotates how many experiments ran")
 		storeDir  = flag.String("runstore", "", cliutil.RunstoreUsage)
@@ -82,10 +80,6 @@ func main() {
 	)
 	flag.Parse()
 	par.SetLimit(*parallel)
-	if err := bench.SetConstructor(*ctor); err != nil {
-		fmt.Fprintf(os.Stderr, "logpbench: %v\n", err)
-		os.Exit(1)
-	}
 
 	// pid 5 carries one wall-clock span per experiment; pid 4 carries the
 	// solver portfolio races those experiments trigger.

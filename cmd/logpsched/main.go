@@ -11,7 +11,7 @@
 //	logpsched -op kitem -P 10 -L 3 -k 8 -trace out.json -metrics
 //	logpsched -op broadcast -P 64 -runstore runs/   # archive for reportdiff
 //	logpsched -op broadcast -explain
-//	logpsched -op broadcast -P 100000 -constructor logtime > big.json
+//	logpsched -op broadcast -P 100000 > big.json
 //	logpsched -op linear -explain -render svg > chain.svg
 //	logpsched -op broadcast -P 64 -remote http://127.0.0.1:8080 > bcast.json
 //
@@ -30,11 +30,10 @@
 // with -render svg, the SVG timeline goes to stdout with the critical path
 // outlined in red and the report moves to stderr.
 //
-// -constructor picks how the optimal broadcast tree behind broadcast,
-// reduce, scan, and summation is built: "search" is the heap search,
-// "logtime" the search-free counting construction (internal/logtime), and
-// "auto" (the default) switches to logtime at P >= 512. Both emit the
-// identical schedule; the flag only decides who does the work.
+// The optimal broadcast tree behind broadcast, reduce, scan, summation, and
+// the baselines' bounds is built by the search-free counting construction
+// (internal/logtime) at every P; its schedules are byte-identical to the
+// heap search's, which the conformance tests keep as the oracle.
 //
 // -trace writes a Chrome trace-event file (open in Perfetto or
 // chrome://tracing) covering the solver portfolio and a simulated replay of
@@ -92,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		postal    = fs.Bool("postal", false, "postal model (forces o=0, g=1)")
 		k         = fs.Int("k", 1, "items for kitem/alltoall/continuous")
 		deadline  = fs.Int64("t", 0, "deadline for -op summation (cycles)")
-		ctor      = fs.String("constructor", "auto", "broadcast-tree constructor: auto, search, or logtime (auto: logtime at P >= 512)")
 		render    = fs.String("render", "json", "output: json, gantt, table, svg")
 		explain   = fs.Bool("explain", false, "print a causal critical-path report instead of the schedule (with -render svg: highlighted SVG on stdout, report on stderr)")
 		traceOut  = fs.String("trace", "", cliutil.TraceUsage)
@@ -130,12 +128,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *explain || *traceOut != "" || *reportOut != "" || *storeDir != "" {
 			return errors.New("-remote fetches schedules only; -explain, -trace, -report, and -runstore need a local solve (or use the service's /v1/explain)")
 		}
-		return runRemote(*remote, *op, *ctor, m, *k, logp.Time(*deadline), *render, stdout)
-	}
-
-	tb, ctorName, err := logtime.Select(*ctor, m.P)
-	if err != nil {
-		return err
+		return runRemote(*remote, *op, m, *k, logp.Time(*deadline), *render, stdout)
 	}
 
 	// The tracer sees two time bases on separate process tracks: wall-clock
@@ -162,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// for "what schedule answers (op, machine, k, t)" — cmd/logpservd runs
 	// the same code behind its cache, which is what makes -remote answers
 	// diffable against local ones byte for byte.
-	c, err := sched.Compile(m, *op, *k, logp.Time(*deadline), tb)
+	c, err := sched.Compile(m, *op, *k, logp.Time(*deadline), logtime.Tree)
 	if err != nil {
 		return err
 	}
@@ -210,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *reportOut != "" || *storeDir != "" {
 		r := cliutil.BuildReport("logpsched", *op, s, conform.DerivedOrigins(s), bound, analyze())
-		r.Constructor = ctorName
+		r.Constructor = "logtime"
 		if *reportOut != "" {
 			if err := cliutil.WriteReport("logpsched", r, *reportOut); err != nil {
 				return err
@@ -225,7 +218,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *explain {
 		rep := analyze()
-		if err := sched.ApplyBound(rep, c, m, tb); err != nil {
+		if err := sched.ApplyBound(rep, c, m, logtime.Tree); err != nil {
 			return err
 		}
 		if *render == "svg" {
@@ -266,7 +259,7 @@ func renderSchedule(s *logpopt.Schedule, render string, stdout io.Writer) error 
 // so `-remote -render json` output is byte-identical to a local solve —
 // which the servd smoke test diffs to prove the service is honest. Other
 // renders parse the fetched schedule and render locally.
-func runRemote(base, op, ctor string, m logp.Machine, k int, deadline logp.Time, render string, stdout io.Writer) error {
+func runRemote(base, op string, m logp.Machine, k int, deadline logp.Time, render string, stdout io.Writer) error {
 	u, err := url.Parse(base)
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return fmt.Errorf("-remote %q is not an absolute URL (want e.g. http://127.0.0.1:8080)", base)
@@ -278,9 +271,6 @@ func runRemote(base, op, ctor string, m logp.Machine, k int, deadline logp.Time,
 		"o":      {strconv.FormatInt(int64(m.O), 10)},
 		"g":      {strconv.FormatInt(int64(m.G), 10)},
 		"format": {"schedule"},
-	}
-	if ctor != "" && ctor != "auto" {
-		q.Set("constructor", ctor)
 	}
 	if k != 1 {
 		q.Set("k", strconv.Itoa(k))

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"logpopt/internal/obs/report"
 	"logpopt/internal/obs/runstore"
 	"logpopt/internal/schedule"
+	"logpopt/internal/serve/sched"
 	"logpopt/internal/sim"
 )
 
@@ -43,7 +45,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"negative o", []string{"-o", "-1"}, "-o"},
 		{"zero g", []string{"-g", "0"}, "-g"},
 		{"unknown op", []string{"-op", "sideways"}, `unknown op "sideways"`},
-		{"unknown constructor", []string{"-constructor", "psychic"}, "unknown constructor"},
+		{"unknown constructor", []string{"-constructor", "logtime"}, "flag provided but not defined: -constructor"},
 		{"unknown render", []string{"-render", "hologram"}, "unknown render"},
 		{"zero tracesample", []string{"-tracesample", "0"}, "-tracesample"},
 		{"negative tracesample", []string{"-tracesample", "-3"}, "-tracesample"},
@@ -67,28 +69,36 @@ func TestRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestConstructorsEmitIdenticalSchedules pins the -constructor contract:
-// search and logtime produce byte-identical JSON for every tree-backed op,
-// and auto accepts both sides of the threshold.
+// TestConstructorsEmitIdenticalSchedules pins the single-constructor
+// contract: the JSON logpsched emits through the search-free construction
+// is byte-identical to the same op compiled on the heap-search oracle, on
+// both sides of the P = 512 line the tool once switched constructors at.
 func TestConstructorsEmitIdenticalSchedules(t *testing.T) {
-	for _, op := range []string{"broadcast", "reduce", "scan", "summation"} {
-		args := []string{"-op", op, "-P", "63", "-L", "6", "-o", "2", "-g", "4"}
-		if op == "summation" {
-			args = append(args, "-t", "40")
-		}
-		search, err := exec(t, append(args, "-constructor", "search")...)
-		if err != nil {
-			t.Fatalf("%s search: %v", op, err)
-		}
-		lt, err := exec(t, append(args, "-constructor", "logtime")...)
-		if err != nil {
-			t.Fatalf("%s logtime: %v", op, err)
-		}
-		if search != lt {
-			t.Fatalf("%s: search and logtime JSON differ", op)
-		}
-		if search == "" {
-			t.Fatalf("%s: empty schedule output", op)
+	for _, p := range []int{63, 600} {
+		for _, op := range []string{"broadcast", "reduce", "scan", "summation", "binomial"} {
+			m := logp.MustNew(p, 6, 2, 4)
+			args := []string{"-op", op, "-P", strconv.Itoa(p), "-L", "6", "-o", "2", "-g", "4"}
+			var deadline logp.Time
+			if op == "summation" {
+				deadline = 40
+				args = append(args, "-t", "40")
+			}
+			got, err := exec(t, args...)
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", op, p, err)
+			}
+			c, err := sched.Compile(m, op, 1, deadline, core.OptimalTree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want strings.Builder
+			if err := c.S.WriteJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			if got == "" || got != want.String() {
+				t.Fatalf("%s P=%d: logpsched JSON (%d bytes) differs from the search oracle's (%d bytes)",
+					op, p, len(got), want.Len())
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@ func TestRemoteByteIdentical(t *testing.T) {
 		{"-op", "alltoall", "-P", "6", "-L", "6", "-o", "2", "-g", "4", "-k", "2"},
 		{"-op", "kitem", "-P", "10", "-L", "3", "-k", "8"},
 		{"-op", "summation", "-P", "8", "-L", "6", "-o", "2", "-g", "4", "-t", "28"},
-		{"-op", "broadcast", "-P", "600", "-constructor", "logtime"},
+		{"-op", "broadcast", "-P", "600"},
 	}
 	for _, args := range cases {
 		local, err := exec(t, args...)

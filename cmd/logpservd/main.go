@@ -15,7 +15,7 @@
 //	logpservd -addr :0 -addrfile servd.addr    # ephemeral port, address to file
 //	logpservd -shards 32 -cache-bytes 1073741824
 //	logpservd -trace servd-trace.json -tracesample 16
-//	logpservd -constructor logtime -slow 250ms
+//	logpservd -slow 250ms
 //
 //	curl 'http://127.0.0.1:8080/v1/schedule?op=broadcast&p=100000'
 //	curl 'http://127.0.0.1:8080/v1/explain?op=binomial&p=64'
@@ -28,6 +28,10 @@
 // SIGTERM drains in-flight requests before exiting. /readyz flips to 200
 // only after the warmup solves, so load balancers never route to a cold
 // process.
+//
+// Every optimal tree is built by the search-free counting construction
+// (internal/logtime). A request's constructor field (auto, search, or
+// logtime) is still accepted and changes nothing; any other value is a 400.
 package main
 
 import (
@@ -65,7 +69,6 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 		addrFile   = fs.String("addrfile", "", "write the bound address to `file` once listening (for scripts using -addr :0)")
 		shards     = fs.Int("shards", 16, "schedule-cache shards (lock domains)")
 		cacheBytes = fs.Int64("cache-bytes", 256<<20, "schedule-cache budget in bytes of serialized schedules (0 = unbounded)")
-		ctor       = fs.String("constructor", "auto", "default broadcast-tree constructor for requests that don't name one: auto, search, or logtime (auto: logtime at P >= 512)")
 		slow       = fs.Duration("slow", 500*time.Millisecond, "log requests at or above this duration as warnings (0 disables)")
 		traceOut   = fs.String("trace", "", cliutil.TraceUsage)
 		sample     = fs.Int64("tracesample", 1, "with -trace: keep request spans for a seeded 1-in-N sample of requests; counter graphs thin by the same factor. 1 keeps everything")
@@ -81,11 +84,6 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 	}
 	if *sample < 1 {
 		return fmt.Errorf("-tracesample must be at least 1, got %d", *sample)
-	}
-	// Vet -constructor before anything boots: a typo should fail fast, not
-	// surface as a 400 on the first request.
-	if _, err := sched.Canonicalize(sched.Request{Op: "broadcast", P: 8, L: 6, O: 2, G: 4, K: 1}, *ctor); err != nil {
-		return fmt.Errorf("-constructor: %w", err)
 	}
 
 	// Request spans stream straight to the trace file, sampled at the
@@ -105,12 +103,11 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
 	api := sched.NewAPI(sched.Options{
-		Cache:       sched.NewCache(*shards, *cacheBytes, obs.Default),
-		Constructor: *ctor,
-		Registry:    obs.Default,
-		Tracer:      tracer,
-		Log:         logger,
-		Slow:        *slow,
+		Cache:    sched.NewCache(*shards, *cacheBytes, obs.Default),
+		Registry: obs.Default,
+		Tracer:   tracer,
+		Log:      logger,
+		Slow:     *slow,
 	})
 
 	// One server for both surfaces: the scheduling API mounts into the
@@ -144,10 +141,9 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 		}
 	}
 	logger.Info("listening", "addr", bound, "shards", *shards,
-		"cache_bytes", *cacheBytes, "constructor", *ctor)
+		"cache_bytes", *cacheBytes)
 
-	// Warm both solver paths (heap search for small P, the counting
-	// construction for large) before declaring readiness; the warmup answers
+	// Warm the solve path before declaring readiness; the warmup answers
 	// also seed the cache.
 	if err := warmup(api); err != nil {
 		srv.Close()  //nolint:errcheck
@@ -168,7 +164,7 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 }
 
 // warmup solves one small and one large broadcast through the cache, so the
-// search and counting constructors are both exercised (and their answers
+// canonicalize, solve, and encode path is exercised (and the answers
 // cached) before /readyz goes green.
 func warmup(api *sched.API) error {
 	for _, p := range []int{64, 4096} {

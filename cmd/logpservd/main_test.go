@@ -177,7 +177,7 @@ func TestDaemonFlagValidation(t *testing.T) {
 		{[]string{"-shards", "0"}, "-shards"},
 		{[]string{"-cache-bytes", "-1"}, "-cache-bytes"},
 		{[]string{"-tracesample", "0"}, "-tracesample"},
-		{[]string{"-constructor", "sideways"}, "unknown constructor"},
+		{[]string{"-constructor", "logtime"}, "flag provided but not defined: -constructor"},
 	}
 	for _, tc := range cases {
 		stop := make(chan os.Signal, 1)

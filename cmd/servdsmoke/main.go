@@ -146,21 +146,23 @@ func smoke(bin, sched string, n int) error {
 	fmt.Println("servd smoke: RED series present on /metrics")
 
 	// CLI/service agreement: a local solve and a -remote fetch of the same
-	// key must be byte-identical.
+	// key must be byte-identical, below and above P = 512 alike.
 	if sched != "" {
-		args := []string{"-op", "broadcast", "-P", "3000", "-render", "json"}
-		local, err := exec.Command(sched, args...).Output()
-		if err != nil {
-			return fmt.Errorf("local logpsched: %w", err)
+		for _, p := range []string{"300", "3000"} {
+			args := []string{"-op", "broadcast", "-P", p, "-render", "json"}
+			local, err := exec.Command(sched, args...).Output()
+			if err != nil {
+				return fmt.Errorf("local logpsched P=%s: %w", p, err)
+			}
+			remote, err := exec.Command(sched, append(args, "-remote", base)...).Output()
+			if err != nil {
+				return fmt.Errorf("remote logpsched P=%s: %w", p, err)
+			}
+			if string(local) != string(remote) {
+				return fmt.Errorf("logpsched P=%s output differs: local %d bytes, remote %d bytes", p, len(local), len(remote))
+			}
+			fmt.Printf("servd smoke: logpsched -remote output byte-identical to local solve at P=%s\n", p)
 		}
-		remote, err := exec.Command(sched, append(args, "-remote", base)...).Output()
-		if err != nil {
-			return fmt.Errorf("remote logpsched: %w", err)
-		}
-		if string(local) != string(remote) {
-			return fmt.Errorf("logpsched output differs: local %d bytes, remote %d bytes", len(local), len(remote))
-		}
-		fmt.Println("servd smoke: logpsched -remote output byte-identical to local solve")
 	}
 
 	// Graceful shutdown: SIGTERM, clean exit.

@@ -1,55 +1,12 @@
 package bench
 
 import (
-	"fmt"
 	"reflect"
 
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
 	"logpopt/internal/logtime"
-	"logpopt/internal/schedule"
 )
-
-// Constructor seam: every figure and table that needs the optimal broadcast
-// tree routes through buildTree/bTime/broadcastSchedule, so logpbench's
-// -constructor flag switches the whole reproduction pipeline between the
-// heap search and the search-free logtime construction. The default "auto"
-// picks logtime at P >= logtime.DefaultThreshold — the paper figures stay
-// on the search (their P is small), large sweeps get the closed form — and
-// both constructors emit identical trees, so the rendered output is
-// byte-identical either way.
-var constructorMode = "auto"
-
-// SetConstructor selects the broadcast-tree constructor for every
-// subsequent figure and table: "auto", "search", or "logtime".
-func SetConstructor(mode string) error {
-	_, _, err := logtime.Select(mode, 2)
-	if err != nil {
-		return err
-	}
-	constructorMode = mode
-	return nil
-}
-
-func buildTree(m logp.Machine, p int) *core.Tree {
-	tb, _, _ := logtime.Select(constructorMode, p)
-	return tb(m, p)
-}
-
-// bTime is core.B through the selected constructor.
-func bTime(m logp.Machine, p int) logp.Time {
-	return buildTree(m, p).MaxLabel()
-}
-
-// broadcastSchedule is core.BroadcastSchedule through the selected
-// constructor.
-func broadcastSchedule(m logp.Machine, item int) *schedule.Schedule {
-	s, err := core.TreeSchedule(buildTree(m, m.P), item, nil, 0)
-	if err != nil {
-		panic(err) // identity assignment cannot mismatch
-	}
-	return s
-}
 
 // ConstructionTable is experiment CTOR: for each processor count it builds
 // the optimal broadcast tree with both constructors, proves them identical
@@ -87,10 +44,4 @@ func okMark(b bool) string {
 		return "identical"
 	}
 	return "DIVERGE"
-}
-
-// ConstructorName resolves what "auto" means at a given P, for display.
-func ConstructorName(p int) string {
-	_, name, _ := logtime.Select(constructorMode, p)
-	return fmt.Sprintf("%s (mode %s)", name, constructorMode)
 }

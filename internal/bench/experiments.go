@@ -11,6 +11,7 @@ import (
 	"logpopt/internal/core"
 	"logpopt/internal/kitem"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/par"
 	"logpopt/internal/schedule"
 	"logpopt/internal/summation"
@@ -77,7 +78,7 @@ func SingleItemTable() *Table {
 	}
 	for _, mc := range machines {
 		m := mc.m
-		opt := bTime(m, m.P)
+		opt := logtime.B(m, m.P)
 		bin := baseline.TreeTime(baseline.BinomialTree(m, m.P))
 		bt := baseline.TreeTime(baseline.BinaryTree(m, m.P))
 		fl := baseline.TreeTime(baseline.FlatTree(m, m.P))
@@ -300,7 +301,7 @@ func CombineTable(lMax int) *Table {
 				}
 			}
 			m := logp.Postal(p, logp.Time(l))
-			tb.Add(l, T, p, ok(segErr == nil), ok(sumOK), bTime(m, p))
+			tb.Add(l, T, p, ok(segErr == nil), ok(sumOK), logtime.B(m, p))
 		}
 	}
 	tb.Note("reduce time = combining time: all-to-all combining is as fast as all-to-one reduction")
@@ -458,7 +459,7 @@ func ExtensionsTable() *Table {
 		gfin, gerr := alltoall.GatherComplete(ga)
 		bound := alltoall.ScatterLowerBound(m)
 		scan := combine.ScanSchedule(m, m.P)
-		twoB := 2 * bTime(m, m.P)
+		twoB := 2 * logtime.B(m, m.P)
 		pass := sc.LastRecv() == bound && gerr == nil && gfin == bound &&
 			scan.LastRecv() == twoB &&
 			len(schedule.Validate(sc)) == 0 && len(schedule.Validate(ga)) == 0 &&

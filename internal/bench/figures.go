@@ -8,6 +8,7 @@ import (
 	"logpopt/internal/core"
 	"logpopt/internal/kitem"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/schedule"
 	"logpopt/internal/summation"
 	"logpopt/internal/trace"
@@ -17,8 +18,8 @@ import (
 // g=4, o=2 and each processor's activity over time.
 func Figure1() (string, error) {
 	m := logp.ProfilePaperFig1
-	tr := buildTree(m, m.P)
-	s := broadcastSchedule(m, 0)
+	tr := logtime.Tree(m, m.P)
+	s := logtime.BroadcastSchedule(m, 0)
 	if vs := schedule.ValidateBroadcast(s, core.Origins(0)); len(vs) != 0 {
 		return "", fmt.Errorf("bench: figure 1 schedule invalid: %v", vs[0])
 	}

@@ -30,7 +30,9 @@ func (r Result) Key() string {
 	return fmt.Sprintf("%s.%s-%d", r.Package, r.Name, r.GoMaxProcs)
 }
 
-// Load reads a benchjson file.
+// Load reads a benchjson file. A file holding two results with one Key is
+// rejected: Compare keys results in a map, so it would silently gate
+// whichever duplicate came last.
 func Load(path string) ([]Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -39,6 +41,14 @@ func Load(path string) ([]Result, error) {
 	var rs []Result
 	if err := json.Unmarshal(data, &rs); err != nil {
 		return nil, fmt.Errorf("benchcmp: %s: %w", path, err)
+	}
+	seen := make(map[string]bool, len(rs))
+	for _, r := range rs {
+		k := r.Key()
+		if seen[k] {
+			return nil, fmt.Errorf("benchcmp: %s: duplicate result %s", path, k)
+		}
+		seen[k] = true
 	}
 	return rs, nil
 }

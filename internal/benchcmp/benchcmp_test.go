@@ -145,3 +145,16 @@ func TestLoadErrors(t *testing.T) {
 		t.Error("Load of non-JSON must fail")
 	}
 }
+
+// TestLoadRejectsDuplicateKeys: two rows with one key (the same benchmark
+// matched by two -bench patterns) must fail loudly, naming the key, instead
+// of Compare keeping whichever row came last.
+func TestLoadRejectsDuplicateKeys(t *testing.T) {
+	_, err := Load("testdata/bench_dup.json")
+	if err == nil {
+		t.Fatal("Load accepted a file with a duplicated benchmark key")
+	}
+	if want := "logpopt/internal/bench.BenchmarkServdBatchSweep-1"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the duplicated key %s", err, want)
+	}
+}

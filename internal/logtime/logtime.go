@@ -394,25 +394,43 @@ func (b *Builder) Tree(p int) *core.Tree {
 
 // builders caches one Builder per machine shape (L, o, g): the counting
 // tables are independent of P, so every query against the same shape shares
-// the same lazily grown tables.
-var builders sync.Map // key shapeKey -> *Builder
+// the same lazily grown tables. The cache holds at most maxShapes builders,
+// so a stream of distinct machine shapes (one per request, say) cannot grow
+// it without bound; past the cap, For hands out uncached builders.
+var (
+	builders   sync.Map   // key shapeKey -> *Builder
+	buildersMu sync.Mutex // serializes inserts so the cap is exact
+	nShapes    int        // entries in builders; guarded by buildersMu
+)
+
+// maxShapes caps the builder cache. It sits well above the few hundred
+// shapes a realistic parameter sweep touches (12 L × 5 o × 8 g = 480).
+const maxShapes = 1024
 
 type shapeKey struct{ l, o, g logp.Time }
 
 // For returns the shared builder for m's shape, creating it on first use.
-// The machine must be valid (it panics otherwise, like core.OptimalTree).
+// Once maxShapes shapes are cached, a new shape gets a fresh builder that is
+// not retained. The machine must be valid (it panics otherwise, like
+// core.OptimalTree).
 func For(m logp.Machine) *Builder {
 	k := shapeKey{m.L, m.O, m.G}
 	if b, ok := builders.Load(k); ok {
 		mBuilderHits.Inc()
 		return b.(*Builder)
 	}
-	b := MustBuilder(m)
-	if prev, loaded := builders.LoadOrStore(k, b); loaded {
+	buildersMu.Lock()
+	defer buildersMu.Unlock()
+	if b, ok := builders.Load(k); ok {
 		mBuilderHits.Inc()
-		return prev.(*Builder)
+		return b.(*Builder)
 	}
 	mBuilderMisses.Inc()
+	b := MustBuilder(m)
+	if nShapes < maxShapes {
+		builders.Store(k, b)
+		nShapes++
+	}
 	return b
 }
 

@@ -269,22 +269,36 @@ func TestDegenerate(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	if _, name, _ := Select("auto", DefaultThreshold); name != "logtime" {
-		t.Fatalf("auto at threshold picked %s", name)
+// TestBuilderCacheBounded pins the shape-cache cap: a stream of distinct
+// machine shapes (a client varying L per request, say) fills the shared
+// cache to maxShapes and no further, and the uncached builders For hands out
+// past the cap still build the search tree node for node.
+func TestBuilderCacheBounded(t *testing.T) {
+	resetBuilders()
+	t.Cleanup(resetBuilders)
+	for i := 0; i < maxShapes+64; i++ {
+		m := logp.MustNew(20, logp.Time(1+i), logp.Time(i%3), logp.Time(1+i%5))
+		got := Tree(m, m.P)
+		if i%64 != 0 && i < maxShapes {
+			continue
+		}
+		if want := core.OptimalTree(m, m.P); !reflect.DeepEqual(got.Nodes, want.Nodes) {
+			t.Fatalf("shape %d %v: logtime tree differs from search tree", i, m)
+		}
 	}
-	if _, name, _ := Select("auto", DefaultThreshold-1); name != "search" {
-		t.Fatalf("auto below threshold picked %s", name)
+	n := 0
+	builders.Range(func(any, any) bool { n++; return true })
+	if n != maxShapes {
+		t.Fatalf("builder cache holds %d shapes after %d distinct ones, want the cap %d", n, maxShapes+64, maxShapes)
 	}
-	if _, name, _ := Select("logtime", 2); name != "logtime" {
-		t.Fatalf("forced logtime picked %s", name)
-	}
-	if _, name, _ := Select("search", 1<<20); name != "search" {
-		t.Fatalf("forced search picked %s", name)
-	}
-	if _, _, err := Select("bogus", 8); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
+}
+
+// resetBuilders empties the shared builder cache.
+func resetBuilders() {
+	buildersMu.Lock()
+	defer buildersMu.Unlock()
+	builders.Range(func(k, _ any) bool { builders.Delete(k); return true })
+	nShapes = 0
 }
 
 // lastAvail is the broadcast finish: the latest reception + o.

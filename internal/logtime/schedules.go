@@ -153,27 +153,3 @@ func SummationNode(m logp.Machine, t logp.Time, rank int) SumNode {
 	sn.Locals = 1 + int64(sn.SendAt) - busy
 	return sn
 }
-
-// Constructor-selection: the CLIs construct through the search-free builder
-// at or above DefaultThreshold processors and through the heap search below
-// it, unless forced. Both produce the identical tree; the threshold only
-// decides which does the work.
-const DefaultThreshold = 512
-
-// Select resolves a -constructor flag value ("auto", "search", "logtime")
-// to a tree builder, returning the resolved name for display.
-func Select(mode string, p int) (core.TreeBuilder, string, error) {
-	switch mode {
-	case "auto", "":
-		if p >= DefaultThreshold {
-			return Tree, "logtime", nil
-		}
-		return core.OptimalTree, "search", nil
-	case "search":
-		return core.OptimalTree, "search", nil
-	case "logtime":
-		return Tree, "logtime", nil
-	default:
-		return nil, "", fmt.Errorf("unknown constructor %q (want auto, search, or logtime)", mode)
-	}
-}

@@ -30,6 +30,12 @@ import (
 // before hard-closing their connections.
 const closeGrace = 2 * time.Second
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a connection that never finishes them (slowloris) is closed
+// instead of holding a goroutine forever. There is deliberately no write
+// timeout: full schedule bodies at large P legitimately stream for a while.
+const readHeaderTimeout = 10 * time.Second
+
 // Server is an HTTP front end over a metrics registry, a set of named trace
 // documents, run reports, and an optional time-series collector. The zero
 // value is not usable; call New.
@@ -45,6 +51,8 @@ type Server struct {
 	closers []func()
 	ln      net.Listener
 	srv     *http.Server
+
+	headerTimeout time.Duration // readHeaderTimeout; tests shorten it
 }
 
 // mount is an externally supplied handler merged into the routing table,
@@ -65,6 +73,8 @@ func New(reg *obs.Registry) *Server {
 		reg:    reg,
 		traces: map[string]func() ([]byte, error){},
 		runs:   map[string][]byte{},
+
+		headerTimeout: readHeaderTimeout,
 	}
 }
 
@@ -235,7 +245,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("telemetry server: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: s.headerTimeout}
 	s.mu.Lock()
 	s.ln, s.srv = ln, srv
 	s.mu.Unlock()

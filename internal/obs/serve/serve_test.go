@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -97,6 +98,36 @@ func TestStartClose(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal("second Close must be a no-op:", err)
+	}
+}
+
+// TestPartialHeaderClosed: a client that sends part of its request headers
+// and then stalls is disconnected once the header timeout passes, instead of
+// holding its connection and serving goroutine open forever.
+func TestPartialHeaderClosed(t *testing.T) {
+	s := New(nil)
+	if s.headerTimeout != readHeaderTimeout {
+		t.Fatalf("New sets header timeout %v, want %v", s.headerTimeout, readHeaderTimeout)
+	}
+	s.headerTimeout = 100 * time.Millisecond
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server kept a connection with unfinished headers open for 5s")
 	}
 }
 

@@ -25,9 +25,6 @@ type Options struct {
 	// Cache answers /v1/schedule and /v1/batch; nil builds a default
 	// 16-shard, 256 MiB cache over Registry.
 	Cache *Cache
-	// Constructor is the default tree-constructor mode ("auto", "search",
-	// "logtime") for requests that do not name one. Empty means "auto".
-	Constructor string
 	// Registry receives the servd.* metrics; nil uses obs.Default.
 	Registry *obs.Registry
 	// Tracer, when non-nil, records one span per request on TracePID.
@@ -44,7 +41,6 @@ type Options struct {
 // telemetry endpoints share one listener and one graceful shutdown.
 type API struct {
 	cache  *Cache
-	ctor   string
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	log    *slog.Logger
@@ -72,13 +68,8 @@ func NewAPI(opts Options) *API {
 	if log == nil {
 		log = discardLogger()
 	}
-	ctor := opts.Constructor
-	if ctor == "" {
-		ctor = "auto"
-	}
 	a := &API{
 		cache:     cache,
-		ctor:      ctor,
 		reg:       reg,
 		tracer:    opts.Tracer,
 		log:       log,
@@ -225,7 +216,7 @@ func (a *API) parseRequest(r *http.Request) (Request, error) {
 // resolve canonicalizes and answers one request through the cache,
 // annotating ri along the way.
 func (a *API) resolve(req Request, ri *reqInfo) (*Result, Outcome, error) {
-	key, err := Canonicalize(req, a.ctor)
+	key, err := Canonicalize(req, "")
 	if err != nil {
 		if req.Op != "" && KnownOp(req.Op) && ri != nil {
 			ri.setOp(req.Op)
@@ -451,16 +442,7 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 	// `logpsched -explain` computes it.
 	key := res.Key
 	rep := causal.Analyze(res.C.S, DerivedOrigins(res.C.S))
-	mode := key.Constructor
-	if mode == "" {
-		mode = "auto"
-	}
-	tb, _, err := logtime.Select(mode, key.P)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if err := ApplyBound(rep, res.C, key.Machine(), tb); err != nil {
+	if err := ApplyBound(rep, res.C, key.Machine(), logtime.Tree); err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"logpopt/internal/logtime"
+	"logpopt/internal/core"
 	"logpopt/internal/obs"
 	"logpopt/internal/schedule"
 )
@@ -113,11 +113,7 @@ func TestScheduleFormatScheduleBytes(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	tb, _, err := logtime.Select("search", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compile(testKey(t, Request{Op: "broadcast", P: 16, L: 6, O: 2, G: 4, K: 1}).Machine(), "broadcast", 1, 0, tb)
+	c, err := Compile(testKey(t, Request{Op: "broadcast", P: 16, L: 6, O: 2, G: 4, K: 1}).Machine(), "broadcast", 1, 0, core.OptimalTree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +203,7 @@ func TestBatchEndpoint(t *testing.T) {
 	// must have been answered from cache.
 	var outcomes []Outcome
 	for _, r := range resp.Results {
-		if r.Key == "broadcast/search/P8/L6/o2/g4" {
+		if r.Key == "broadcast/logtime/P8/L6/o2/g4" {
 			outcomes = append(outcomes, r.Cache)
 		}
 	}

@@ -212,16 +212,8 @@ func (c *Cache) evictLocked(sh *shard) {
 
 // solve compiles the key's schedule and serializes it once.
 func (c *Cache) solve(k Key) (*Result, error) {
-	mode := k.Constructor
-	if mode == "" {
-		mode = "auto"
-	}
-	tb, _, err := logtime.Select(mode, k.P)
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now()
-	comp, err := Compile(k.Machine(), k.Op, k.K, k.Deadline, tb)
+	comp, err := Compile(k.Machine(), k.Op, k.K, k.Deadline, logtime.Tree)
 	if err != nil {
 		return nil, err
 	}

@@ -175,25 +175,21 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheConstructorRespected: every accepted constructor spelling names
+// the one tree builder, so the second spelling is a cache hit on the first
+// one's entry, not a second solve.
 func TestCacheConstructorRespected(t *testing.T) {
 	c := NewCache(1, 0, obs.NewRegistry())
-	// The same machine through both constructors must yield the same
-	// makespan (logtime is exact) but distinct cache entries.
 	ks := testKey(t, Request{Op: "broadcast", P: 600, L: 6, O: 2, G: 4, K: 1, Constructor: "search"})
 	kl := testKey(t, Request{Op: "broadcast", P: 600, L: 6, O: 2, G: 4, K: 1, Constructor: "logtime"})
-	if ks == kl {
-		t.Fatal("search and logtime canonicalized to the same key")
+	if ks != kl {
+		t.Fatalf("search and logtime canonicalized to %q and %q, want one key", ks, kl)
 	}
-	rs, _, err := c.Get(ks)
-	if err != nil {
-		t.Fatal(err)
+	if _, out, err := c.Get(ks); err != nil || out != Miss {
+		t.Fatalf("first spelling: outcome %v, err %v; want a miss", out, err)
 	}
-	rl, _, err := c.Get(kl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Finish != rl.Finish {
-		t.Fatalf("constructors disagree on makespan: search=%d logtime=%d", rs.Finish, rl.Finish)
+	if _, out, err := c.Get(kl); err != nil || out != Hit {
+		t.Fatalf("second spelling: outcome %v, err %v; want a hit", out, err)
 	}
 }
 

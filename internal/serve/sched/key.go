@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"logpopt/internal/logp"
-	"logpopt/internal/logtime"
 )
 
 // Request is one schedule question as it arrives from a client, either as
@@ -15,7 +14,7 @@ import (
 // (L=6, o=2, g=4, k=1); P is required.
 type Request struct {
 	Op          string    `json:"op"`
-	Constructor string    `json:"constructor,omitempty"` // "", "auto", "search", "logtime"
+	Constructor string    `json:"constructor,omitempty"` // "", "auto", "search", "logtime": all mean logtime
 	P           int       `json:"p"`
 	L           logp.Time `json:"l"`
 	O           logp.Time `json:"o"`
@@ -25,12 +24,12 @@ type Request struct {
 }
 
 // Key is the canonical cache identity of a request: machine parameters the
-// op actually reads, the resolved constructor for ops that build a tree,
-// and k/t only where they matter. Two requests that are the same question
-// canonicalize to the same Key; near-miss machines do not.
+// op actually reads, the constructor for ops that build a tree, and k/t only
+// where they matter. Two requests that are the same question canonicalize
+// to the same Key; near-miss machines do not.
 type Key struct {
 	Op          string
-	Constructor string // resolved: "search", "logtime", or "" for non-tree ops
+	Constructor string // "logtime" for tree ops, "" for the rest
 	P           int
 	L, O, G     logp.Time
 	K           int
@@ -67,13 +66,12 @@ func (k Key) Machine() logp.Machine {
 //   - k is kept only for ops that consume it (kitem, alltoall, continuous)
 //     and zeroed elsewhere, so broadcast?k=7 is broadcast;
 //   - the deadline is kept only for summation;
-//   - the constructor is resolved ("auto" picks by P exactly as
-//     cmd/logpsched does, via logtime.Select) for tree-building ops and
-//     cleared for ops that never touch the tree.
+//   - the constructor is validated, then set to "logtime" (the only tree
+//     builder) for tree-building ops and cleared for the rest, so every
+//     accepted spelling of it is one cache entry.
 //
-// defaultCtor is the server's -constructor mode, used when the request
-// leaves the constructor empty.
-func Canonicalize(req Request, defaultCtor string) (Key, error) {
+// The second argument is ignored; it predates the single constructor.
+func Canonicalize(req Request, _ string) (Key, error) {
 	if req.Op == "" {
 		req.Op = "broadcast"
 	}
@@ -109,18 +107,12 @@ func Canonicalize(req Request, defaultCtor string) (Key, error) {
 		k.Deadline = req.Deadline
 	}
 	if TreeOp(req.Op) {
-		mode := req.Constructor
-		if mode == "" {
-			mode = defaultCtor
+		switch req.Constructor {
+		case "", "auto", "search", "logtime":
+		default:
+			return Key{}, fmt.Errorf("unknown constructor %q (want auto, search, or logtime)", req.Constructor)
 		}
-		if mode == "" {
-			mode = "auto"
-		}
-		_, name, err := logtime.Select(mode, m.P)
-		if err != nil {
-			return Key{}, err
-		}
-		k.Constructor = name
+		k.Constructor = "logtime"
 	}
 	return k, nil
 }

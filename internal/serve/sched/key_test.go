@@ -3,8 +3,6 @@ package sched
 import (
 	"strings"
 	"testing"
-
-	"logpopt/internal/logtime"
 )
 
 func TestCanonicalizeEquivalences(t *testing.T) {
@@ -35,9 +33,9 @@ func TestCanonicalizeEquivalences(t *testing.T) {
 			same: true,
 		},
 		{
-			// "auto" resolves to a concrete constructor, so naming that
-			// constructor explicitly is the same cache entry.
-			name: "auto resolves to search below threshold",
+			// Every constructor spelling names the one tree builder, so
+			// naming any of them is the same cache entry.
+			name: "auto and search share a key",
 			a:    Request{Op: "broadcast", P: 16, L: 6, O: 2, G: 4, K: 1, Constructor: "auto"},
 			b:    Request{Op: "broadcast", P: 16, L: 6, O: 2, G: 4, K: 1, Constructor: "search"},
 			same: true,
@@ -87,23 +85,6 @@ func TestCanonicalizeEquivalences(t *testing.T) {
 	}
 }
 
-func TestCanonicalizeAutoThreshold(t *testing.T) {
-	big, err := Canonicalize(Request{Op: "broadcast", P: logtime.DefaultThreshold, L: 6, O: 2, G: 4, K: 1}, "auto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Constructor != "logtime" {
-		t.Fatalf("auto at P=%d resolved to %q, want logtime", logtime.DefaultThreshold, big.Constructor)
-	}
-	small, err := Canonicalize(Request{Op: "broadcast", P: logtime.DefaultThreshold - 1, L: 6, O: 2, G: 4, K: 1}, "auto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Constructor != "search" {
-		t.Fatalf("auto at P=%d resolved to %q, want search", logtime.DefaultThreshold-1, small.Constructor)
-	}
-}
-
 func TestCanonicalizeClearsConstructorForNonTreeOps(t *testing.T) {
 	k, err := Canonicalize(Request{Op: "alltoall", P: 8, L: 6, O: 2, G: 4, K: 2, Constructor: "logtime"}, "")
 	if err != nil {
@@ -142,7 +123,7 @@ func TestKeyString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := k.String(), "summation/search/P8/L6/o2/g4/t28"; got != want {
+	if got, want := k.String(), "summation/logtime/P8/L6/o2/g4/t28"; got != want {
 		t.Fatalf("Key.String() = %q, want %q", got, want)
 	}
 	k2, err := Canonicalize(Request{Op: "kitem", P: 8, L: 5, K: 3}, "")

@@ -57,8 +57,8 @@ func KOp(op string) bool {
 }
 
 // TreeOp reports whether op's answer (schedule or bound) is built from the
-// optimal broadcast tree, i.e. whether the constructor choice is part of the
-// work. Non-tree ops canonicalize the constructor away.
+// optimal broadcast tree, i.e. whether the request's constructor field
+// applies. Non-tree ops canonicalize the constructor away.
 func TreeOp(op string) bool {
 	switch op {
 	case "broadcast", "reduce", "scan", "summation",

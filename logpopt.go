@@ -110,15 +110,16 @@ var (
 	// NewSeq returns the {f_i} sequence for a postal latency L.
 	NewSeq = core.NewSeq
 	// OptimalBroadcastTree returns ß(P), the optimal broadcast tree
-	// (Theorem 2.1).
-	OptimalBroadcastTree = core.OptimalTree
-	// BroadcastTime returns B(P; L,o,g), the optimal broadcast time.
-	BroadcastTime = core.B
+	// (Theorem 2.1), built by the search-free counting construction.
+	OptimalBroadcastTree = logtime.Tree
+	// BroadcastTime returns B(P; L,o,g), the optimal broadcast time, read
+	// off the counting tables without building a tree.
+	BroadcastTime = logtime.B
 	// Reachable returns P(t; L,o,g), the maximum number of processors
 	// reachable in t steps (Theorem 2.2).
 	Reachable = core.Pt
 	// BroadcastSchedule expands the optimal tree into a schedule.
-	BroadcastSchedule = core.BroadcastSchedule
+	BroadcastSchedule = logtime.BroadcastSchedule
 	// TreeSchedule expands any broadcast tree with an explicit processor
 	// assignment and time offset.
 	TreeSchedule = core.TreeSchedule
@@ -127,10 +128,10 @@ var (
 	BroadcastOrigins = core.Origins
 )
 
-// Search-free logarithmic-time construction (internal/logtime; DESIGN.md
-// §5b). Interchangeable with the heap-search constructors above — trees are
-// node-for-node identical — but built by counting label points: B(P) without
-// any tree, and any single processor's entry in O(log P).
+// Per-rank queries against the search-free construction behind the
+// broadcast functions above (internal/logtime; DESIGN.md §5b): the tree is
+// described by counting label points, so any single processor's entry is
+// answerable in O(log P) without materializing ß(P).
 type (
 	// LogtimeBuilder holds the counting tables of the universal optimal
 	// broadcast tree for one machine shape, shared across every P queried.
@@ -140,23 +141,8 @@ type (
 	LogtimeNodeInfo = logtime.NodeInfo
 )
 
-var (
-	// LogtimeBroadcastTime is BroadcastTime computed from counting tables
-	// with no tree construction — ~10 µs cold at P = 10⁵ vs ~54 ms for the
-	// heap search (BENCH_3.json).
-	LogtimeBroadcastTime = logtime.B
-	// LogtimeNode answers a per-rank query against ß(P) in O(log P).
-	LogtimeNode = logtime.Node
-	// LogtimeBroadcastTree is OptimalBroadcastTree via the counting
-	// construction; the result is node-for-node identical.
-	LogtimeBroadcastTree = logtime.Tree
-	// LogtimeBroadcastSchedule is BroadcastSchedule via the counting
-	// construction.
-	LogtimeBroadcastSchedule = logtime.BroadcastSchedule
-	// SelectConstructor resolves "auto", "search", or "logtime" to a tree
-	// constructor; auto switches to logtime at P >= 512.
-	SelectConstructor = logtime.Select
-)
+// LogtimeNode answers a per-rank query against ß(P) in O(log P).
+var LogtimeNode = logtime.Node
 
 // k-item broadcast (Sections 3, 3.4, 3.5; internal/kitem).
 type (
