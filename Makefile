@@ -24,14 +24,14 @@ bench:
 # Machine-readable benchmark results (BENCH_3.json): wall time plus the
 # solver/sim effort counters the benchmarks report via b.ReportMetric
 # (nodes/op, prunes/op, memohits/op, events/op, events/sec, peak_rss_bytes,
-# req/sec, p99_us land in each entry's "extra"). The scale sweep (P up to
+# req/sec, p99_us land in each entry's "extra"; the encoder's MB/s too). The scale sweep (P up to
 # 1e6) runs in a second invocation with a fixed iteration count so the
 # million-processor benchmarks bound the suite's wall time instead of
 # filling a benchtime. The serving benchmarks run without -benchmem: HTTP
 # allocation counts are scheduler-dependent, and the exact-allocs gate
 # would trip on noise — req/sec and p99_us are their gated metrics.
 bench-json:
-	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -45,7 +45,7 @@ bench-json:
 # The scale metrics gate direction-aware: events/sec on drops, peak RSS on
 # growth, both with generous fractions since they ride on wall time.
 bench-gate:
-	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -104,10 +104,12 @@ servd-smoke:
 	$(GO) run ./cmd/servdsmoke -bin ./servd-smoke-bin -sched ./servd-smoke-sched
 	@rm -f servd-smoke-bin servd-smoke-sched
 
-# Short fuzzing pass over the schedule validator and the conformance harness.
+# Short fuzzing pass over the schedule validator, the schedule JSON encoder
+# (against its encoding/json oracle) and the conformance harness.
 fuzz:
 	$(GO) test -fuzz=FuzzValidate -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzValidatorConsistency -fuzztime=30s ./internal/schedule/
+	$(GO) test -fuzz=FuzzWriteJSON -fuzztime=10s ./internal/schedule/
 	$(GO) test -fuzz=FuzzConform -fuzztime=30s ./internal/conform/
 	$(GO) test -fuzz=FuzzCausal -fuzztime=30s ./internal/obs/causal/
 

@@ -14,6 +14,7 @@ import (
 
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/schedule"
 )
 
@@ -80,7 +81,7 @@ func BinomialTree(m logp.Machine, p int) *core.Tree {
 	if fake.G < m.G {
 		fake.G = m.G
 	}
-	t := core.OptimalTree(fake, p)
+	t := logtime.Tree(fake, p)
 	t.M = m // the schedule still runs on the real machine
 	return t
 }
@@ -105,7 +106,7 @@ func SequentialPipelined(l logp.Time, p, k int) (*schedule.Schedule, logp.Time, 
 	}
 	m := logp.Postal(p, l)
 	inner := logp.Postal(p-1, l)
-	tr := core.OptimalTree(inner, p-1)
+	tr := logtime.Tree(inner, p-1)
 	r0 := len(tr.Nodes[0].Children) + 1 // root sends, plus the source's own send slot
 	s := &schedule.Schedule{M: m}
 	procOf := make([]int, p-1)

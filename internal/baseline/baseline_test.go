@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -94,6 +95,52 @@ func TestBinomialEqualsOptimalWhenGapIsSpan(t *testing.T) {
 	if got, want := TreeTime(BinomialTree(m, 32)), core.B(m, 32); got != want {
 		t.Fatalf("binomial %d != optimal %d", got, want)
 	}
+}
+
+// TestBinomialTreeMatchesSearch pins BinomialTree, which builds through
+// logtime.Tree, node for node to the heap search on the same fake machine
+// (g raised to L+2o). The sweep spans both g >= L+2o, where the binomial
+// tree is the optimal tree, and g < L+2o, where it is slower.
+func TestBinomialTreeMatchesSearch(t *testing.T) {
+	const maxP = 20000
+	for l := logp.Time(1); l <= 12; l++ {
+		for o := logp.Time(0); o <= 4; o++ {
+			for _, p := range []int{1, 2, 3, 7, 64, 511, 512, 5000, maxP} {
+				// Gaps below L+2o share one fake machine, so the search
+				// oracle runs once per fake gap.
+				oracle := map[logp.Time]*core.Tree{}
+				for g := logp.Time(1); g <= 8; g++ {
+					m := logp.MustNew(maxP, l, o, g)
+					fake := m
+					fake.G = max(g, m.D())
+					want, ok := oracle[fake.G]
+					if !ok {
+						want = core.OptimalTree(fake, p)
+						oracle[fake.G] = want
+					}
+					got := BinomialTree(m, p)
+					if got.M != m {
+						t.Fatalf("%v P=%d: tree machine %v", m, p, got.M)
+					}
+					if !sameNodes(got.Nodes, want.Nodes) {
+						t.Fatalf("%v P=%d: binomial tree differs from core.OptimalTree(%v, %d)", m, p, fake, p)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameNodes(a, b []core.Node) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Label != b[i].Label || a[i].Parent != b[i].Parent || !slices.Equal(a[i].Children, b[i].Children) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestBinomialSlowerWhenGapSmall(t *testing.T) {

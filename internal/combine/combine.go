@@ -174,7 +174,7 @@ func ReduceSchedule(m logp.Machine, p int) *schedule.Schedule {
 func ReduceScheduleWith(m logp.Machine, p int, tb core.TreeBuilder) *schedule.Schedule {
 	tr := tb(m, p)
 	T := tr.MaxLabel()
-	s := &schedule.Schedule{M: m}
+	s := &schedule.Schedule{M: m, Events: make([]schedule.Event, 0, 2*max(len(tr.Nodes)-1, 0))}
 	for ni, n := range tr.Nodes {
 		for _, ci := range n.Children {
 			// Broadcast: parent sends at st, child label = st + L + 2o.

@@ -115,7 +115,7 @@ func ScanSchedule(m logp.Machine, p int) *schedule.Schedule {
 func ScanScheduleWith(m logp.Machine, p int, tb core.TreeBuilder) *schedule.Schedule {
 	tr := tb(m, p)
 	T := tr.MaxLabel()
-	s := &schedule.Schedule{M: m}
+	s := &schedule.Schedule{M: m, Events: make([]schedule.Event, 0, 4*max(len(tr.Nodes)-1, 0))}
 	for ni, nd := range tr.Nodes {
 		for _, ci := range nd.Children {
 			// Up-sweep: child ci -> parent, as in ReduceSchedule.

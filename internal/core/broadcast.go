@@ -29,7 +29,8 @@ func TreeSchedule(t *Tree, item int, procOf []int, offset logp.Time) (*schedule.
 		return nil, fmt.Errorf("core: TreeSchedule: procOf has %d entries for %d nodes", len(procOf), t.P())
 	}
 	m := t.M
-	s := &schedule.Schedule{M: m}
+	// One send and one recv per edge.
+	s := &schedule.Schedule{M: m, Events: make([]schedule.Event, 0, 2*max(t.P()-1, 0))}
 	for ni, n := range t.Nodes {
 		for _, ci := range n.Children {
 			// Derive the send time from the child's label so that

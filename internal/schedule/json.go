@@ -4,13 +4,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"logpopt/internal/logp"
 )
 
 // JSON interchange format, so schedules can be exported to (or imported
 // from) external tooling — visualizers, other simulators, trace stores.
-// The format is stable and versioned.
+// The format is stable and versioned:
+//
+//	{"version":1,"machine":{"p":P,"l":L,"o":o,"g":g},"events":[
+//	  {"proc":N,"time":T,"op":"send|recv|comp","item":I,"peer":Q,"dur":D},...]}
+//
+// on one line with a trailing newline; "peer" and "dur" are omitted when
+// zero. The encoder below is hand-written (no reflection, no intermediate
+// copy of the events); ReadJSON decodes through encoding/json with the
+// jsonSchedule/jsonEvent shapes.
 
 // jsonSchedule is the on-wire shape.
 type jsonSchedule struct {
@@ -35,29 +44,130 @@ type jsonEvent struct {
 	Dur  logp.Time `json:"dur,omitempty"`
 }
 
-// WriteJSON serializes the schedule.
+// chunkSize is WriteJSON's flush threshold. maxEventLen bounds one encoded
+// event — at most six 20-byte integers (the op's "op(N)" spelling
+// included) plus 53 bytes of keys and punctuation — with room left for
+// jsonTail, so the chunk buffer never grows.
+const (
+	chunkSize   = 64 << 10
+	maxEventLen = 6*20 + 64
+)
+
+// WriteJSON serializes the schedule, streaming it to w in chunks of about
+// 64 KiB.
 func (s *Schedule) WriteJSON(w io.Writer) error {
-	js := jsonSchedule{
-		Version: 1,
-		Machine: jsonMachine{P: s.M.P, L: s.M.L, O: s.M.O, G: s.M.G},
-		Events:  make([]jsonEvent, 0, len(s.Events)),
+	buf := s.appendHead(make([]byte, 0, chunkSize+maxEventLen))
+	for i := range s.Events {
+		if len(buf) >= chunkSize {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = appendEvent(buf, &s.Events[i], i > 0)
 	}
-	for _, e := range s.Events {
-		js.Events = append(js.Events, jsonEvent{
-			Proc: e.Proc, Time: e.Time, Op: e.Op.String(), Item: e.Item, Peer: e.Peer, Dur: e.Dur,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(js)
+	_, err := w.Write(append(buf, jsonTail...))
+	return err
 }
 
-// ReadJSON deserializes a schedule written by WriteJSON.
+// AppendJSON appends the WriteJSON bytes of the schedule to dst and returns
+// the extended slice. An exact length pass sizes the result first, so dst
+// grows at most once and AppendJSON(nil) returns a slice whose capacity
+// equals its length.
+func (s *Schedule) AppendJSON(dst []byte) []byte {
+	n := s.jsonLen()
+	if cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = s.appendHead(dst)
+	for i := range s.Events {
+		dst = appendEvent(dst, &s.Events[i], i > 0)
+	}
+	return append(dst, jsonTail...)
+}
+
+const jsonTail = "]}\n"
+
+func (s *Schedule) appendHead(b []byte) []byte {
+	b = append(b, `{"version":1,"machine":{"p":`...)
+	b = strconv.AppendInt(b, int64(s.M.P), 10)
+	b = append(b, `,"l":`...)
+	b = strconv.AppendInt(b, s.M.L, 10)
+	b = append(b, `,"o":`...)
+	b = strconv.AppendInt(b, s.M.O, 10)
+	b = append(b, `,"g":`...)
+	b = strconv.AppendInt(b, s.M.G, 10)
+	return append(b, `},"events":[`...)
+}
+
+func appendEvent(b []byte, e *Event, comma bool) []byte {
+	if comma {
+		b = append(b, ',')
+	}
+	b = append(b, `{"proc":`...)
+	b = strconv.AppendInt(b, int64(e.Proc), 10)
+	b = append(b, `,"time":`...)
+	b = strconv.AppendInt(b, e.Time, 10)
+	b = append(b, `,"op":"`...)
+	b = append(b, e.Op.String()...)
+	b = append(b, `","item":`...)
+	b = strconv.AppendInt(b, int64(e.Item), 10)
+	if e.Peer != 0 {
+		b = append(b, `,"peer":`...)
+		b = strconv.AppendInt(b, int64(e.Peer), 10)
+	}
+	if e.Dur != 0 {
+		b = append(b, `,"dur":`...)
+		b = strconv.AppendInt(b, e.Dur, 10)
+	}
+	return append(b, '}')
+}
+
+// jsonLen is the exact length of the WriteJSON output, mirroring appendHead,
+// appendEvent and jsonTail field for field.
+func (s *Schedule) jsonLen() int {
+	n := len(`{"version":1,"machine":{"p":,"l":,"o":,"g":},"events":[`) +
+		intLen(int64(s.M.P)) + intLen(s.M.L) + intLen(s.M.O) + intLen(s.M.G) +
+		len(jsonTail) + max(len(s.Events)-1, 0) // separating commas
+	for i := range s.Events {
+		e := &s.Events[i]
+		n += len(`{"proc":,"time":,"op":"","item":}`) +
+			intLen(int64(e.Proc)) + intLen(e.Time) + len(e.Op.String()) + intLen(int64(e.Item))
+		if e.Peer != 0 {
+			n += len(`,"peer":`) + intLen(int64(e.Peer))
+		}
+		if e.Dur != 0 {
+			n += len(`,"dur":`) + intLen(e.Dur)
+		}
+	}
+	return n
+}
+
+// intLen is len(strconv.AppendInt(nil, v, 10)).
+func intLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// ReadJSON deserializes a schedule written by WriteJSON. The reader must
+// hold exactly one document: anything but whitespace after it is an error.
 func ReadJSON(r io.Reader) (*Schedule, error) {
 	var js jsonSchedule
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&js); err != nil {
 		return nil, fmt.Errorf("schedule: decoding JSON: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("schedule: decoding JSON: trailing data after the schedule")
 	}
 	if js.Version != 1 {
 		return nil, fmt.Errorf("schedule: unsupported version %d", js.Version)

@@ -43,10 +43,17 @@ func TestReadJSONRejects(t *testing.T) {
 		{"bad machine", `{"version":1,"machine":{"p":0,"l":1,"o":0,"g":1},"events":[]}`},
 		{"bad op", `{"version":1,"machine":{"p":2,"l":1,"o":0,"g":1},"events":[{"proc":0,"time":0,"op":"zap","item":0}]}`},
 		{"unknown field", `{"version":1,"machine":{"p":2,"l":1,"o":0,"g":1},"events":[],"extra":1}`},
+		{"trailing document", `{"version":1,"machine":{"p":2,"l":1,"o":0,"g":1},"events":[]} {"junk":1}`},
+		{"trailing garbage", `{"version":1,"machine":{"p":2,"l":1,"o":0,"g":1},"events":[]}` + "\nx"},
+		{"trailing bracket", `{"version":1,"machine":{"p":2,"l":1,"o":0,"g":1},"events":[]}]`},
 	}
 	for _, c := range cases {
 		if _, err := ReadJSON(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+	// Trailing whitespace is not data.
+	if _, err := ReadJSON(strings.NewReader(`{"version":1,"machine":{"p":2,"l":1,"o":0,"g":1},"events":[]}` + " \n\t\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }

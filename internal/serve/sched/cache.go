@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"bytes"
 	"container/list"
-	"fmt"
 	"sync"
 	"time"
 
@@ -217,16 +215,15 @@ func (c *Cache) solve(k Key) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var b bytes.Buffer
-	if err := comp.S.WriteJSON(&b); err != nil {
-		return nil, fmt.Errorf("serializing schedule for %s: %w", k, err)
-	}
+	// AppendJSON sizes the bytes exactly, so the entry's footprint is the
+	// len(JSON) the byte budget charges, with no spare capacity.
+	js := comp.S.AppendJSON(nil)
 	us := time.Since(start).Microseconds()
 	c.hSolve.Observe(us)
 	return &Result{
 		Key:         k,
 		C:           comp,
-		JSON:        b.Bytes(),
+		JSON:        js,
 		Finish:      comp.S.Makespan(),
 		SolveMicros: us,
 	}, nil

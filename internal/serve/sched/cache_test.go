@@ -105,6 +105,36 @@ func TestCacheHitServesSameBytes(t *testing.T) {
 	}
 }
 
+// TestCacheEntriesExactSize: a cached body holds no spare capacity, so the
+// byte budget (len(JSON)+64 per entry) charges what the entry really pins,
+// and the body is exactly what WriteJSON streams for the same schedule.
+func TestCacheEntriesExactSize(t *testing.T) {
+	c := NewCache(1, 0, obs.NewRegistry())
+	var charged int64
+	for _, op := range []string{"broadcast", "reduce", "scan", "binomial"} {
+		for _, p := range []int{1, 300, 3000} {
+			res, _, err := c.Get(testKey(t, Request{Op: op, P: p, L: 6, O: 2, G: 4, K: 1}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(res.JSON) != len(res.JSON) {
+				t.Errorf("%s P=%d: cached body cap %d, len %d", op, p, cap(res.JSON), len(res.JSON))
+			}
+			var w bytes.Buffer
+			if err := res.C.S.WriteJSON(&w); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.JSON, w.Bytes()) {
+				t.Errorf("%s P=%d: cached body differs from WriteJSON", op, p)
+			}
+			charged += int64(len(res.JSON)) + 64
+		}
+	}
+	if got := c.Stats()[0].Bytes; got != charged {
+		t.Fatalf("cache charges %d bytes, want %d", got, charged)
+	}
+}
+
 // TestCacheEviction fills a tiny cache past its byte budget and checks LRU
 // order: the oldest untouched entries go first and recently-used ones stay.
 func TestCacheEviction(t *testing.T) {
