@@ -31,7 +31,7 @@ bench:
 # allocation counts are scheduler-dependent, and the exact-allocs gate
 # would trip on noise — req/sec and p99_us are their gated metrics.
 bench-json:
-	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|ReplayCheck' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -45,7 +45,7 @@ bench-json:
 # The scale metrics gate direction-aware: events/sec on drops, peak RSS on
 # growth, both with generous fractions since they ride on wall time.
 bench-gate:
-	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|ReplayCheck' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -104,14 +104,16 @@ servd-smoke:
 	$(GO) run ./cmd/servdsmoke -bin ./servd-smoke-bin -sched ./servd-smoke-sched
 	@rm -f servd-smoke-bin servd-smoke-sched
 
-# Short fuzzing pass over the schedule validator, the schedule JSON encoder
-# (against its encoding/json oracle) and the conformance harness.
+# Short fuzzing pass over the schedule validator (against its map-based
+# oracle), the schedule JSON encoder (against its encoding/json oracle), the
+# conformance harness and the causal analyzer (against its map-based oracle).
 fuzz:
 	$(GO) test -fuzz=FuzzValidate -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzValidatorConsistency -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzWriteJSON -fuzztime=10s ./internal/schedule/
 	$(GO) test -fuzz=FuzzConform -fuzztime=30s ./internal/conform/
 	$(GO) test -fuzz=FuzzCausal -fuzztime=30s ./internal/obs/causal/
+	$(GO) test -fuzz=FuzzAnalyzeOracle -fuzztime=30s ./internal/obs/causal/
 
 # Differential conformance: replay paper constructors and 500 random seeds on
 # the simulator (strict/buffered), the goroutine runtime (strict/buffered),

@@ -172,29 +172,9 @@ func (ValidatorBackend) Replay(c Case) Result {
 // availability. This is the same quantity the simulator reports as
 // Report.Finish, derived independently so the two can be cross-checked.
 func finishOf(tr *schedule.Schedule, origins map[int]schedule.Origin) logp.Time {
-	type key struct{ proc, item int }
-	avail := make(map[key]logp.Time)
-	for item, og := range origins {
-		k := key{og.Proc, item}
-		if t, ok := avail[k]; !ok || og.Time < t {
-			avail[k] = og.Time
-		}
-	}
-	for _, ev := range tr.Events {
-		if ev.Op != schedule.OpRecv {
-			continue
-		}
-		k := key{ev.Proc, ev.Item}
-		at := ev.Time + tr.M.O
-		if t, ok := avail[k]; !ok || at < t {
-			avail[k] = at
-		}
-	}
 	var mx logp.Time
-	for _, t := range avail {
-		if t > mx {
-			mx = t
-		}
+	for _, a := range schedule.Availability(tr, origins).Recs {
+		mx = max(mx, a.Time)
 	}
 	return mx
 }

@@ -1,8 +1,9 @@
 package conform
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"logpopt/internal/obs"
@@ -108,6 +109,9 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 	val := ck.replay(ck.validator, c)
 	simB := ck.replay(ck.simBuf, c)
 	rtB := ck.replay(ck.rtBuf, c)
+	for _, r := range []Result{simS, rtS, val, simB, rtB} {
+		sortTrace(r.Trace)
+	}
 
 	add := func(format string, args ...any) {
 		diffs = append(diffs, fmt.Sprintf(format, args...))
@@ -255,14 +259,11 @@ func statsDiff(a, b schedule.Stats, queues bool) string {
 	return ""
 }
 
-// traceDiff compares two executed schedules event-by-event under a full
-// deterministic order and describes the first difference ("" when equal).
+// traceDiff compares two executed schedules, both sorted by sortTrace,
+// event by event and describes the first difference ("" when equal).
 func traceDiff(a, b *schedule.Schedule) string {
-	ae, be := sortedEvents(a), sortedEvents(b)
-	n := len(ae)
-	if len(be) < n {
-		n = len(be)
-	}
+	ae, be := a.Events, b.Events
+	n := min(len(ae), len(be))
 	for i := 0; i < n; i++ {
 		if ae[i] != be[i] {
 			return fmt.Sprintf("event %d: %+v vs %+v", i, ae[i], be[i])
@@ -274,28 +275,26 @@ func traceDiff(a, b *schedule.Schedule) string {
 	return ""
 }
 
-// sortedEvents copies the events and sorts them by every field, so that
-// comparisons never depend on the producers' tie-breaking.
-func sortedEvents(s *schedule.Schedule) []schedule.Event {
-	evs := append([]schedule.Event(nil), s.Events...)
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
+// sortTrace sorts a backend's executed trace in place by every field, so
+// that comparisons never depend on the producers' tie-breaking. Backends
+// return traces their caller owns.
+func sortTrace(s *schedule.Schedule) {
+	slices.SortFunc(s.Events, func(a, b schedule.Event) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
+		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+			return c
 		}
-		if a.Op != b.Op {
-			return a.Op < b.Op
+		if c := cmp.Compare(a.Op, b.Op); c != 0 {
+			return c
 		}
-		if a.Item != b.Item {
-			return a.Item < b.Item
+		if c := cmp.Compare(a.Item, b.Item); c != 0 {
+			return c
 		}
-		if a.Peer != b.Peer {
-			return a.Peer < b.Peer
+		if c := cmp.Compare(a.Peer, b.Peer); c != 0 {
+			return c
 		}
-		return a.Dur < b.Dur
+		return cmp.Compare(a.Dur, b.Dur)
 	})
-	return evs
 }

@@ -34,8 +34,10 @@
 package causal
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -271,10 +273,9 @@ type constraint struct {
 	bound logp.Time
 }
 
-// node is one event of the analyzed schedule.
+// node is one event of the analyzed schedule; node i is its event i.
 type node struct {
 	ev    schedule.Event
-	input int // index into s.Events
 	start logp.Time
 	dur   logp.Time // o for send/recv, Dur for compute
 	cons  []constraint
@@ -284,9 +285,33 @@ func (n *node) end() logp.Time { return n.start + n.dur }
 
 // analyzer holds the DAG under construction.
 type analyzer struct {
-	m     logp.Machine
-	nodes []node
-	order []int // node ids in deterministic (time, proc, op, item, peer) order
+	m      logp.Machine
+	nodes  []node
+	order  []int32                  // node ids in deterministic (time, proc, op, item, peer) order
+	byProc schedule.Groups[nodeRef] // nodes by processor, in causal order
+}
+
+// nodeRef is a node's place in the per-processor and per-channel tables.
+type nodeRef struct {
+	proc, peer, item int
+	op               schedule.Op
+	rank             int32 // position in the causal order
+	id               int32 // node index
+}
+
+// from and to are the endpoints of the message a send or receive belongs to.
+func (r *nodeRef) from() int {
+	if r.op == schedule.OpSend {
+		return r.proc
+	}
+	return r.peer
+}
+
+func (r *nodeRef) to() int {
+	if r.op == schedule.OpSend {
+		return r.peer
+	}
+	return r.proc
 }
 
 // Analyze builds the causal DAG of s (with the given item origins) and
@@ -300,91 +325,137 @@ func Analyze(s *schedule.Schedule, origins map[int]schedule.Origin) *Report {
 	a := &analyzer{m: s.M}
 	a.build(s, origins)
 	rep := &Report{Bound: -1}
-	finNode, finTime := a.finish(origins)
+	finNode, finTime := a.finish(s, origins)
 	rep.Finish = finTime
 	rep.Path, rep.Achieved = a.walk(finNode, finTime)
 	rep.OpSlack = a.slacks(finTime)
-
-	// Map per-node slack back to input event order.
-	slackIn := make([]logp.Time, len(s.Events))
-	for i := range a.nodes {
-		slackIn[a.nodes[i].input] = rep.OpSlack[i]
-	}
-	rep.OpSlack = slackIn
-	for i := range rep.Path {
-		rep.Path[i].Index = a.nodes[rep.Path[i].Index].input
-	}
 	return rep
 }
 
 // build creates the nodes in deterministic order and attaches every
-// constraint edge.
+// constraint edge. Edges are found in tables grouped by processor (busy, gap
+// and availability edges) and by sending processor (latency edges), so the
+// whole construction is O(n log n) in the event count, and its memory O(n)
+// whatever the machine's P.
 func (a *analyzer) build(s *schedule.Schedule, origins map[int]schedule.Origin) {
 	m := a.m
+	// A node has at most three constraints: busy, gap, and latency (a
+	// receive) or availability (a send).
+	cons := make([]constraint, 3*len(s.Events))
 	a.nodes = make([]node, 0, len(s.Events))
 	for i, ev := range s.Events {
 		dur := m.O
 		if ev.Op == schedule.OpCompute {
 			dur = ev.Dur
 		}
-		a.nodes = append(a.nodes, node{ev: ev, input: i, start: ev.Time, dur: dur})
+		a.nodes = append(a.nodes, node{ev: ev, start: ev.Time, dur: dur, cons: cons[3*i : 3*i : 3*i+3]})
 	}
-	order := make([]int, len(a.nodes))
+	order := make([]int32, len(a.nodes))
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	sort.Slice(order, func(x, y int) bool {
-		p, q := &a.nodes[order[x]], &a.nodes[order[y]]
-		if p.ev.Time != q.ev.Time {
-			return p.ev.Time < q.ev.Time
+	slices.SortFunc(order, func(x, y int32) int {
+		p, q := &a.nodes[x].ev, &a.nodes[y].ev
+		if c := cmp.Compare(p.Time, q.Time); c != 0 {
+			return c
 		}
-		if p.ev.Proc != q.ev.Proc {
-			return p.ev.Proc < q.ev.Proc
+		if c := cmp.Compare(p.Proc, q.Proc); c != 0 {
+			return c
 		}
-		if p.ev.Op != q.ev.Op {
-			return p.ev.Op < q.ev.Op
+		if c := cmp.Compare(p.Op, q.Op); c != 0 {
+			return c
 		}
-		if p.ev.Item != q.ev.Item {
-			return p.ev.Item < q.ev.Item
+		if c := cmp.Compare(p.Item, q.Item); c != 0 {
+			return c
 		}
-		return p.ev.Peer < q.ev.Peer
+		return cmp.Compare(p.Peer, q.Peer)
 	})
 	a.order = order
+	refs := make([]nodeRef, len(order))
+	for r, id := range order {
+		ev := &a.nodes[id].ev
+		refs[r] = nodeRef{proc: ev.Proc, peer: ev.Peer, item: ev.Item, op: ev.Op, rank: int32(r), id: id}
+	}
+	a.byProc = schedule.GroupByProc(m.P, refs, func(r *nodeRef) int { return r.proc })
 
-	// Per-processor serialization (busy) and same-op spacing (gap) edges.
-	lastAt := make(map[int]int)            // proc -> last node in order
-	lastOp := make(map[[2]int]int)         // (proc, op) -> last node
-	type mkey struct{ from, to, item int } // message identity
-	sendsBy := make(map[mkey][]int)        // sends per identity, time order
-	recvsAt := make(map[[2]int][]int)      // (proc, item) -> recvs, time order
-	for _, id := range order {
-		n := &a.nodes[id]
-		p := n.ev.Proc
-		if prev, ok := lastAt[p]; ok {
-			pn := &a.nodes[prev]
+	var tmp []nodeRef
+	for g := range a.byProc.Len() {
+		proc, grp := a.byProc.Group(g)
+		// Busy edges: each node follows its processor's previous node.
+		for i := 1; i < len(grp); i++ {
+			pn := &a.nodes[grp[i-1].id]
 			if pn.dur > 0 { // zero-duration events impose no busy constraint
 				kind := KindBusy
 				if pn.ev.Op == schedule.OpCompute {
 					kind = KindCompute
 				}
-				n.cons = append(n.cons, constraint{from: prev, kind: kind, bound: pn.end()})
+				n := &a.nodes[grp[i].id]
+				n.cons = append(n.cons, constraint{from: int(grp[i-1].id), kind: kind, bound: pn.end()})
 			}
 		}
-		lastAt[p] = id
-		if n.ev.Op != schedule.OpCompute {
-			k := [2]int{p, int(n.ev.Op)}
-			if prev, ok := lastOp[k]; ok {
-				n.cons = append(n.cons, constraint{
-					from: prev, kind: KindGap, bound: a.nodes[prev].start + m.G,
-				})
+
+		// Gap edges: each send or receive follows its port's previous one.
+		tmp = append(tmp[:0], grp...)
+		slices.SortFunc(tmp, func(x, y nodeRef) int {
+			if c := cmp.Compare(x.op, y.op); c != 0 {
+				return c
 			}
-			lastOp[k] = id
+			return cmp.Compare(x.rank, y.rank)
+		})
+		for i := 1; i < len(tmp); i++ {
+			if tmp[i].op == tmp[i-1].op && tmp[i].op != schedule.OpCompute {
+				prev := int(tmp[i-1].id)
+				n := &a.nodes[tmp[i].id]
+				n.cons = append(n.cons, constraint{from: prev, kind: KindGap, bound: a.nodes[prev].start + m.G})
+			}
 		}
-		switch n.ev.Op {
-		case schedule.OpSend:
-			sendsBy[mkey{p, n.ev.Peer, n.ev.Item}] = append(sendsBy[mkey{p, n.ev.Peer, n.ev.Item}], id)
-		case schedule.OpRecv:
-			recvsAt[[2]int{p, n.ev.Item}] = append(recvsAt[[2]int{p, n.ev.Item}], id)
+
+		// Availability edges: each send needs its item; the provider is
+		// whatever made it available earliest at the sender — the item's
+		// origin there, or the sender's first reception of it.
+		slices.SortFunc(tmp, func(x, y nodeRef) int {
+			if c := cmp.Compare(x.item, y.item); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(x.op, y.op); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.rank, y.rank)
+		})
+		for rest := tmp; len(rest) > 0; {
+			n := 1
+			for n < len(rest) && rest[n].item == rest[0].item {
+				n++
+			}
+			run := rest[:n]
+			rest = rest[n:]
+			lo := 0
+			for lo < n && run[lo].op < schedule.OpSend {
+				lo++
+			}
+			hi := lo
+			for hi < n && run[hi].op == schedule.OpSend {
+				hi++
+			}
+			if lo == hi {
+				continue
+			}
+			provider, kind, at := -1, EdgeKind(-1), logp.Time(0)
+			if og, ok := origins[run[0].item]; ok && og.Proc == proc {
+				provider, kind, at = -1, KindOrigin, og.Time
+			}
+			if hi < n && run[hi].op == schedule.OpRecv { // earliest reception = earliest availability
+				if avail := a.nodes[run[hi].id].end(); kind < 0 || avail < at {
+					provider, kind, at = int(run[hi].id), KindAvail, avail
+				}
+			}
+			if kind < 0 {
+				continue
+			}
+			for _, r := range run[lo:hi] {
+				n := &a.nodes[r.id]
+				n.cons = append(n.cons, constraint{from: provider, kind: kind, bound: at})
+			}
 		}
 	}
 
@@ -392,100 +463,171 @@ func (a *analyzer) build(s *schedule.Schedule, origins map[int]schedule.Origin) 
 	// identity whose arrival is at or before the reception (buffered
 	// receptions may start late), preferring the latest such arrival; an
 	// exact-arrival strict trace matches one-to-one.
-	used := make(map[int]bool)
-	for _, id := range order {
-		n := &a.nodes[id]
-		if n.ev.Op != schedule.OpRecv {
-			continue
+	msgs := slices.DeleteFunc(refs, func(r nodeRef) bool { // byProc holds its own copy
+		return r.op != schedule.OpSend && r.op != schedule.OpRecv
+	})
+	byFrom := schedule.GroupByProc(m.P, msgs, (*nodeRef).from)
+	byFrom.SortEach(func(x, y nodeRef) int {
+		if c := cmp.Compare(x.to(), y.to()); c != 0 {
+			return c
 		}
-		cands := sendsBy[mkey{n.ev.Peer, n.ev.Proc, n.ev.Item}]
-		best := -1
-		for _, sid := range cands {
-			if used[sid] {
-				continue
-			}
-			if arr := a.nodes[sid].start + m.O + m.L; arr <= n.start {
-				best = sid // candidates are in time order; keep the latest
-			}
+		if c := cmp.Compare(x.item, y.item); c != 0 {
+			return c
 		}
-		if best < 0 { // violating trace: fall back to the earliest unused send
-			for _, sid := range cands {
-				if !used[sid] {
-					best = sid
-					break
+		if c := cmp.Compare(x.op, y.op); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.rank, y.rank)
+	})
+	var pick sendPicker
+	var arrivals []logp.Time
+	for g := range byFrom.Len() {
+		_, ch := byFrom.Group(g)
+		for len(ch) > 0 {
+			n, split := 1, 0
+			for n < len(ch) && ch[n].to() == ch[0].to() && ch[n].item == ch[0].item {
+				n++
+			}
+			for split < n && ch[split].op == schedule.OpSend {
+				split++
+			}
+			sends, recvs := ch[:split], ch[split:n]
+			ch = ch[n:]
+			arrivals = arrivals[:0]
+			for _, sr := range sends {
+				arrivals = append(arrivals, a.nodes[sr.id].start+m.O+m.L)
+			}
+			pick.reset(arrivals)
+			for _, r := range recvs {
+				rn := &a.nodes[r.id]
+				best := pick.latest(rn.start)
+				if best < 0 { // violating trace: fall back to the earliest unused send
+					best = pick.earliest()
 				}
+				if best < 0 {
+					continue
+				}
+				pick.claim(best)
+				sid := int(sends[best].id)
+				rn.cons = append(rn.cons, constraint{
+					from: sid, kind: KindLatency, bound: a.nodes[sid].start + m.O + m.L,
+				})
 			}
-		}
-		if best >= 0 {
-			used[best] = true
-			n.cons = append(n.cons, constraint{
-				from: best, kind: KindLatency, bound: a.nodes[best].start + m.O + m.L,
-			})
 		}
 	}
+}
 
-	// Availability edges: each send needs its item; the provider is whatever
-	// made it available earliest at the sender — the item's origin there, or
-	// the sender's first reception of it.
-	for _, id := range order {
-		n := &a.nodes[id]
-		if n.ev.Op != schedule.OpSend {
-			continue
+// sendPicker answers the latency matcher's two queries over one channel's
+// sends, indexed in causal order: the latest unused send arriving by a time,
+// and the earliest unused send. A segment tree holds, per subtree, the
+// number of unused sends and the earliest arrival among them, so each query
+// and each claim costs O(log k) whatever the arrival values. Arrivals need
+// not rise with send order: send + o + L wraps on a machine whose L is near
+// the int64 limit, which Machine.Validate and ReadJSON accept.
+type sendPicker struct {
+	size   int         // leaf count, a power of two; leaf i is node size+i
+	unused []int32     // unused sends per subtree
+	arrive []logp.Time // earliest arrival among a subtree's unused sends
+}
+
+func (p *sendPicker) reset(arrivals []logp.Time) {
+	p.size = 1
+	for p.size < len(arrivals) {
+		p.size *= 2
+	}
+	p.unused = slices.Grow(p.unused[:0], 2*p.size)[:2*p.size]
+	p.arrive = slices.Grow(p.arrive[:0], 2*p.size)[:2*p.size]
+	for i := range p.size {
+		p.unused[p.size+i] = 0
+		if i < len(arrivals) {
+			p.unused[p.size+i], p.arrive[p.size+i] = 1, arrivals[i]
 		}
-		provider, kind, at := -1, EdgeKind(-1), logp.Time(0)
-		if og, ok := origins[n.ev.Item]; ok && og.Proc == n.ev.Proc {
-			provider, kind, at = -1, KindOrigin, og.Time
+	}
+	for j := p.size - 1; j >= 1; j-- {
+		p.pull(j)
+	}
+}
+
+func (p *sendPicker) pull(j int) {
+	l, r := 2*j, 2*j+1
+	p.unused[j] = p.unused[l] + p.unused[r]
+	switch {
+	case p.unused[l] == 0:
+		p.arrive[j] = p.arrive[r]
+	case p.unused[r] == 0:
+		p.arrive[j] = p.arrive[l]
+	default:
+		p.arrive[j] = min(p.arrive[l], p.arrive[r])
+	}
+}
+
+// latest returns the highest-indexed unused send arriving at or before t,
+// or -1.
+func (p *sendPicker) latest(t logp.Time) int {
+	ok := func(j int) bool { return p.unused[j] > 0 && p.arrive[j] <= t }
+	if !ok(1) {
+		return -1
+	}
+	j := 1
+	for j < p.size {
+		if j = 2*j + 1; !ok(j) {
+			j--
 		}
-		if rs := recvsAt[[2]int{n.ev.Proc, n.ev.Item}]; len(rs) > 0 {
-			first := rs[0] // earliest reception = earliest availability
-			if avail := a.nodes[first].end(); kind < 0 || avail < at {
-				provider, kind, at = first, KindAvail, avail
-			}
+	}
+	return j - p.size
+}
+
+// earliest returns the lowest-indexed unused send, or -1.
+func (p *sendPicker) earliest() int {
+	if p.unused[1] == 0 {
+		return -1
+	}
+	j := 1
+	for j < p.size {
+		if j = 2 * j; p.unused[j] == 0 {
+			j++
 		}
-		if kind >= 0 {
-			a.nodes[id].cons = append(a.nodes[id].cons, constraint{from: provider, kind: kind, bound: at})
-		}
+	}
+	return j - p.size
+}
+
+// claim marks send i used.
+func (p *sendPicker) claim(i int) {
+	j := p.size + i
+	p.unused[j] = 0
+	for j /= 2; j >= 1; j /= 2 {
+		p.pull(j)
 	}
 }
 
 // finish determines the run's completion time — the latest item availability
 // across all (processor, item) pairs, or the end of the last compute if that
 // is later — and the node that realizes it (-1 when an origin injection or
-// an empty schedule realizes it).
-func (a *analyzer) finish(origins map[int]schedule.Origin) (int, logp.Time) {
-	type pi struct{ proc, item int }
-	avail := make(map[pi]logp.Time)
-	by := make(map[pi]int) // realizing recv node, -1 for origin
-	for item, og := range origins {
-		k := pi{og.Proc, item}
-		if t, ok := avail[k]; !ok || og.Time < t {
-			avail[k] = og.Time
-			by[k] = -1
+// an empty schedule realizes it). Among equally late pairs the least
+// (processor, item) wins, and within a pair an origin beats receptions and
+// an earlier reception in causal order beats a later one.
+func (a *analyzer) finish(s *schedule.Schedule, origins map[int]schedule.Origin) (int, logp.Time) {
+	av := schedule.Availability(s, origins)
+	var best schedule.Avail
+	havePI := false
+	for _, x := range av.Recs { // ascending (proc, item): the first maximum wins ties
+		if !havePI || x.Time > best.Time {
+			best, havePI = x, true
 		}
 	}
-	for _, id := range a.order {
-		n := &a.nodes[id]
-		if n.ev.Op != schedule.OpRecv {
-			continue
-		}
-		k := pi{n.ev.Proc, n.ev.Item}
-		at := n.end()
-		if t, ok := avail[k]; !ok || at < t {
-			avail[k] = at
-			by[k] = id
-		}
-	}
-	bestNode, bestT, havePI := -1, logp.Time(0), false
-	var bestK pi
-	for k, t := range avail {
-		if !havePI || t > bestT || (t == bestT && (k.proc < bestK.proc || (k.proc == bestK.proc && k.item < bestK.item))) {
-			havePI, bestT, bestK, bestNode = true, t, k, by[k]
+	bestNode, bestT := -1, best.Time
+	if og, ok := origins[best.Item]; havePI && (!ok || og.Proc != best.Proc || og.Time != best.Time) {
+		for _, r := range a.byProc.Find(best.Proc) {
+			if r.op == schedule.OpRecv && r.item == best.Item && a.nodes[r.id].end() == bestT {
+				bestNode = int(r.id)
+				break
+			}
 		}
 	}
 	for _, id := range a.order {
 		n := &a.nodes[id]
 		if n.ev.Op == schedule.OpCompute && (n.end() > bestT || !havePI) {
-			havePI, bestT, bestNode = true, n.end(), id
+			havePI, bestT, bestNode = true, n.end(), int(id)
 		}
 	}
 	if !havePI {
@@ -580,15 +722,15 @@ func (a *analyzer) slacks(finTime logp.Time) []logp.Time {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool {
-		p, q := &a.nodes[order[x]], &a.nodes[order[y]]
-		if p.start != q.start {
-			return p.start > q.start
+	slices.SortFunc(order, func(x, y int) int {
+		p, q := &a.nodes[x], &a.nodes[y]
+		if c := cmp.Compare(q.start, p.start); c != 0 {
+			return c
 		}
-		if p.ev.Op != q.ev.Op {
-			return p.ev.Op < q.ev.Op
+		if c := cmp.Compare(p.ev.Op, q.ev.Op); c != 0 {
+			return c
 		}
-		return order[x] < order[y]
+		return cmp.Compare(x, y)
 	})
 	for _, id := range order {
 		n := &a.nodes[id]

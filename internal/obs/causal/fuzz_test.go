@@ -63,3 +63,21 @@ func FuzzCausal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAnalyzeOracle requires Analyze to equal the map-based oracle — finish,
+// path with indices, kinds and slack, breakdown, per-event slack and
+// signature — on each generated schedule and on the simulator's strict and
+// buffered executions of it, clean or not.
+func FuzzAnalyzeOracle(f *testing.F) {
+	for seed := int64(0); seed < 50; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		c := conform.Generate(seed)
+		for _, v := range executions(c) {
+			if err := causal.SameAsOracle(v.s, c.Origins); err != nil {
+				t.Fatalf("seed %d (%s): %v", seed, v.name, err)
+			}
+		}
+	})
+}

@@ -7,12 +7,17 @@ import (
 )
 
 // FuzzValidate feeds arbitrary event streams to the validator, which must
-// never panic and never report success for schedules with unmatched
-// messages. Bytes decode into a small machine and a sequence of events.
+// never panic and must report exactly the violations of the map-based
+// oracle. Bytes decode into a small machine and a sequence of events whose
+// processors and peers range past both ends of [0, P) and whose ops include
+// unknown kinds.
 func FuzzValidate(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 1, 0, 0, 0, 1, 5})
 	f.Add([]byte{8, 6, 2, 4, 0, 0, 10, 1, 3, 1, 1, 18, 1, 0})
 	f.Add([]byte{})
+	// Negative and beyond-P processors and peers, on both message ends.
+	f.Add([]byte{3, 2, 1, 1, 0, 9, 0, 1, 0, 11, 12, 1, 1, 9, 1, 0, 0, 0, 0})
+	f.Add([]byte{2, 5, 0, 1, 11, 4, 0, 2, 2, 2, 10, 1, 2, 11, 3, 4, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -27,21 +32,21 @@ func FuzzValidate(f *testing.F) {
 		rest := data[4:]
 		for len(rest) >= 5 {
 			ev := Event{
-				Proc: int(rest[0] % 10),
+				Proc: int(rest[0]%12) - 2,
 				Time: logp.Time(rest[1]) - 8,
-				Op:   Op(rest[2] % 3),
+				Op:   Op(int(rest[2]%5) - 1),
 				Item: int(rest[3] % 6),
-				Peer: int(rest[4]%10) - 1,
+				Peer: int(rest[4]%12) - 2,
 				Dur:  logp.Time(rest[4] % 5),
 			}
 			s.Events = append(s.Events, ev)
 			rest = rest[5:]
 		}
+		origins := map[int]Origin{0: {Proc: 0}, 1: {Proc: 0, Time: 3}, 2: {Proc: -1}, 3: {Proc: 9, Time: 1}}
+		if err := SameAsOracle(s, origins); err != nil {
+			t.Fatal(err)
+		}
 		// None of these may panic.
-		_ = Validate(s)
-		_ = ValidateDeferred(s)
-		origins := map[int]Origin{0: {Proc: 0}, 1: {Proc: 0, Time: 3}}
-		_ = CheckAvailability(s, origins)
 		_ = CheckBroadcastComplete(s, origins)
 		s.Sort()
 		_ = s.Makespan()

@@ -13,7 +13,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"logpopt/internal/logp"
@@ -85,18 +87,17 @@ func (s *Schedule) Compute(proc int, at logp.Time, dur logp.Time, tag int) {
 
 // Sort orders events by (time, proc, op, item) for stable output.
 func (s *Schedule) Sort() {
-	sort.Slice(s.Events, func(i, j int) bool {
-		a, b := s.Events[i], s.Events[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
+	slices.SortFunc(s.Events, func(a, b Event) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
+		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+			return c
 		}
-		if a.Op != b.Op {
-			return a.Op < b.Op
+		if c := cmp.Compare(a.Op, b.Op); c != 0 {
+			return c
 		}
-		return a.Item < b.Item
+		return cmp.Compare(a.Item, b.Item)
 	})
 }
 

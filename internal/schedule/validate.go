@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"logpopt/internal/logp"
@@ -29,6 +31,7 @@ const (
 	VBadProc    = "bad-processor"       // processor index out of range
 	VSelfSend   = "self-send"           // message from a processor to itself
 	VBadCompute = "bad-compute"         // compute event with non-positive duration
+	VBadOp      = "bad-op"              // event of an unknown kind
 )
 
 // Validate checks every structural LogP constraint on the schedule and
@@ -52,6 +55,20 @@ func ValidateDeferred(s *Schedule) []Violation {
 }
 
 func validate(s *Schedule, deferRecv bool) []Violation {
+	out := checkEvents(s)
+	if deferRecv {
+		out = append(out, matchMessagesDeferred(s)...)
+	} else {
+		out = append(out, matchMessages(s)...)
+	}
+	out = append(out, checkPorts(s)...)
+	out = append(out, checkCapacity(s)...)
+	return out
+}
+
+// checkEvents is the per-event pass: times, processor and peer ranges, op
+// kinds and compute durations.
+func checkEvents(s *Schedule) []Violation {
 	var out []Violation
 	add := func(kind, format string, args ...any) {
 		out = append(out, Violation{Kind: kind, Msg: fmt.Sprintf(format, args...)})
@@ -76,52 +93,107 @@ func validate(s *Schedule, deferRecv bool) []Violation {
 			if e.Dur <= 0 {
 				add(VBadCompute, "proc %d compute at %d has duration %d", e.Proc, e.Time, e.Dur)
 			}
+		default:
+			add(VBadOp, "proc %d has an event of unknown kind %s at %d", e.Proc, e.Op, e.Time)
 		}
 	}
-
-	if deferRecv {
-		out = append(out, matchMessagesDeferred(s)...)
-	} else {
-		out = append(out, matchMessages(s)...)
-	}
-	out = append(out, checkPorts(s)...)
-	out = append(out, checkCapacity(s)...)
 	return out
 }
 
-// msgKey identifies one directed message for send/recv matching.
-type msgKey struct {
+// endpoint is one side of a message on the channel (from, to, item): a send
+// or a reception at time t.
+type endpoint struct {
 	from, to, item int
-	arrive         logp.Time // send.Time + o + L == recv.Time
+	op             Op
+	t              logp.Time
 }
 
-func matchMessages(s *Schedule) []Violation {
-	var out []Violation
-	m := s.M
-	sends := make(map[msgKey]int)
-	recvs := make(map[msgKey]int)
+// channels groups every send and reception by sending processor, each group
+// sorted by (to, item, op, t): a channel's sends, then its receptions, both
+// in time order. Send times are shifted by sendShift.
+func channels(s *Schedule, sendShift logp.Time) Groups[endpoint] {
+	eps := make([]endpoint, 0, len(s.Events))
 	for _, e := range s.Events {
 		switch e.Op {
 		case OpSend:
-			sends[msgKey{e.Proc, e.Peer, e.Item, e.Time + m.O + m.L}]++
+			eps = append(eps, endpoint{e.Proc, e.Peer, e.Item, OpSend, e.Time + sendShift})
 		case OpRecv:
-			recvs[msgKey{e.Peer, e.Proc, e.Item, e.Time}]++
+			eps = append(eps, endpoint{e.Peer, e.Proc, e.Item, OpRecv, e.Time})
 		}
 	}
-	for k, n := range sends {
-		if r := recvs[k]; r != n {
-			out = append(out, Violation{VUnmatched, fmt.Sprintf(
-				"%d send(s) of item %d from %d to %d arriving at %d, but %d recv(s)",
-				n, k.item, k.from, k.to, k.arrive, r)})
+	g := GroupByProc(s.M.P, eps, func(ep *endpoint) int { return ep.from })
+	g.SortEach(func(a, b endpoint) int {
+		if c := cmp.Compare(a.to, b.to); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.item, b.item); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.op, b.op); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.t, b.t)
+	})
+	return g
+}
+
+// eachChannel calls fn once per channel of g, in (from, to, item) order, with
+// the channel's sends and receptions.
+func eachChannel(g *Groups[endpoint], fn func(from, to, item int, sends, recvs []endpoint)) {
+	for i := range g.Len() {
+		from, eps := g.Group(i)
+		for len(eps) > 0 {
+			to, item := eps[0].to, eps[0].item
+			n := 1
+			for n < len(eps) && eps[n].to == to && eps[n].item == item {
+				n++
+			}
+			split := 0
+			for split < n && eps[split].op == OpSend {
+				split++
+			}
+			fn(from, to, item, eps[:split], eps[split:n])
+			eps = eps[n:]
 		}
 	}
-	for k, n := range recvs {
-		if sd := sends[k]; sd == 0 && n > 0 {
-			out = append(out, Violation{VUnmatched, fmt.Sprintf(
-				"%d recv(s) of item %d at %d from %d at time %d with no matching send at %d",
-				n, k.item, k.to, k.from, k.arrive, k.arrive-m.O-m.L)})
+}
+
+// matchMessages requires every send to meet exactly as many receptions as
+// there are sends of the same message, at its arrival time send + o + L. A
+// merge walk over each channel's arrival-sorted sends and time-sorted
+// receptions counts both sides of every arrival instant.
+func matchMessages(s *Schedule) []Violation {
+	var out []Violation
+	m := s.M
+	g := channels(s, m.O+m.L)
+	eachChannel(&g, func(from, to, item int, ss, rr []endpoint) {
+		for len(ss) > 0 || len(rr) > 0 {
+			var at logp.Time
+			if len(rr) == 0 || (len(ss) > 0 && ss[0].t <= rr[0].t) {
+				at = ss[0].t
+			} else {
+				at = rr[0].t
+			}
+			n, r := 0, 0
+			for n < len(ss) && ss[n].t == at {
+				n++
+			}
+			for r < len(rr) && rr[r].t == at {
+				r++
+			}
+			ss, rr = ss[n:], rr[r:]
+			switch {
+			case n > 0 && r != n:
+				out = append(out, Violation{VUnmatched, fmt.Sprintf(
+					"%d send(s) of item %d from %d to %d arriving at %d, but %d recv(s)",
+					n, item, from, to, at, r)})
+			case n == 0:
+				out = append(out, Violation{VUnmatched, fmt.Sprintf(
+					"%d recv(s) of item %d at %d from %d at time %d with no matching send at %d",
+					r, item, to, from, at, at-m.O-m.L)})
+			}
 		}
-	}
+	})
 	return out
 }
 
@@ -131,55 +203,22 @@ func matchMessages(s *Schedule) []Violation {
 func matchMessagesDeferred(s *Schedule) []Violation {
 	var out []Violation
 	m := s.M
-	type chKey struct{ from, to, item int }
-	sends := make(map[chKey][]logp.Time)
-	recvs := make(map[chKey][]logp.Time)
-	var keys []chKey
-	for _, e := range s.Events {
-		switch e.Op {
-		case OpSend:
-			k := chKey{e.Proc, e.Peer, e.Item}
-			if len(sends[k]) == 0 && len(recvs[k]) == 0 {
-				keys = append(keys, k)
-			}
-			sends[k] = append(sends[k], e.Time)
-		case OpRecv:
-			k := chKey{e.Peer, e.Proc, e.Item}
-			if len(sends[k]) == 0 && len(recvs[k]) == 0 {
-				keys = append(keys, k)
-			}
-			recvs[k] = append(recvs[k], e.Time)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		if a.to != b.to {
-			return a.to < b.to
-		}
-		return a.item < b.item
-	})
-	for _, k := range keys {
-		ss := append([]logp.Time(nil), sends[k]...)
-		rr := append([]logp.Time(nil), recvs[k]...)
-		sort.Slice(ss, func(i, j int) bool { return ss[i] < ss[j] })
-		sort.Slice(rr, func(i, j int) bool { return rr[i] < rr[j] })
+	g := channels(s, 0)
+	eachChannel(&g, func(from, to, item int, ss, rr []endpoint) {
 		if len(ss) != len(rr) {
 			out = append(out, Violation{VUnmatched, fmt.Sprintf(
 				"item %d from %d to %d: %d sends but %d recvs",
-				k.item, k.from, k.to, len(ss), len(rr))})
-			continue
+				item, from, to, len(ss), len(rr))})
+			return
 		}
 		for i := range ss {
-			if rr[i] < ss[i]+m.O+m.L {
+			if arr := ss[i].t + m.O + m.L; rr[i].t < arr {
 				out = append(out, Violation{VLatency, fmt.Sprintf(
 					"item %d from %d to %d: recv at %d before arrival %d",
-					k.item, k.from, k.to, rr[i], ss[i]+m.O+m.L)})
+					item, from, to, rr[i].t, arr)})
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -190,132 +229,113 @@ type busyIval struct {
 	item       int
 }
 
+// checkPorts checks each in-range processor's send and receive spacing (gap
+// g) and that its busy intervals (overheads and computes) never overlap.
 func checkPorts(s *Schedule) []Violation {
 	var out []Violation
 	m := s.M
-	type portEvents struct {
-		sends, recvs []logp.Time
-		busy         []busyIval
-	}
-	ports := make(map[int]*portEvents)
-	pe := func(p int) *portEvents {
-		if ports[p] == nil {
-			ports[p] = &portEvents{}
+	var ids []int32
+	for i, e := range s.Events {
+		if e.Proc >= 0 && e.Proc < m.P {
+			ids = append(ids, int32(i))
 		}
-		return ports[p]
 	}
-	for _, e := range s.Events {
-		if e.Proc < 0 || e.Proc >= m.P {
-			continue
-		}
-		p := pe(e.Proc)
-		switch e.Op {
-		case OpSend:
-			p.sends = append(p.sends, e.Time)
-			if m.O > 0 {
-				p.busy = append(p.busy, busyIval{e.Time, e.Time + m.O, OpSend, e.Item})
+	g := GroupByProc(m.P, ids, func(i *int32) int { return s.Events[*i].Proc })
+	var ts []logp.Time
+	var ivs []busyIval
+	for i := range g.Len() {
+		proc, pe := g.Group(i)
+		for _, op := range []Op{OpSend, OpRecv} {
+			ts = ts[:0]
+			for _, id := range pe {
+				if e := &s.Events[id]; e.Op == op {
+					ts = append(ts, e.Time)
+				}
 			}
-		case OpRecv:
-			p.recvs = append(p.recvs, e.Time)
-			if m.O > 0 {
-				p.busy = append(p.busy, busyIval{e.Time, e.Time + m.O, OpRecv, e.Item})
-			}
-		case OpCompute:
-			p.busy = append(p.busy, busyIval{e.Time, e.Time + e.Dur, OpCompute, e.Item})
-		}
-	}
-	procs := make([]int, 0, len(ports))
-	for p := range ports {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	for _, proc := range procs {
-		p := ports[proc]
-		for _, kind := range []struct {
-			name  string
-			times []logp.Time
-		}{{"send", p.sends}, {"recv", p.recvs}} {
-			ts := append([]logp.Time(nil), kind.times...)
-			sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-			for i := 1; i < len(ts); i++ {
-				if ts[i]-ts[i-1] < m.G {
+			slices.Sort(ts)
+			for j := 1; j < len(ts); j++ {
+				if ts[j]-ts[j-1] < m.G {
 					out = append(out, Violation{VGap, fmt.Sprintf(
 						"proc %d: %ss at %d and %d violate gap g=%d",
-						proc, kind.name, ts[i-1], ts[i], m.G)})
+						proc, op, ts[j-1], ts[j], m.G)})
 				}
 			}
 		}
-		ivs := p.busy
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
-		for i := 1; i < len(ivs); i++ {
-			if ivs[i].start < ivs[i-1].end {
+		ivs = ivs[:0]
+		for _, id := range pe {
+			switch e := &s.Events[id]; e.Op {
+			case OpSend, OpRecv:
+				if m.O > 0 {
+					ivs = append(ivs, busyIval{e.Time, e.Time + m.O, e.Op, e.Item})
+				}
+			case OpCompute:
+				ivs = append(ivs, busyIval{e.Time, e.Time + e.Dur, OpCompute, e.Item})
+			}
+		}
+		// Which of two equal-start intervals is reported first depends on
+		// the sort; this is the same pdqsort over the same input-order
+		// sequence as the map-based oracle's sort.Slice.
+		slices.SortFunc(ivs, func(a, b busyIval) int { return cmp.Compare(a.start, b.start) })
+		for j := 1; j < len(ivs); j++ {
+			if ivs[j].start < ivs[j-1].end {
 				out = append(out, Violation{VBusy, fmt.Sprintf(
 					"proc %d: %s(item %d) [%d,%d) overlaps %s(item %d) [%d,%d)",
 					proc,
-					ivs[i-1].op, ivs[i-1].item, ivs[i-1].start, ivs[i-1].end,
-					ivs[i].op, ivs[i].item, ivs[i].start, ivs[i].end)})
+					ivs[j-1].op, ivs[j-1].item, ivs[j-1].start, ivs[j-1].end,
+					ivs[j].op, ivs[j].item, ivs[j].start, ivs[j].end)})
 			}
 		}
 	}
 	return out
 }
 
+// checkCapacity bounds the messages in transit from and to each processor.
+// A message sent at s occupies (s+o, s+o+L]; the maximum overlap is a merge
+// walk over a processor's sorted starts and ends that takes the ends at an
+// instant before its starts.
 func checkCapacity(s *Schedule) []Violation {
 	var out []Violation
 	m := s.M
-	cap := m.Capacity()
-	// Messages in transit from p occupy (send.Time+o, send.Time+o+L]; count
-	// the maximum overlap per source and per destination with a sweep.
-	type edge struct {
-		start, end logp.Time
-	}
-	from := make(map[int][]edge)
-	to := make(map[int][]edge)
-	for _, e := range s.Events {
-		if e.Op != OpSend {
-			continue
+	capacity := m.Capacity()
+	var sends []int32
+	for i, e := range s.Events {
+		if e.Op == OpSend {
+			sends = append(sends, int32(i))
 		}
-		ed := edge{e.Time + m.O, e.Time + m.O + m.L}
-		from[e.Proc] = append(from[e.Proc], ed)
-		to[e.Peer] = append(to[e.Peer], ed)
 	}
-	check := func(dir string, edges map[int][]edge) {
-		procs := make([]int, 0, len(edges))
-		for p := range edges {
-			procs = append(procs, p)
-		}
-		sort.Ints(procs)
-		for _, p := range procs {
-			type pt struct {
-				t logp.Time
-				d int
+	var starts, ends []logp.Time
+	for _, dir := range []struct {
+		name string
+		proc func(*int32) int
+	}{
+		{"from", func(i *int32) int { return s.Events[*i].Proc }},
+		{"to", func(i *int32) int { return s.Events[*i].Peer }},
+	} {
+		g := GroupByProc(m.P, sends, dir.proc)
+		for i := range g.Len() {
+			p, ids := g.Group(i)
+			starts, ends = starts[:0], ends[:0]
+			for _, id := range ids {
+				t := s.Events[id].Time
+				starts = append(starts, t+m.O)
+				ends = append(ends, t+m.O+m.L)
 			}
-			var pts []pt
-			for _, ed := range edges[p] {
-				pts = append(pts, pt{ed.start, +1}, pt{ed.end, -1})
-			}
-			sort.Slice(pts, func(i, j int) bool {
-				if pts[i].t != pts[j].t {
-					return pts[i].t < pts[j].t
+			slices.Sort(starts)
+			slices.Sort(ends)
+			mx, done := 0, 0
+			for j, t := range starts {
+				for done < len(ends) && ends[done] <= t {
+					done++
 				}
-				return pts[i].d < pts[j].d // process ends before starts at same instant
-			})
-			cur, mx := 0, 0
-			for _, q := range pts {
-				cur += q.d
-				if cur > mx {
-					mx = cur
-				}
+				mx = max(mx, j+1-done)
 			}
-			if mx > cap {
+			if mx > capacity {
 				out = append(out, Violation{VCapacity, fmt.Sprintf(
 					"proc %d: %d messages in transit %s it (capacity ceil(L/g)=%d)",
-					p, mx, dir, cap)})
+					p, mx, dir.name, capacity)})
 			}
 		}
 	}
-	check("from", from)
-	check("to", to)
 	return out
 }
 
@@ -326,39 +346,86 @@ func checkCapacity(s *Schedule) []Violation {
 // item at time s from proc p requires availability at p no later than s.
 func CheckAvailability(s *Schedule, origins map[int]Origin) []Violation {
 	var out []Violation
-	m := s.M
-	type pk struct{ proc, item int }
-	avail := make(map[pk]logp.Time)
-	for item, og := range origins {
-		avail[pk{og.Proc, item}] = og.Time
-	}
-	for _, e := range s.Events {
-		if e.Op != OpRecv {
-			continue
-		}
-		k := pk{e.Proc, e.Item}
-		t := e.Time + m.O
-		if cur, ok := avail[k]; !ok || t < cur {
-			avail[k] = t
-		}
-	}
+	av := Availability(s, origins)
 	for _, e := range s.Events {
 		if e.Op != OpSend {
 			continue
 		}
-		t, ok := avail[pk{e.Proc, e.Item}]
+		a, ok := av.Lookup(e.Proc, e.Item)
 		if !ok {
 			out = append(out, Violation{VAvail, fmt.Sprintf(
 				"proc %d sends item %d at %d but never has it", e.Proc, e.Item, e.Time)})
 			continue
 		}
-		if e.Time < t {
+		if e.Time < a {
 			out = append(out, Violation{VAvail, fmt.Sprintf(
 				"proc %d sends item %d at %d but it is available only at %d",
-				e.Proc, e.Item, e.Time, t)})
+				e.Proc, e.Item, e.Time, a)})
 		}
 	}
 	return out
+}
+
+// Avail is the earliest time an item is available at a processor: its origin
+// time there or o after its earliest reception there, whichever is first.
+type Avail struct {
+	Proc, Item int
+	Time       logp.Time
+}
+
+// AvailTable holds the availability of every (processor, item) pair that has
+// an origin or a reception, grouped by processor and sorted by item.
+type AvailTable struct{ Groups[Avail] }
+
+// Availability computes the availability table of s under origins.
+func Availability(s *Schedule, origins map[int]Origin) AvailTable {
+	recvs := 0
+	for _, e := range s.Events {
+		if e.Op == OpRecv {
+			recvs++
+		}
+	}
+	all := make([]Avail, 0, len(origins)+recvs)
+	for item, og := range origins {
+		all = append(all, Avail{og.Proc, item, og.Time})
+	}
+	for _, e := range s.Events {
+		if e.Op == OpRecv {
+			all = append(all, Avail{e.Proc, e.Item, e.Time + s.M.O})
+		}
+	}
+	g := GroupByProc(s.M.P, all, func(a *Avail) int { return a.Proc })
+	g.SortEach(func(a, b Avail) int {
+		if c := cmp.Compare(a.Item, b.Item); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Time, b.Time)
+	})
+	// Keep the first record of each (processor, item) run: its minimum.
+	w := 0
+	for i := range g.Len() {
+		lo, hi := g.start[i], g.start[i+1]
+		g.start[i] = w
+		for j := lo; j < hi; j++ {
+			if j == lo || g.Recs[j].Item != g.Recs[w-1].Item {
+				g.Recs[w] = g.Recs[j]
+				w++
+			}
+		}
+	}
+	g.start[g.Len()] = w
+	g.Recs = g.Recs[:w]
+	return AvailTable{g}
+}
+
+// Lookup returns the availability of item at proc, by binary search, and
+// whether the item is ever available there.
+func (t *AvailTable) Lookup(proc, item int) (logp.Time, bool) {
+	as := t.Find(proc)
+	if i, ok := slices.BinarySearchFunc(as, item, func(a Avail, item int) int { return cmp.Compare(a.Item, item) }); ok {
+		return as[i].Time, true
+	}
+	return 0, false
 }
 
 // Origin records where and when an item enters the system.

@@ -1,6 +1,9 @@
 package schedule
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -271,5 +274,107 @@ func TestFirstError(t *testing.T) {
 	two := []Violation{{VGap, "x"}, {VBusy, "y"}}
 	if err := FirstError(two); err == nil || !strings.Contains(err.Error(), "1 more") {
 		t.Fatalf("FirstError(two) = %v", err)
+	}
+}
+
+// TestValidateRejects pins one defect per row that both Validate and
+// ValidateDeferred must report under the given kind.
+func TestValidateRejects(t *testing.T) {
+	m := logp.MustNew(4, 6, 2, 4)
+	for _, c := range []struct {
+		name string
+		ev   Event
+		kind string
+	}{
+		{"unknown op", Event{Proc: 1, Time: 3, Op: Op(7), Item: 0, Peer: 2}, VBadOp},
+		{"negative op", Event{Proc: 0, Time: 0, Op: Op(-1), Peer: -1}, VBadOp},
+		{"negative proc", Event{Proc: -1, Time: 0, Op: OpCompute, Peer: -1, Dur: 1}, VBadProc},
+		{"negative time", Event{Proc: 0, Time: -2, Op: OpCompute, Peer: -1, Dur: 1}, VNegTime},
+		{"zero-length compute", Event{Proc: 0, Time: 0, Op: OpCompute, Peer: -1}, VBadCompute},
+		{"lone send", Event{Proc: 0, Time: 0, Op: OpSend, Item: 1, Peer: 3}, VUnmatched},
+	} {
+		s := &Schedule{M: m, Events: []Event{c.ev}}
+		if vs := Validate(s); !hasKind(vs, c.kind) {
+			t.Errorf("%s: Validate = %v, want a %s violation", c.name, vs, c.kind)
+		}
+		if vs := ValidateDeferred(s); !hasKind(vs, c.kind) {
+			t.Errorf("%s: ValidateDeferred = %v, want a %s violation", c.name, vs, c.kind)
+		}
+	}
+}
+
+// TestCheckersHugeMachine runs every checker on a machine with P = 2^40 and
+// three events at processors -5, 0 and 2^40-1: the tables must size by the
+// event count, not by P or the processor values.
+func TestCheckersHugeMachine(t *testing.T) {
+	const top = 1<<40 - 1
+	s := &Schedule{M: logp.MustNew(1<<40, 6, 2, 4), Events: []Event{
+		{Proc: 0, Time: 0, Op: OpSend, Item: 0, Peer: top},
+		{Proc: top, Time: 8, Op: OpRecv, Item: 0, Peer: 0},
+		{Proc: -5, Time: 4, Op: OpSend, Item: 0, Peer: 0},
+	}}
+	origins := map[int]Origin{0: {Proc: 0}}
+	if err := SameAsOracle(s, origins); err != nil {
+		t.Fatal(err)
+	}
+	for name, check := range map[string]func(){
+		"Validate":          func() { Validate(s) },
+		"ValidateDeferred":  func() { ValidateDeferred(s) },
+		"CheckAvailability": func() { CheckAvailability(s, origins) },
+	} {
+		if n := allocated(check); n >= 1<<20 {
+			t.Errorf("%s allocated %d bytes on three events", name, n)
+		}
+	}
+}
+
+// allocated returns the bytes fn allocates, from the TotalAlloc delta.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestGroupByProc covers the dense buckets and the overflow group on both
+// sides of them: groups come out in ascending processor order with input
+// order kept inside each, and Find sees every group.
+func TestGroupByProc(t *testing.T) {
+	type rec struct{ proc, seq int }
+	in := []rec{{5, 0}, {-2, 1}, {1, 2}, {1 << 40, 3}, {-2, 4}, {0, 5}, {5, 6}, {1, 7}, {-7, 8}}
+	g := GroupByProc(1<<41, in, func(r *rec) int { return r.proc })
+	want := []rec{{-7, 8}, {-2, 1}, {-2, 4}, {0, 5}, {1, 2}, {1, 7}, {5, 0}, {5, 6}, {1 << 40, 3}}
+	if !slices.Equal(g.Recs, want) {
+		t.Fatalf("Recs = %v, want %v", g.Recs, want)
+	}
+	var procs []int
+	for i := range g.Len() {
+		p, rs := g.Group(i)
+		procs = append(procs, p)
+		if !slices.Equal(g.Find(p), rs) {
+			t.Errorf("Find(%d) = %v, want %v", p, g.Find(p), rs)
+		}
+	}
+	if want := []int{-7, -2, 0, 1, 5, 1 << 40}; !slices.Equal(procs, want) {
+		t.Errorf("group procs %v, want %v", procs, want)
+	}
+	if rs := g.Find(2); rs != nil {
+		t.Errorf("Find(2) = %v, want nil", rs)
+	}
+}
+
+// TestValidatorWrappingTimes compares the validator with its oracle on a
+// machine whose latency is so close to the int64 limit that send + o + L
+// wraps, so arrival order differs from send order.
+func TestValidatorWrappingTimes(t *testing.T) {
+	m := logp.MustNew(3, math.MaxInt64-20, 1, 2)
+	s := &Schedule{M: m}
+	for i := range 30 {
+		s.Send(0, logp.Time(2*i), 0, 1)
+		s.Recv(1, logp.Time(i*i%37)-18, 0, 0)
+	}
+	if err := SameAsOracle(s, map[int]Origin{0: {Proc: 0}}); err != nil {
+		t.Fatal(err)
 	}
 }
