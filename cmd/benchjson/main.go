@@ -22,100 +22,23 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
+
+	"logpopt/internal/benchcmp"
 )
-
-type result struct {
-	Name       string             `json:"name"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Package    string             `json:"package,omitempty"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	WallS      float64            `json:"wall_s"`
-	BytesPerOp int64              `json:"bytes_per_op,omitempty"`
-	AllocsOp   int64              `json:"allocs_per_op,omitempty"`
-	Extra      map[string]float64 `json:"extra,omitempty"`
-}
-
-// parseLine converts one benchmark result line. procs is the GOMAXPROCS the
-// run used: a trailing "-procs" on the name is the framework's suffix and is
-// stripped; any other trailing "-<digits>" belongs to the benchmark's own
-// name (a sub-benchmark case) and is kept, with the run recorded as serial —
-// go test only omits the suffix when GOMAXPROCS was 1.
-func parseLine(line string, procs int) (result, bool) {
-	var r result
-	fields := strings.Fields(line)
-	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return r, false
-	}
-	name := fields[0]
-	r.GoMaxProcs = 1
-	if suffix := fmt.Sprintf("-%d", procs); procs != 1 && strings.HasSuffix(name, suffix) {
-		r.GoMaxProcs = procs
-		name = strings.TrimSuffix(name, suffix)
-	}
-	r.Name = name
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return r, false
-	}
-	r.Iterations = iters
-	// Remaining fields come in (value, unit) pairs: ns/op, B/op, allocs/op.
-	for i := 2; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			continue
-		}
-		switch fields[i+1] {
-		case "ns/op":
-			r.NsPerOp = v
-		case "B/op":
-			r.BytesPerOp = int64(v)
-		case "allocs/op":
-			r.AllocsOp = int64(v)
-		default:
-			if r.Extra == nil {
-				r.Extra = make(map[string]float64)
-			}
-			r.Extra[fields[i+1]] = v
-		}
-	}
-	r.WallS = float64(r.Iterations) * r.NsPerOp / 1e9
-	return r, r.NsPerOp > 0
-}
 
 func main() {
 	procs := flag.Int("gomaxprocs", runtime.GOMAXPROCS(0),
 		"GOMAXPROCS the benchmark run used (the \"-N\" name suffix go test appends); defaults to this process's value, override when converting output recorded on another machine")
 	flag.Parse()
-	var results []result
-	pkg := ""
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "pkg:") {
-			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-			continue
-		}
-		if r, ok := parseLine(line, *procs); ok {
-			r.Package = pkg
-			results = append(results, r)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	results, err := benchcmp.Parse(os.Stdin, *procs)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
-	}
-	if results == nil {
-		results = []result{} // emit [], not null, when nothing matched
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

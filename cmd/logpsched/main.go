@@ -1,13 +1,18 @@
 // Command logpsched compiles a named collective operation for a LogP
 // machine into a schedule, emitted as versioned JSON on stdout (or rendered
-// as text with -render). It makes the library's schedules consumable from
-// other languages and tools.
+// with -render). It makes the library's schedules consumable from other
+// languages and tools.
 //
 // Usage:
 //
 //	logpsched -op broadcast -P 64 -L 6 -o 2 -g 4 > bcast.json
 //	logpsched -op kitem -P 10 -L 3 -k 8 -render table
 //	logpsched -op scan -P 9 -L 3 -render svg > scan.svg
+//	logpsched -op broadcast -P 8 -L 6 -o 2 -g 4 -render tree   # Figure 1
+//	logpsched -op broadcast -P 8 -render dot > tree.dot
+//	logpsched -op summation -P 8 -L 5 -o 2 -g 4 -t 28 -render tree   # Figure 6
+//	logpsched -op continuous -L 3 -P 10 -k 8 -render tree   # Figure 2's blocks
+//	logpsched -op continuous -L 3 -P 42 -render dot > blocks.dot   # Figure 3
 //	logpsched -op kitem -P 10 -L 3 -k 8 -trace out.json -metrics
 //	logpsched -op broadcast -P 64 -runstore runs/   # archive for reportdiff
 //	logpsched -op broadcast -explain
@@ -15,12 +20,21 @@
 //	logpsched -op linear -explain -render svg > chain.svg
 //	logpsched -op broadcast -P 64 -remote http://127.0.0.1:8080 > bcast.json
 //
+// Renders: json (the default), gantt (activity chart), table (reception
+// table) and svg (timeline) draw the schedule itself. tree and dot draw the
+// structure behind it and exist only for broadcast (the optimal tree ß(P)),
+// summation (the communication tree) and continuous (the blocks with their
+// words, and the block transmission digraph): tree prints a headline — B(P),
+// n(t), or the per-item delay — then the structure as text, dot prints the
+// structure alone as GraphViz. A render the request cannot honor is rejected
+// before anything is compiled or fetched.
+//
 // -remote turns the tool into a thin client of a running logpservd: the
 // schedule is fetched from the service (which runs the identical compile
 // layer behind a cache) instead of solved locally, and with -render json the
 // service's bytes are emitted verbatim — byte-identical to a local solve.
 // -explain, -trace, -report, and -runstore need a local solve and are
-// rejected alongside -remote.
+// rejected alongside -remote, as are the tree and dot renders.
 //
 // -explain replaces the schedule output with a causal critical-path report:
 // the chain of events that determines the finish time, each with its
@@ -41,8 +55,10 @@
 // stderr.
 //
 // Operations: broadcast, alltoall, personalized, scatter, gather, reduce,
-// scan, kitem (postal only), continuous (postal only), summation (requires
-// -t deadline), and the broadcast baselines linear, flat, binary, binomial.
+// scan, kitem (postal only), continuous (postal only; at L=2 with P-1 = P(t)
+// it falls back to Theorem 3.5's delay-(t+3) construction), summation
+// (requires -t deadline), and the broadcast baselines linear, flat, binary,
+// binomial.
 package main
 
 import (
@@ -57,7 +73,6 @@ import (
 
 	logpopt "logpopt"
 	"logpopt/internal/cliutil"
-	"logpopt/internal/conform"
 	"logpopt/internal/logp"
 	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
@@ -66,6 +81,7 @@ import (
 	"logpopt/internal/schedule"
 	"logpopt/internal/serve/sched"
 	"logpopt/internal/sim"
+	"logpopt/internal/summation"
 	"logpopt/internal/trace"
 )
 
@@ -91,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		postal    = fs.Bool("postal", false, "postal model (forces o=0, g=1)")
 		k         = fs.Int("k", 1, "items for kitem/alltoall/continuous")
 		deadline  = fs.Int64("t", 0, "deadline for -op summation (cycles)")
-		render    = fs.String("render", "json", "output: json, gantt, table, svg")
+		render    = fs.String("render", "json", "output: json, gantt, table, svg; tree or dot (broadcast, summation, continuous only)")
 		explain   = fs.Bool("explain", false, "print a causal critical-path report instead of the schedule (with -render svg: highlighted SVG on stdout, report on stderr)")
 		traceOut  = fs.String("trace", "", cliutil.TraceUsage)
 		sample    = fs.Int64("tracesample", 1, "with -trace: keep replay spans for a seeded 1-in-N sample of processors; rank 0, the critical path, and the engine track are always kept, and counter graphs are thinned by the same factor. 1 keeps everything")
@@ -122,6 +138,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *op == "summation" && *deadline <= 0 {
 		return errors.New("summation requires -t <deadline> (e.g. -t 28 for Figure 6)")
+	}
+	if err := checkRender(*render, *op, *remote != ""); err != nil {
+		return err
 	}
 
 	if *remote != "" {
@@ -167,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var crep *causal.Report
 	analyze := func() *causal.Report {
 		if crep == nil {
-			crep = causal.Analyze(s, conform.DerivedOrigins(s))
+			crep = causal.Analyze(s, schedule.DerivedOrigins(s))
 		}
 		return crep
 	}
@@ -191,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		eng := sim.New(s.M, sim.Strict)
 		eng.Tracer = tracer
-		eng.Replay(s, conform.DerivedOrigins(s))
+		eng.Replay(s, schedule.DerivedOrigins(s))
 		if err := closeTrace(); err != nil {
 			return err
 		}
@@ -202,7 +221,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *reportOut != "" || *storeDir != "" {
-		r := cliutil.BuildReport("logpsched", *op, s, conform.DerivedOrigins(s), bound, analyze())
+		r := cliutil.BuildReport("logpsched", *op, s, schedule.DerivedOrigins(s), bound, analyze())
 		r.Constructor = "logtime"
 		if *reportOut != "" {
 			if err := cliutil.WriteReport("logpsched", r, *reportOut); err != nil {
@@ -230,11 +249,94 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
+	if *render == "tree" || *render == "dot" {
+		return renderStructure(m, *op, *k, logp.Time(*deadline), s, *render, stdout)
+	}
 	return renderSchedule(s, *render, stdout)
 }
 
+// checkRender rejects a -render value the request cannot honor, before
+// anything is compiled or fetched. tree and dot draw the structure behind
+// a broadcast, summation or continuous schedule, which is rebuilt locally
+// and is not part of the service's answer.
+func checkRender(render, op string, remote bool) error {
+	switch render {
+	case "json", "gantt", "table", "svg":
+		return nil
+	case "tree", "dot":
+		if op != "broadcast" && op != "summation" && op != "continuous" {
+			return fmt.Errorf("-render %s draws the structure of broadcast, summation, or continuous; op %s has none", render, op)
+		}
+		if remote {
+			return fmt.Errorf("-render %s rebuilds the structure locally; it is not available with -remote", render)
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown render %q (want json, gantt, table, svg, tree, or dot)", render)
+}
+
+// renderStructure writes the structure behind s, the schedule compiled for
+// op: the optimal broadcast tree (Figure 1), the summation communication
+// tree (Figure 6), or the continuous-broadcast blocks, words and block
+// digraph (Figures 2-3). tree prints a headline, then the structure; dot
+// prints the structure alone as GraphViz. The structure is rebuilt here
+// rather than carried in sched.Compiled, so cached answers stay schedule-only.
+func renderStructure(m logp.Machine, op string, k int, deadline logp.Time, s *logpopt.Schedule, render string, stdout io.Writer) error {
+	switch op {
+	case "broadcast":
+		tr := logtime.Tree(m, m.P)
+		if render == "dot" {
+			fmt.Fprint(stdout, tr.DOT("broadcast"))
+			return nil
+		}
+		fmt.Fprintf(stdout, "%v: B(P) = %d\n\nOptimal broadcast tree (node @availability):\n", m, tr.MaxLabel())
+		fmt.Fprint(stdout, tr.String())
+	case "summation":
+		pl, err := summation.BuildWith(m, deadline, logtime.Tree)
+		if err != nil {
+			return err
+		}
+		if render == "dot" {
+			fmt.Fprint(stdout, pl.Tree.DOT("summation"))
+			return nil
+		}
+		fmt.Fprintf(stdout, "%v: n(%d) = %d operands on %d processors\n", m, deadline, pl.N, pl.Tree.P())
+		fmt.Fprint(stdout, "\nCommunication tree (reversed optimal broadcast on L+1):\n")
+		fmt.Fprint(stdout, pl.Tree.String())
+	case "continuous":
+		inst, err := sched.ContinuousInstance(int(m.L), m.P-1)
+		if err != nil {
+			return err
+		}
+		a, err := inst.Assign()
+		if err != nil {
+			return err
+		}
+		g := logpopt.DeriveBlockDigraph(a)
+		if render == "dot" {
+			fmt.Fprint(stdout, g.DOT("blocks"))
+			return nil
+		}
+		worst, err := logpopt.VerifyContinuousDelay(s, k, inst.Delay())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "postal L=%d, %d subscribers, horizon %d: per-item delay %d (worst measured %d), k=%d finishes at %d\n",
+			inst.L, inst.P, inst.T, inst.Delay(), worst, k, s.LastRecv())
+		fmt.Fprint(stdout, "\nblocks and words (delays):\n")
+		for _, b := range inst.Blocks {
+			fmt.Fprintf(stdout, "  size %-3d delay %-3d word %v\n", b.Size, b.Delay, b.Word)
+		}
+		fmt.Fprintf(stdout, "  receive-only delay %d\n", inst.RecvOnlyDelay)
+		fmt.Fprint(stdout, "\nblock transmission digraph:\n")
+		fmt.Fprint(stdout, g.String())
+	}
+	return nil
+}
+
 // renderSchedule writes s in the requested rendering — shared by the local
-// and -remote paths so both present schedules identically.
+// and -remote paths so both present schedules identically. render was
+// vetted by checkRender.
 func renderSchedule(s *logpopt.Schedule, render string, stdout io.Writer) error {
 	switch render {
 	case "json":
@@ -247,8 +349,6 @@ func renderSchedule(s *logpopt.Schedule, render string, stdout io.Writer) error 
 		fmt.Fprint(stdout, logpopt.ReceptionTable(s))
 	case "svg":
 		fmt.Fprint(stdout, logpopt.TimelineSVG(s))
-	default:
-		return fmt.Errorf("unknown render %q (want json, gantt, table, or svg)", render)
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ import (
 	logpopt "logpopt"
 	"logpopt/internal/baseline"
 	"logpopt/internal/combine"
-	"logpopt/internal/conform"
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
 	"logpopt/internal/obs/report"
@@ -47,6 +46,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"unknown op", []string{"-op", "sideways"}, `unknown op "sideways"`},
 		{"unknown constructor", []string{"-constructor", "logtime"}, "flag provided but not defined: -constructor"},
 		{"unknown render", []string{"-render", "hologram"}, "unknown render"},
+		{"tree without structure", []string{"-op", "kitem", "-P", "10", "-L", "3", "-k", "8", "-render", "tree"}, "-render tree"},
+		{"dot without structure", []string{"-op", "scan", "-render", "dot"}, "-render dot"},
 		{"zero tracesample", []string{"-tracesample", "0"}, "-tracesample"},
 		{"negative tracesample", []string{"-tracesample", "-3"}, "-tracesample"},
 		{"zero k", []string{"-op", "alltoall", "-k", "0"}, "-k"},
@@ -193,7 +194,7 @@ func TestReportMatchesSim(t *testing.T) {
 				t.Fatal(berr)
 			}
 		}
-		simRep := sim.New(m, sim.Strict).Replay(s, conform.DerivedOrigins(s))
+		simRep := sim.New(m, sim.Strict).Replay(s, schedule.DerivedOrigins(s))
 		if r.Finish != int64(simRep.Finish) {
 			t.Fatalf("%s: report finish %d, sim finish %d", op, r.Finish, simRep.Finish)
 		}

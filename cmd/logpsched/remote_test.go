@@ -31,6 +31,7 @@ func TestRemoteByteIdentical(t *testing.T) {
 		{"-op", "binomial", "-P", "9", "-L", "5", "-o", "1", "-g", "3"},
 		{"-op", "alltoall", "-P", "6", "-L", "6", "-o", "2", "-g", "4", "-k", "2"},
 		{"-op", "kitem", "-P", "10", "-L", "3", "-k", "8"},
+		{"-op", "continuous", "-P", "35", "-L", "2", "-k", "4"}, // Theorem 3.5 fallback
 		{"-op", "summation", "-P", "8", "-L", "6", "-o", "2", "-g", "4", "-t", "28"},
 		{"-op", "broadcast", "-P", "600"},
 	}
@@ -88,6 +89,17 @@ func TestRemoteRejections(t *testing.T) {
 	// Flag validation still happens client-side before any request.
 	if _, err := exec(t, "-remote", url, "-op", "sideways"); err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Errorf("unknown op with -remote: err = %v", err)
+	}
+	// A bad -render fails up front, before any request: the port-1 URL
+	// would otherwise surface a dial error.
+	for _, args := range [][]string{
+		{"-remote", "http://127.0.0.1:1", "-render", "jsn"},
+		{"-remote", "http://127.0.0.1:1", "-render", "tree"},
+		{"-remote", "http://127.0.0.1:1", "-op", "kitem", "-P", "10", "-L", "3", "-render", "dot"},
+	} {
+		if _, err := exec(t, args...); err == nil || !strings.Contains(err.Error(), "render") {
+			t.Errorf("%v: err = %v, want a -render rejection", args, err)
+		}
 	}
 	// A server-side solve failure maps to a readable client error.
 	if _, err := exec(t, "-remote", url, "-op", "continuous", "-P", "2", "-L", "1", "-k", "2"); err == nil || !strings.Contains(err.Error(), "remote schedule") {

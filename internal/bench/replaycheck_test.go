@@ -29,7 +29,7 @@ func BenchmarkReplayCheck(b *testing.B) {
 	flatRed := combine.ReduceScheduleWith(m, m.P, baseline.FlatTree)
 	cases = append(cases,
 		conform.Case{Name: fmt.Sprintf("flat-broadcast/p%d", m.P), S: flat, Origins: core.Origins(0)},
-		conform.Case{Name: fmt.Sprintf("flat-reduce/p%d", m.P), S: flatRed, Origins: conform.DerivedOrigins(flatRed)},
+		conform.Case{Name: fmt.Sprintf("flat-reduce/p%d", m.P), S: flatRed, Origins: schedule.DerivedOrigins(flatRed)},
 	)
 	ck := conform.NewChecker()
 	for i, c := range cases {

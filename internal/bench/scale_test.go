@@ -43,7 +43,7 @@ func scaleReduce(p int) *schedule.Schedule {
 	return s
 }
 
-// reduceOrigins mirrors conform.DerivedOrigins: every item enters at its
+// reduceOrigins mirrors schedule.DerivedOrigins: every item enters at its
 // earliest sender at time zero (conform is not imported to keep the bench
 // package's dependencies one-directional).
 func reduceOrigins(s *schedule.Schedule) map[int]schedule.Origin {

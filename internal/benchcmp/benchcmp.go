@@ -1,18 +1,22 @@
-// Package benchcmp compares two benchmark result files in the cmd/benchjson
-// format and flags per-metric regressions against fractional thresholds. It
-// is the engine behind cmd/benchdiff and `make bench-gate`.
+// Package benchcmp owns the benchmark result record: it parses `go test
+// -bench` output into records (the engine behind cmd/benchjson), and
+// compares two result files in that format, flagging per-metric regressions
+// against fractional thresholds (the engine behind cmd/benchdiff and
+// `make bench-gate`).
 package benchcmp
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// Result mirrors one cmd/benchjson record.
+// Result is one benchmark result record, the unit of a cmd/benchjson file.
 type Result struct {
 	Name       string             `json:"name"`
 	GoMaxProcs int                `json:"gomaxprocs"`
@@ -28,6 +32,77 @@ type Result struct {
 // Key identifies a benchmark across files.
 func (r Result) Key() string {
 	return fmt.Sprintf("%s.%s-%d", r.Package, r.Name, r.GoMaxProcs)
+}
+
+// Parse reads `go test -bench` output and returns one Result per benchmark
+// result line, each tagged with the package of the "pkg:" line above it.
+// Lines that are not results are skipped, so unfiltered output can be fed
+// in. procs is the GOMAXPROCS the run used; see parseLine. The slice is
+// never nil, so an empty run encodes as [] rather than null.
+func Parse(r io.Reader, procs int) ([]Result, error) {
+	results := []Result{}
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "pkg:") {
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			continue
+		}
+		if r, ok := parseLine(line, procs); ok {
+			r.Package = pkg
+			results = append(results, r)
+		}
+	}
+	return results, sc.Err()
+}
+
+// parseLine converts one benchmark result line. procs is the GOMAXPROCS the
+// run used: a trailing "-procs" on the name is the framework's suffix and is
+// stripped; any other trailing "-<digits>" belongs to the benchmark's own
+// name (a sub-benchmark case) and is kept, with the run recorded as serial —
+// go test only omits the suffix when GOMAXPROCS was 1.
+func parseLine(line string, procs int) (Result, bool) {
+	var r Result
+	fields := strings.Fields(line)
+	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+		return r, false
+	}
+	name := fields[0]
+	r.GoMaxProcs = 1
+	if suffix := fmt.Sprintf("-%d", procs); procs != 1 && strings.HasSuffix(name, suffix) {
+		r.GoMaxProcs = procs
+		name = strings.TrimSuffix(name, suffix)
+	}
+	r.Name = name
+	iters, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return r, false
+	}
+	r.Iterations = iters
+	// Remaining fields come in (value, unit) pairs: ns/op, B/op, allocs/op.
+	for i := 2; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			continue
+		}
+		switch fields[i+1] {
+		case "ns/op":
+			r.NsPerOp = v
+		case "B/op":
+			r.BytesPerOp = int64(v)
+		case "allocs/op":
+			r.AllocsOp = int64(v)
+		default:
+			if r.Extra == nil {
+				r.Extra = make(map[string]float64)
+			}
+			r.Extra[fields[i+1]] = v
+		}
+	}
+	r.WallS = float64(r.Iterations) * r.NsPerOp / 1e9
+	return r, r.NsPerOp > 0
 }
 
 // Load reads a benchjson file. A file holding two results with one Key is

@@ -1,9 +1,50 @@
 package benchcmp
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestParseGoMaxProcsSuffix pins the GOMAXPROCS-suffix rule against a
+// transcript recorded with GOMAXPROCS=8: "-8" is the framework's suffix and
+// is stripped, a sub-benchmark's own "-64" or a foreign "-4" stays in the
+// name with the run recorded as serial, "pkg:" lines tag the results below
+// them, and malformed result lines are skipped. transcript.json holds the
+// bytes cmd/benchjson -gomaxprocs 8 wrote for this transcript before the
+// parser moved here, so the encoded records must match it exactly.
+func TestParseGoMaxProcsSuffix(t *testing.T) {
+	in, err := os.Open("testdata/transcript.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	rs, err := Parse(in, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	enc := json.NewEncoder(&got)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/transcript.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Parse(transcript, 8) encodes to\n%s\nwant\n%s", got.Bytes(), want)
+	}
+
+	// A run with nothing to report still encodes as a JSON array.
+	rs, err = Parse(strings.NewReader("PASS\n"), 8)
+	if err != nil || rs == nil || len(rs) != 0 {
+		t.Fatalf("empty transcript: %v, %v; want a non-nil empty slice", rs, err)
+	}
+}
 
 // TestDetectsRegression is the acceptance fixture: bench_new.json carries a
 // synthetic 20% ns/op regression on the broadcast benchmark, which the

@@ -74,16 +74,16 @@ func PaperCases() []Case {
 	{
 		m := logp.Postal(13, 3)
 		red := combine.ReduceSchedule(m, m.P)
-		add("reduce/p13", red, DerivedOrigins(red))
+		add("reduce/p13", red, schedule.DerivedOrigins(red))
 		scan := combine.ScanSchedule(m, m.P)
-		add("scan/p13", scan, DerivedOrigins(scan))
+		add("scan/p13", scan, schedule.DerivedOrigins(scan))
 	}
 
 	{
 		m := logp.MustNew(32, 4, 1, 2)
 		if pl, err := summation.Build(m, 24); err == nil {
 			s := pl.Schedule()
-			add("summation/t24", s, DerivedOrigins(s))
+			add("summation/t24", s, schedule.DerivedOrigins(s))
 		}
 	}
 
@@ -110,27 +110,8 @@ func ScaleCases(ps ...int) []Case {
 		cs = append(cs, Case{
 			Name:    fmt.Sprintf("scale-reduce/p%d", p),
 			S:       red,
-			Origins: DerivedOrigins(red),
+			Origins: schedule.DerivedOrigins(red),
 		})
 	}
 	return cs
-}
-
-// DerivedOrigins injects every item at its earliest sender, at time zero.
-// Value-carrying schedules (reduce, scan, summation) move computed values
-// whose item ids have no external origin map; for replay purposes an item
-// simply needs to exist wherever it is first transmitted from.
-func DerivedOrigins(s *schedule.Schedule) map[int]schedule.Origin {
-	og := make(map[int]schedule.Origin)
-	first := make(map[int]logp.Time)
-	for _, ev := range s.Events {
-		if ev.Op != schedule.OpSend {
-			continue
-		}
-		if t, ok := first[ev.Item]; !ok || ev.Time < t {
-			first[ev.Item] = ev.Time
-			og[ev.Item] = schedule.Origin{Proc: ev.Proc}
-		}
-	}
-	return og
 }

@@ -108,14 +108,14 @@ func (ck *Checker) CheckConstructors(m logp.Machine, sumT logp.Time) (diffs []st
 	if !reflect.DeepEqual(ra, rb) {
 		add("reduce/%v: %s and %s schedules differ", m, a.Name, b.Name)
 	} else {
-		replay(fmt.Sprintf("reduce/%v", m), Case{Name: "construct-reduce", S: rb, Origins: DerivedOrigins(rb)})
+		replay(fmt.Sprintf("reduce/%v", m), Case{Name: "construct-reduce", S: rb, Origins: schedule.DerivedOrigins(rb)})
 	}
 
 	ca, cb := a.Scan(m, m.P), b.Scan(m, m.P)
 	if !reflect.DeepEqual(ca, cb) {
 		add("scan/%v: %s and %s schedules differ", m, a.Name, b.Name)
 	} else {
-		replay(fmt.Sprintf("scan/%v", m), Case{Name: "construct-scan", S: cb, Origins: DerivedOrigins(cb)})
+		replay(fmt.Sprintf("scan/%v", m), Case{Name: "construct-scan", S: cb, Origins: schedule.DerivedOrigins(cb)})
 	}
 
 	if sumT >= 0 && summation.Validate(m) == nil {
@@ -128,7 +128,7 @@ func (ck *Checker) CheckConstructors(m logp.Machine, sumT logp.Time) (diffs []st
 			add("summation/%v t=%d: %s and %s schedules differ", m, sumT, a.Name, b.Name)
 		case erra == nil:
 			replay(fmt.Sprintf("summation/%v t=%d", m, sumT),
-				Case{Name: "construct-summation", S: ub, Origins: DerivedOrigins(ub)})
+				Case{Name: "construct-summation", S: ub, Origins: schedule.DerivedOrigins(ub)})
 		}
 	}
 	return diffs

@@ -163,7 +163,7 @@ func TestDegenerateP2(t *testing.T) {
 		}
 
 		rs := combine.ReduceSchedule(m, 2)
-		for _, d := range ck.Check(Case{Name: "p2-reduce", S: rs, Origins: DerivedOrigins(rs)}) {
+		for _, d := range ck.Check(Case{Name: "p2-reduce", S: rs, Origins: schedule.DerivedOrigins(rs)}) {
 			t.Errorf("%v: p2 reduce: %s", m, d)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"logpopt/internal/baseline"
-	"logpopt/internal/conform"
 	"logpopt/internal/continuous"
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
@@ -83,7 +82,7 @@ func TestSummationFig6(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := pl.Schedule()
-	rep := causal.Analyze(s, conform.DerivedOrigins(s))
+	rep := causal.Analyze(s, schedule.DerivedOrigins(s))
 	if rep.Finish != 28 {
 		t.Fatalf("Finish = %d, want the deadline 28", rep.Finish)
 	}

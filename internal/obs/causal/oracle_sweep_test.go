@@ -50,7 +50,7 @@ func TestAnalyzeOracleHub(t *testing.T) {
 	red := combine.ReduceScheduleWith(m, m.P, baseline.FlatTree)
 	for _, c := range []conform.Case{
 		{Name: "flat-broadcast", S: bc, Origins: core.Origins(0)},
-		{Name: "flat-reduce", S: red, Origins: conform.DerivedOrigins(red)},
+		{Name: "flat-reduce", S: red, Origins: schedule.DerivedOrigins(red)},
 	} {
 		if err := causal.SameAsOracle(c.S, c.Origins); err != nil {
 			t.Fatalf("%s: %v", c.Name, err)

@@ -15,12 +15,12 @@ import (
 
 	"logpopt/internal/baseline"
 	"logpopt/internal/cliutil"
-	"logpopt/internal/conform"
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
 	"logpopt/internal/obs/causal"
 	"logpopt/internal/obs/report"
 	"logpopt/internal/obs/runstore"
+	"logpopt/internal/schedule"
 )
 
 // minimalReport builds a small valid report by hand (no replay) for tests
@@ -295,7 +295,7 @@ func TestRegimesMatchCausalAnalyzer(t *testing.T) {
 		if berr != nil {
 			t.Fatal(berr)
 		}
-		br := cliutil.BuildReport("logpsched", "linear", bs, conform.DerivedOrigins(bs), bound, nil)
+		br := cliutil.BuildReport("logpsched", "linear", bs, schedule.DerivedOrigins(bs), bound, nil)
 		if _, perr := st.Put(br); perr != nil {
 			t.Fatal(perr)
 		}

@@ -72,6 +72,6 @@ func hubCases(m logp.Machine) []conform.Case {
 	red := combine.ReduceScheduleWith(m, m.P, baseline.FlatTree)
 	return []conform.Case{
 		{Name: "flat-broadcast", S: bc, Origins: core.Origins(0)},
-		{Name: "flat-reduce", S: red, Origins: conform.DerivedOrigins(red)},
+		{Name: "flat-reduce", S: red, Origins: schedule.DerivedOrigins(red)},
 	}
 }

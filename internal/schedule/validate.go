@@ -434,6 +434,25 @@ type Origin struct {
 	Time logp.Time
 }
 
+// DerivedOrigins injects every item at its earliest sender, at time zero.
+// Value-carrying schedules (reduce, scan, summation) move computed values
+// whose item ids have no external origin map; for replay purposes an item
+// simply needs to exist wherever it is first transmitted from.
+func DerivedOrigins(s *Schedule) map[int]Origin {
+	og := make(map[int]Origin)
+	first := make(map[int]logp.Time)
+	for _, ev := range s.Events {
+		if ev.Op != OpSend {
+			continue
+		}
+		if t, ok := first[ev.Item]; !ok || ev.Time < t {
+			first[ev.Item] = ev.Time
+			og[ev.Item] = Origin{Proc: ev.Proc}
+		}
+	}
+	return og
+}
+
 // CheckBroadcastComplete verifies that every processor other than an item's
 // origin receives the item exactly once, for every item in origins.
 func CheckBroadcastComplete(s *Schedule, origins map[int]Origin) []Violation {

@@ -14,6 +14,7 @@ import (
 	"logpopt/internal/obs"
 	"logpopt/internal/obs/causal"
 	"logpopt/internal/par"
+	"logpopt/internal/schedule"
 )
 
 // maxBatch bounds one /v1/batch body (explicit requests plus the expanded
@@ -441,7 +442,7 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 	// relative to solving and is recomputed per request, exactly as
 	// `logpsched -explain` computes it.
 	key := res.Key
-	rep := causal.Analyze(res.C.S, DerivedOrigins(res.C.S))
+	rep := causal.Analyze(res.C.S, schedule.DerivedOrigins(res.C.S))
 	if err := ApplyBound(rep, res.C, key.Machine(), logtime.Tree); err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -143,11 +143,15 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 		}
 		c.Bound = logp.Time(kitem.BoundsFor(int(m.L), m.P, int64(k)).SingleSending)
 	case "continuous":
-		var inst *continuous.Instance
-		inst, c.S, err = continuous.SolveGeneralAndSchedule(int(m.L), m.P-1, k)
+		inst, err := ContinuousInstance(int(m.L), m.P-1)
 		if err != nil {
 			return nil, err
 		}
+		a, err := inst.Assign()
+		if err != nil {
+			return nil, err
+		}
+		c.S = a.KItemSchedule(k)
 		c.Bound = logp.Time(inst.Delay() + k - 1)
 	case "summation":
 		if deadline <= 0 {
@@ -166,22 +170,28 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 	return c, nil
 }
 
-// DerivedOrigins injects every item at its earliest sender at time zero,
-// mirroring conform.DerivedOrigins (the conformance harness is deliberately
-// not imported so the serving stack's dependencies stay one-directional).
-func DerivedOrigins(s *schedule.Schedule) map[int]schedule.Origin {
-	og := make(map[int]schedule.Origin)
-	first := make(map[int]logp.Time)
-	for _, ev := range s.Events {
-		if ev.Op != schedule.OpSend {
-			continue
-		}
-		if t, ok := first[ev.Item]; !ok || ev.Time < t {
-			first[ev.Item] = ev.Time
-			og[ev.Item] = schedule.Origin{Proc: ev.Proc}
+// ContinuousInstance solves the continuous-broadcast instance behind
+// Compile's continuous arm: latency l, p non-source processors. It is the
+// general block-cyclic solve (per-item delay L + B(p)), except that at
+// L = 2 with p = P(t), where Theorem 3.4 rules that delay out and the solve
+// reports continuous.ErrNoSolution, it falls back to Theorem 3.5's pruned
+// tree (delay t + 3).
+func ContinuousInstance(l, p int) (*continuous.Instance, error) {
+	inst, err := continuous.NewInstanceGeneral(l, p)
+	if err != nil {
+		return nil, err
+	}
+	err = inst.Solve(0)
+	if l == 2 && errors.Is(err, continuous.ErrNoSolution) {
+		seq := core.NewSeq(l)
+		if t := seq.InvF(int64(p)); seq.F(t) == int64(p) {
+			return continuous.SolveL2(t)
 		}
 	}
-	return og
+	if err != nil {
+		return nil, err
+	}
+	return inst, nil
 }
 
 // OptimalBroadcastRef is the gap-attribution reference the broadcast
