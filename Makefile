@@ -24,14 +24,15 @@ bench:
 # Machine-readable benchmark results (BENCH_3.json): wall time plus the
 # solver/sim effort counters the benchmarks report via b.ReportMetric
 # (nodes/op, prunes/op, memohits/op, events/op, events/sec, peak_rss_bytes,
-# req/sec, p99_us land in each entry's "extra"; the encoder's MB/s too). The scale sweep (P up to
+# req/sec, p99_us land in each entry's "extra"; the encoder's and the tree
+# emitter's MB/s too). The scale sweep (P up to
 # 1e6) runs in a second invocation with a fixed iteration count so the
 # million-processor benchmarks bound the suite's wall time instead of
 # filling a benchtime. The serving benchmarks run without -benchmem: HTTP
 # allocation counts are scheduler-dependent, and the exact-allocs gate
 # would trip on noise — req/sec and p99_us are their gated metrics.
 bench-json:
-	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|ReplayCheck' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|TreeEmit|ReplayCheck' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -45,7 +46,7 @@ bench-json:
 # The scale metrics gate direction-aware: events/sec on drops, peak RSS on
 # growth, both with generous fractions since they ride on wall time.
 bench-gate:
-	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|ReplayCheck' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|TreeEmit|ReplayCheck' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -106,11 +107,13 @@ servd-smoke:
 
 # Short fuzzing pass over the schedule validator (against its map-based
 # oracle), the schedule JSON encoder (against its encoding/json oracle), the
+# streamed tree schedules (against the materialized tree's schedules), the
 # conformance harness and the causal analyzer (against its map-based oracle).
 fuzz:
 	$(GO) test -fuzz=FuzzValidate -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzValidatorConsistency -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzWriteJSON -fuzztime=10s ./internal/schedule/
+	$(GO) test -fuzz=FuzzStreamTree -fuzztime=10s ./internal/logtime/
 	$(GO) test -fuzz=FuzzConform -fuzztime=30s ./internal/conform/
 	$(GO) test -fuzz=FuzzCausal -fuzztime=30s ./internal/obs/causal/
 	$(GO) test -fuzz=FuzzAnalyzeOracle -fuzztime=30s ./internal/obs/causal/

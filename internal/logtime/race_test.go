@@ -1,0 +1,7 @@
+//go:build race
+
+package logtime
+
+// raceEnabled reports whether the race detector is on; the P = 10⁶ stream
+// tests skip under it.
+const raceEnabled = true

@@ -167,8 +167,8 @@ type Envelope struct {
 func envelope(res *Result, out Outcome, withSchedule bool) Envelope {
 	k := res.Key
 	gap := logp.Time(0)
-	if res.C.Bound >= 0 {
-		gap = res.Finish - res.C.Bound
+	if res.Bound >= 0 {
+		gap = res.Finish - res.Bound
 	}
 	e := Envelope{
 		Key:         k.String(),
@@ -178,9 +178,9 @@ func envelope(res *Result, out Outcome, withSchedule bool) Envelope {
 		K:           k.K,
 		Deadline:    k.Deadline,
 		Finish:      res.Finish,
-		Bound:       res.C.Bound,
+		Bound:       res.Bound,
 		Gap:         gap,
-		Events:      len(res.C.S.Events),
+		Events:      res.Events,
 		Cache:       out,
 		SolveMicros: res.SolveMicros,
 	}
@@ -438,12 +438,17 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The schedule came from the cache; the causal analysis itself is cheap
-	// relative to solving and is recomputed per request, exactly as
-	// `logpsched -explain` computes it.
+	// The cache holds only the schedule's bytes, so the schedule is
+	// recompiled here and analyzed exactly as `logpsched -explain` does; the
+	// cache lookup still coalesces the request and supplies the outcome.
 	key := res.Key
-	rep := causal.Analyze(res.C.S, schedule.DerivedOrigins(res.C.S))
-	if err := ApplyBound(rep, res.C, key.Machine(), logtime.Tree); err != nil {
+	comp, err := Compile(key.Machine(), key.Op, key.K, key.Deadline, logtime.Tree)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	rep := causal.Analyze(comp.S, schedule.DerivedOrigins(comp.S))
+	if err := ApplyBound(rep, comp, key.Machine(), logtime.Tree); err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -453,8 +458,8 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 		fmt.Fprint(w, rep.String())
 	case "json":
 		gap := logp.Time(0)
-		if res.C.Bound >= 0 {
-			gap = res.Finish - res.C.Bound
+		if res.Bound >= 0 {
+			gap = res.Finish - res.Bound
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(explainJSON{ //nolint:errcheck // client disconnects only
@@ -462,7 +467,7 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 			Op:       key.Op,
 			Machine:  machineJSON{P: key.P, L: key.L, O: key.O, G: key.G},
 			Finish:   res.Finish,
-			Bound:    res.C.Bound,
+			Bound:    res.Bound,
 			Gap:      gap,
 			Steps:    len(rep.Path),
 			Achieved: toBreakdownJSON(rep.Achieved),

@@ -2,10 +2,12 @@ package sched
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
 )
 
@@ -107,25 +109,34 @@ func TestCacheHitServesSameBytes(t *testing.T) {
 
 // TestCacheEntriesExactSize: a cached body holds no spare capacity, so the
 // byte budget (len(JSON)+64 per entry) charges what the entry really pins,
-// and the body is exactly what WriteJSON streams for the same schedule.
+// and the body is exactly what WriteJSON streams for the compiled schedule.
 func TestCacheEntriesExactSize(t *testing.T) {
 	c := NewCache(1, 0, obs.NewRegistry())
 	var charged int64
 	for _, op := range []string{"broadcast", "reduce", "scan", "binomial"} {
 		for _, p := range []int{1, 300, 3000} {
-			res, _, err := c.Get(testKey(t, Request{Op: op, P: p, L: 6, O: 2, G: 4, K: 1}))
+			k := testKey(t, Request{Op: op, P: p, L: 6, O: 2, G: 4, K: 1})
+			res, _, err := c.Get(k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cap(res.JSON) != len(res.JSON) {
 				t.Errorf("%s P=%d: cached body cap %d, len %d", op, p, cap(res.JSON), len(res.JSON))
 			}
+			comp, err := Compile(k.Machine(), op, 1, 0, logtime.Tree)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var w bytes.Buffer
-			if err := res.C.S.WriteJSON(&w); err != nil {
+			if err := comp.S.WriteJSON(&w); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(res.JSON, w.Bytes()) {
 				t.Errorf("%s P=%d: cached body differs from WriteJSON", op, p)
+			}
+			if res.Events != len(comp.S.Events) || res.Finish != comp.S.Makespan() || res.Bound != comp.Bound || res.Baseline != comp.Baseline {
+				t.Errorf("%s P=%d: cached events %d finish %d bound %d baseline %v, compiled %d %d %d %v", op, p,
+					res.Events, res.Finish, res.Bound, res.Baseline, len(comp.S.Events), comp.S.Makespan(), comp.Bound, comp.Baseline)
 			}
 			charged += int64(len(res.JSON)) + 64
 		}
@@ -133,6 +144,31 @@ func TestCacheEntriesExactSize(t *testing.T) {
 	if got := c.Stats()[0].Bytes; got != charged {
 		t.Fatalf("cache charges %d bytes, want %d", got, charged)
 	}
+}
+
+// TestCachedResultHoldsOnlyJSON: a cached broadcast at P = 10⁵ pins its
+// body and little else. Its 2(P-1) events alone would add ~9.6 MB to the
+// ~11 MB body, so a live-heap growth under 1.25 × len(JSON) across the
+// solve proves the entry retains no event slice.
+func TestCachedResultHoldsOnlyJSON(t *testing.T) {
+	c := NewCache(1, 0, obs.NewRegistry())
+	k := testKey(t, Request{Op: "broadcast", P: 100000, L: 6, O: 2, G: 4, K: 1})
+	logtime.B(k.Machine(), k.P) // grow the shared counting tables outside the measurement
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, _, err := c.Get(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64(len(res.JSON)) * 5 / 4; grew > limit {
+		t.Fatalf("live heap grew %d bytes for a %d-byte body (limit %d): the entry holds more than its JSON",
+			grew, len(res.JSON), limit)
+	}
+	runtime.KeepAlive(c)
 }
 
 // TestCacheEviction fills a tiny cache past its byte budget and checks LRU

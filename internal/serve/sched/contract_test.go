@@ -2,10 +2,15 @@ package sched
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"logpopt/internal/core"
@@ -105,4 +110,91 @@ func TestKeySpellingStable(t *testing.T) {
 			t.Errorf("%+v: key %q, want %q", tc.req, got, tc.want)
 		}
 	}
+}
+
+var updateContract = flag.Bool("update", false, "rewrite testdata/contract.txt from the current daemon")
+
+// contractTranscript drives a fresh API through every contract op at two
+// sizes and records what a client sees: the /v1/schedule envelope's finish,
+// bound, gap and event count, a digest of the format=schedule body, and the
+// /v1/explain text and JSON. The order of requests is fixed, so the cache
+// outcomes in the explain JSON are too.
+func contractTranscript(t *testing.T) []byte {
+	a, _ := newTestAPI(t)
+	h := a.Handler()
+	var out bytes.Buffer
+	for _, p := range []int{64, 3000} {
+		for _, op := range []string{"broadcast", "reduce", "scan", "summation", "binomial"} {
+			q := url.Values{"op": {op}, "p": {strconv.Itoa(p)}}
+			if op == "summation" {
+				q.Set("t", "40")
+			}
+			fmt.Fprintf(&out, "== %s P=%d\n", op, p)
+			q.Set("schedule", "false")
+			rec, body := get(t, h, "/v1/schedule?"+q.Encode())
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s P=%d: envelope status %d: %s", op, p, rec.Code, body)
+			}
+			var env Envelope
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "envelope finish=%d bound=%d gap=%d events=%d\n", env.Finish, env.Bound, env.Gap, env.Events)
+			q.Del("schedule")
+			q.Set("format", "schedule")
+			rec, body = get(t, h, "/v1/schedule?"+q.Encode())
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s P=%d: schedule status %d: %s", op, p, rec.Code, body)
+			}
+			fmt.Fprintf(&out, "schedule %d bytes sha256 %x\n", len(body), sha256.Sum256(body))
+			for _, format := range []string{"text", "json"} {
+				q.Set("format", format)
+				rec, body = get(t, h, "/v1/explain?"+q.Encode())
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s P=%d: explain %s status %d: %s", op, p, format, rec.Code, body)
+				}
+				fmt.Fprintf(&out, "explain %s:\n%s", format, body)
+			}
+		}
+	}
+	return out.Bytes()
+}
+
+// TestDaemonContractGolden: envelopes, schedule bodies and explain reports
+// are byte-for-byte what the daemon answered when each cached result still
+// held its compiled schedule. testdata/contract.txt was recorded from that
+// daemon; only the schedule's JSON is cached now, and explain recompiles.
+func TestDaemonContractGolden(t *testing.T) {
+	got := contractTranscript(t)
+	const golden = "testdata/contract.txt"
+	if *updateContract {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("daemon answers differ from %s:\n%s", golden, firstDiff(got, want))
+	}
+}
+
+// firstDiff shows the first differing line of two transcripts.
+func firstDiff(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\ngot  %q\nwant %q", i+1, gl, wl)
+		}
+	}
+	return "equal"
 }

@@ -23,6 +23,7 @@ import (
 	"logpopt/internal/core"
 	"logpopt/internal/kitem"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/obs/causal"
 	"logpopt/internal/schedule"
 	"logpopt/internal/summation"
@@ -168,6 +169,27 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 		return nil, fmt.Errorf("unknown op %q (want one of %v)", op, Ops)
 	}
 	return c, nil
+}
+
+// Stream returns op's schedule on m as an event sequence when that schedule
+// is a fixed expansion of the optimal tree's edges — broadcast, reduce and
+// scan — together with its bound B(P). The sequence walks the counting
+// tables (logtime.Seq) and encodes to exactly the bytes of Compile's
+// schedule, without building the tree or the events. ok is false for every
+// other op, which only Compile answers.
+func Stream(m logp.Machine, op string) (seq schedule.Seq, bound logp.Time, ok bool) {
+	var c logtime.Collective
+	switch op {
+	case "broadcast":
+		c = logtime.Broadcast
+	case "reduce":
+		c = logtime.Reduce
+	case "scan":
+		c = logtime.Scan
+	default:
+		return nil, 0, false
+	}
+	return logtime.Seq(m, c), logtime.B(m, m.P), true
 }
 
 // ContinuousInstance solves the continuous-broadcast instance behind
