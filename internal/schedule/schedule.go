@@ -107,19 +107,19 @@ func (s *Schedule) Sort() {
 // the matching recv carries the arrival); a compute at Time + Dur.
 func (s *Schedule) Makespan() logp.Time {
 	var mx logp.Time
-	for _, e := range s.Events {
-		var end logp.Time
-		switch e.Op {
-		case OpCompute:
-			end = e.Time + e.Dur
-		default:
-			end = e.Time + s.M.O
-		}
-		if end > mx {
-			mx = end
-		}
+	for i := range s.Events {
+		mx = max(mx, s.Events[i].end(s.M.O))
 	}
 	return mx
+}
+
+// end is the time at which the event's effect is complete on a machine
+// with overhead o (see Makespan).
+func (e *Event) end(o logp.Time) logp.Time {
+	if e.Op == OpCompute {
+		return e.Time + e.Dur
+	}
+	return e.Time + o
 }
 
 // LastRecv returns the time of the latest receive event plus the receive
