@@ -211,7 +211,7 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkGoroutineRuntime measures the goroutine-per-processor runtime
+// BenchmarkGoroutineRuntime measures the event-driven runtime
 // replaying a 64-processor optimal broadcast.
 func BenchmarkGoroutineRuntime(b *testing.B) {
 	m := logpopt.MustMachine(64, 6, 2, 4)

@@ -1,7 +1,7 @@
 // Command logpconform runs the differential conformance harness: every case
 // — the paper's schedule constructors plus seeded random schedules — is
 // replayed on the strict and buffered simulator, the strict and buffered
-// goroutine runtime, and the analytic validator, and the results are diffed
+// event-driven runtime, and the analytic validator, and the results are diffed
 // under the backend-equivalence contract. Diverging cases are shrunk to a
 // minimal reproduction and printed.
 //

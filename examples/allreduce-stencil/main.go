@@ -2,8 +2,8 @@
 // needs a global residual every sweep — the classic HPC inner loop that
 // makes all-reduce latency matter. The global residual is combined with
 // Theorem 4.1's optimal combining-broadcast schedule, executed as real
-// concurrent message-passing code on the goroutine runtime: one goroutine
-// per processor, payload-carrying messages, virtual LogP time.
+// concurrent message-passing code on the runtime: one handler per
+// processor, payload-carrying messages, virtual LogP time.
 //
 //	go run ./examples/allreduce-stencil
 package main
@@ -86,6 +86,8 @@ func main() {
 				st.history = append(st.history, st.value)
 			}
 			st.step++
+			// The solver works every cycle, not only when messages arrive.
+			pr.WakeAt(now + 1)
 		}
 	}
 

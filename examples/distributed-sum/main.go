@@ -1,8 +1,10 @@
 // distributed-sum: execute an optimal LogP summation plan (Section 5 of the
-// paper) as real concurrent message-passing code. Each processor goroutine
-// folds its local operands one per virtual cycle, folds partial sums the
+// paper) as real concurrent message-passing code. Each processor's handler
+// folds its local operands at the plan's cycles, folds partial sums the
 // moment they arrive, and transmits its own partial sum at exactly the
-// plan's send time; the root holds the total at the optimal deadline.
+// plan's send time; the root holds the total at the optimal deadline. The
+// runtime is event-driven: a handler runs when a message arrives or at a
+// time it asked for with WakeAt.
 //
 //	go run ./examples/distributed-sum
 package main
@@ -76,6 +78,18 @@ func main() {
 					log.Fatal(err)
 				}
 				st.sent = true
+			}
+			// Ask to run again at the next local fold or the send time,
+			// whichever comes first; arrivals wake the handler by themselves.
+			next := int64(-1)
+			if st.opIdx < len(ops) {
+				next = ops[st.opIdx].At
+			}
+			if !st.sent && pl.Tree.Nodes[node].Parent >= 0 && (next < 0 || pl.SendAt[node] < next) {
+				next = pl.SendAt[node]
+			}
+			if next > now {
+				pr.WakeAt(next)
 			}
 		}
 	}

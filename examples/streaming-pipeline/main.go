@@ -3,7 +3,7 @@
 // frames) and every other processor must see every item with bounded delay.
 // Section 3's block-cyclic schedule achieves the optimal worst-case delay
 // L + B(P-1) with zero buffering; this program builds the schedule, replays
-// it on the goroutine runtime as concurrent message-passing code, and
+// it on the event-driven runtime as concurrent message-passing code, and
 // measures every item's actual delay.
 //
 //	go run ./examples/streaming-pipeline
@@ -35,7 +35,7 @@ func main() {
 		log.Fatalf("schedule invalid: %v", vs[0])
 	}
 
-	// Run it as real concurrent code: one goroutine per processor.
+	// Run it as real concurrent code: one replay handler per processor.
 	m := sched.M
 	rt, err := logpopt.NewRuntime(m, logpopt.RTStrict, logpopt.ScheduleHandlers(sched))
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package conform is a differential conformance harness for the three
 // independent implementations of the LogP machine in this repository: the
 // discrete-event simulator (internal/sim, Strict and Buffered), the
-// goroutine runtime (internal/runtime), and the schedule validator
+// event-driven runtime (internal/runtime), and the schedule validator
 // (internal/schedule, as an analytic backend). Each is wrapped as a Backend
 // that replays a schedule from item origins and reports the executed events,
 // the finish time, the recorded violations, and the buffer high-water mark;
@@ -47,9 +47,10 @@ type Backend interface {
 }
 
 // SimBackend replays cases on the discrete-event simulator, recycling one
-// engine across cases (Reset + Replay reuses every internal allocation).
-// When Tracer is set, every replay appends its flight recording to it;
-// TracePID picks the process track (0 means the simulator's default).
+// engine across cases (Reset + Replay reuses every internal allocation);
+// a Checker's strict and buffered backends share theirs. When Tracer is
+// set, every replay appends its flight recording to it; TracePID picks the
+// process track (0 means the simulator's default).
 type SimBackend struct {
 	Mode     sim.Mode
 	Tracer   *obs.Tracer
@@ -66,10 +67,9 @@ func (b *SimBackend) Name() string {
 
 func (b *SimBackend) Replay(c Case) Result {
 	if b.eng == nil {
-		b.eng = sim.New(c.S.M, b.Mode)
-	} else {
-		b.eng.Reset(c.S.M, b.Mode)
+		b.eng = new(sim.Engine)
 	}
+	b.eng.Reset(c.S.M, b.Mode)
 	b.eng.Tracer = b.Tracer
 	b.eng.TracePID = b.TracePID
 	rep := b.eng.Replay(c.S, c.Origins)
@@ -83,23 +83,28 @@ func (b *SimBackend) Replay(c Case) Result {
 	}
 }
 
-// RuntimeBackend replays cases on the goroutine runtime via ReplayHandlers.
-// When Tracer is set, every replay appends its flight recording to it;
-// TracePID picks the process track (0 means the runtime's default).
+// RuntimeBackend replays cases on the event-driven runtime through a
+// runtime.Replayer, recycling one runtime and one Replayer across cases
+// (Reset reuses their slabs, as SimBackend's engine does); a Checker's
+// strict and buffered backends share them. When Tracer is set, every replay
+// appends its flight recording to it; TracePID picks the process track (0
+// means the runtime's default).
 type RuntimeBackend struct {
 	Mode     runtime.Mode
 	Tracer   *obs.Tracer
 	TracePID int
+	rt       *runtime.Runtime
+	replayer *runtime.Replayer
 }
 
-func (b RuntimeBackend) Name() string {
+func (b *RuntimeBackend) Name() string {
 	if b.Mode == runtime.Buffered {
 		return "runtime-buffered"
 	}
 	return "runtime-strict"
 }
 
-func (b RuntimeBackend) Replay(c Case) Result {
+func (b *RuntimeBackend) Replay(c Case) Result {
 	res := Result{Backend: b.Name()}
 	// The handler table is indexed by sender, so sends from an out-of-range
 	// processor cannot be replayed at all; record them up front the way the
@@ -112,7 +117,13 @@ func (b RuntimeBackend) Replay(c Case) Result {
 			})
 		}
 	}
-	rt, err := runtime.New(c.S.M, b.Mode, runtime.ReplayHandlers(c.S, c.Origins))
+	if b.rt == nil {
+		b.rt, b.replayer = new(runtime.Runtime), new(runtime.Replayer)
+	}
+	err := c.S.M.Validate()
+	if err == nil {
+		err = b.rt.Reset(c.S.M, b.Mode, b.replayer.Handlers(c.S, c.Origins))
+	}
 	if err != nil {
 		res.Violations = append(res.Violations, schedule.Violation{
 			Kind: "setup", Msg: err.Error(),
@@ -120,6 +131,7 @@ func (b RuntimeBackend) Replay(c Case) Result {
 		res.Trace = &schedule.Schedule{M: c.S.M}
 		return res
 	}
+	rt := b.rt
 	rt.Tracer = b.Tracer
 	rt.TracePID = b.TracePID
 	rt.Run(runtime.Horizon(c.S))

@@ -22,23 +22,28 @@ var (
 )
 
 // Checker replays cases on all five backends and diffs the results. One
-// Checker is cheap to keep around: the simulator engines are recycled across
-// cases.
+// Checker is cheap to keep around: its simulator engine and its runtime are
+// recycled across cases.
 type Checker struct {
 	simStrict *SimBackend
 	simBuf    *SimBackend
-	rtStrict  RuntimeBackend
-	rtBuf     RuntimeBackend
+	rtStrict  *RuntimeBackend
+	rtBuf     *RuntimeBackend
 	validator ValidatorBackend
 	replayUS  map[string]*obs.Histogram // per-backend replay wall time (µs)
 }
 
 func NewChecker() *Checker {
+	// The strict and buffered backends of each engine run one after the
+	// other, so they share one recycled engine: a Checker holds one
+	// simulator's and one runtime's worth of slabs, not two of each.
+	eng := new(sim.Engine)
+	rt, rp := new(runtime.Runtime), new(runtime.Replayer)
 	ck := &Checker{
-		simStrict: &SimBackend{Mode: sim.Strict},
-		simBuf:    &SimBackend{Mode: sim.Buffered},
-		rtStrict:  RuntimeBackend{Mode: runtime.Strict},
-		rtBuf:     RuntimeBackend{Mode: runtime.Buffered},
+		simStrict: &SimBackend{Mode: sim.Strict, eng: eng},
+		simBuf:    &SimBackend{Mode: sim.Buffered, eng: eng},
+		rtStrict:  &RuntimeBackend{Mode: runtime.Strict, rt: rt, replayer: rp},
+		rtBuf:     &RuntimeBackend{Mode: runtime.Buffered, rt: rt, replayer: rp},
 	}
 	ck.replayUS = make(map[string]*obs.Histogram)
 	for _, name := range []string{

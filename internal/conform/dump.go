@@ -44,7 +44,7 @@ func DumpTraces(c Case, dir, prefix string) ([]string, error) {
 		}
 	}
 	for _, mode := range []runtime.Mode{runtime.Strict, runtime.Buffered} {
-		b := RuntimeBackend{Mode: mode, Tracer: obs.NewTracer()}
+		b := &RuntimeBackend{Mode: mode, Tracer: obs.NewTracer()}
 		b.Replay(c)
 		if err := write(b.Name(), b.Tracer); err != nil {
 			return paths, err

@@ -1,11 +1,20 @@
 package conform
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"logpopt/internal/baseline"
+	"logpopt/internal/combine"
+	"logpopt/internal/core"
+	"logpopt/internal/logp"
+	"logpopt/internal/schedule"
+)
 
 // TestScaleCasesConform runs the backend-equivalence contract at the
 // processor counts the million-processor engine work targets: broadcast and
 // reduction at P = 64 and 1024 always, and P = 1e4 and 1e5 unless -short.
-// This is where the sharded flight queue (sim) and the chunked worker pool
+// This is where the sharded flight queue (sim) and the parallel ready list
 // (runtime) take over from the small-machine code paths, so lockstep here
 // means the rework preserved the step semantics, not just the small cases.
 func TestScaleCasesConform(t *testing.T) {
@@ -16,6 +25,31 @@ func TestScaleCasesConform(t *testing.T) {
 	ck := NewChecker()
 	for _, c := range ScaleCases(ps...) {
 		c := c
+		t.Run(c.Name, func(t *testing.T) {
+			if diffs := ck.Check(c); len(diffs) != 0 {
+				t.Fatalf("%d divergences:\n%s", len(diffs), diffs[0])
+			}
+		})
+	}
+}
+
+// TestFlatHubConform runs the backend-equivalence contract on the hub of a
+// P = 2·10⁴ flat tree, built as BenchmarkReplayCheck builds it: one
+// processor sends every message of the broadcast and receives every message
+// of its reversed reduce, so an engine that scans all P processors per
+// cycle pays O(P²) here while an event-driven one pays O(E log P).
+func TestFlatHubConform(t *testing.T) {
+	m := logp.MustNew(20_000, 6, 2, 4)
+	flat, err := baseline.Schedule(baseline.FlatTree(m, m.P), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatRed := combine.ReduceScheduleWith(m, m.P, baseline.FlatTree)
+	ck := NewChecker()
+	for _, c := range []Case{
+		{Name: fmt.Sprintf("flat-broadcast/p%d", m.P), S: flat, Origins: core.Origins(0)},
+		{Name: fmt.Sprintf("flat-reduce/p%d", m.P), S: flatRed, Origins: schedule.DerivedOrigins(flatRed)},
+	} {
 		t.Run(c.Name, func(t *testing.T) {
 			if diffs := ck.Check(c); len(diffs) != 0 {
 				t.Fatalf("%d divergences:\n%s", len(diffs), diffs[0])

@@ -14,7 +14,7 @@
 // Time bases: trace timestamps are int64 microseconds. Wall-clock
 // instrumentation (solvers, harnesses) uses Tracer.Now, microseconds since
 // the tracer was created. Virtual-time instrumentation (the simulator and
-// the goroutine runtime) passes LogP cycles directly — one cycle renders as
+// the runtime) passes LogP cycles directly — one cycle renders as
 // one microsecond. The two kinds of track are kept apart by pid: each
 // subsystem claims its own pid and labels it with NameProcess, so Perfetto
 // shows them as separate processes and the mixed units never share a track.

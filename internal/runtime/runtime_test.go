@@ -37,7 +37,7 @@ func TestReplayOptimalBroadcast(t *testing.T) {
 }
 
 func TestRuntimeAgreesWithSim(t *testing.T) {
-	// The goroutine runtime and the discrete-event simulator are
+	// The event-driven runtime and the discrete-event simulator are
 	// independent implementations of the same machine; their executed
 	// schedules for the same input must be identical.
 	m := logp.MustNew(12, 7, 1, 3)
@@ -233,7 +233,10 @@ func TestQuiesce(t *testing.T) {
 	m := logp.Postal(2, 5)
 	handlers := []Handler{
 		func(p *Proc, now logp.Time) {
-			if now == 3 {
+			switch now {
+			case 0:
+				p.WakeAt(3)
+			case 3:
 				_ = p.Send(now, 1, 0, nil)
 			}
 		},
@@ -343,6 +346,9 @@ func TestOverheadBlocksSend(t *testing.T) {
 			}
 		},
 		func(p *Proc, now logp.Time) {
+			if len(p.Received()) > 0 {
+				p.WakeAt(7)
+			}
 			if now == 7 { // inside the receive overhead [6, 8)
 				if !p.CanSend(now) {
 					gotErr = true

@@ -34,10 +34,11 @@ func TestRuntimeTimeseries(t *testing.T) {
 		}
 	}
 	var sawChunk bool
-	var busyMax, dirtyMax int64
+	var busyMax, dirtyMax, chunkMax int64
 	for _, sum := range ts.Summary() {
 		if strings.HasPrefix(sum.Name, "runtime.chunk") && strings.HasSuffix(sum.Name, ".dirty") {
 			sawChunk = true
+			chunkMax = max(chunkMax, sum.Max)
 		}
 		switch sum.Name {
 		case "runtime.chunks.busy":
@@ -49,8 +50,9 @@ func TestRuntimeTimeseries(t *testing.T) {
 	if !sawChunk {
 		t.Errorf("no per-chunk occupancy series on a %d-chunk runtime", len(rt.chunks))
 	}
-	if busyMax < 1 || dirtyMax < 1 {
-		t.Errorf("occupancy never rose: chunks.busy max %d, procs.dirty max %d", busyMax, dirtyMax)
+	if busyMax < 1 || dirtyMax < 1 || chunkMax < 1 {
+		t.Errorf("occupancy never rose: chunks.busy max %d, procs.dirty max %d, per-chunk max %d",
+			busyMax, dirtyMax, chunkMax)
 	}
 	inflight, _ := ts.Series("runtime.inflight")
 	if last := inflight[len(inflight)-1].Val; last != 0 {

@@ -14,7 +14,7 @@ type ProcStats struct {
 
 // Stats summarizes port activity for one executed run. It is computed
 // uniformly from an executed schedule by ComputeStats, so the simulator and
-// the goroutine runtime report structurally identical statistics and the
+// the runtime report structurally identical statistics and the
 // conformance harness can diff them field by field.
 type Stats struct {
 	Sends, Recvs   int       // total message events

@@ -17,11 +17,9 @@ func TestBufferedDrainTieBreakBySender(t *testing.T) {
 	e := New(m, Buffered)
 	// Two same-instant arrivals of the same item, queued out of sender
 	// order, exactly as a flight-heap pop pattern could leave them.
-	e.procs[0].buffer = []Msg{
-		{From: 2, To: 0, Item: 5, SendAt: 0, Arrive: 2},
-		{From: 1, To: 0, Item: 5, SendAt: 0, Arrive: 2},
-	}
 	e.now = 2
+	e.enqueue(Msg{From: 2, To: 0, Item: 5, SendAt: 0, Arrive: 2})
+	e.enqueue(Msg{From: 1, To: 0, Item: 5, SendAt: 0, Arrive: 2})
 	e.processArrivals()
 	evs := e.executed.Events
 	if len(evs) != 1 || evs[0].Op != schedule.OpRecv {

@@ -18,13 +18,15 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"logpopt/internal/logp"
 	"logpopt/internal/obs"
 	"logpopt/internal/obs/timeseries"
 	"logpopt/internal/schedule"
+	"logpopt/internal/slab"
 )
 
 // Package-level metric handles (looked up once; see the obs overhead
@@ -76,14 +78,14 @@ type Msg struct {
 type procState struct {
 	lastSendStart logp.Time // start of most recent send; -inf if none
 	lastRecvStart logp.Time
-	busyUntil     logp.Time // end of current overhead/compute interval
-	buffer        []Msg     // arrived, not yet received (Buffered mode)
+	busyUntil     logp.Time  // end of current overhead/compute interval
+	buffer        flightHeap // arrived, not yet received (Buffered mode), in flightBefore order
 	maxBuffer     int
 	// In-network interval end times (sendAt+o+L) of messages currently in
-	// transit from / to this processor, for the capacity bound ceil(L/g).
-	// Sends happen in nondecreasing time order, so both are sorted queues.
-	outEnds []logp.Time
-	inEnds  []logp.Time
+	// transit from / to this processor, for the capacity bound ceil(L/g),
+	// queued in the engine's ends slab. Sends happen in nondecreasing time
+	// order, so both are sorted queues.
+	outEnds, inEnds slab.List
 }
 
 // flightHeap is a binary min-heap of in-flight messages ordered by arrival
@@ -180,9 +182,13 @@ type Engine struct {
 	executed   schedule.Schedule
 	violations []schedule.Violation
 	sendBuf    []schedule.Event // Replay scratch, reused across runs
+	ends       slab.Lists[logp.Time]
+	// buffered lists the processors with non-empty buffers (Buffered mode),
+	// so a drain visits them instead of all P.
+	buffered []int32
 
 	// Decayed high-water marks feeding the Reset shrink policy (see Reset).
-	hwProcs, hwInflight, hwAvail, hwExecuted, hwSendBuf, hwViol watermark
+	hwProcs, hwInflight, hwAvail, hwExecuted, hwSendBuf, hwViol, hwEnds slab.Watermark
 
 	// Run-local metric tallies, flushed to obs.Default by Replay (with an
 	// amortized live flush every liveFlushEvery drained events; flushedEvents
@@ -190,28 +196,6 @@ type Engine struct {
 	nEvents, nCapChecks int64
 	flushedEvents       int64
 	bufferedNow         int // total buffered messages across procs (Buffered)
-}
-
-// watermark is a decayed high-water mark: each Reset folds in the finished
-// run's usage and decays the retained value by a quarter, so a one-off huge
-// case stops dominating after a few resets and its memory can be released.
-type watermark int
-
-// update notes the finished run's usage and applies one decay step,
-// returning the retained watermark.
-func (w *watermark) update(used int) int {
-	*w -= *w / 4
-	if watermark(used) > *w {
-		*w = watermark(used)
-	}
-	return int(*w)
-}
-
-// oversized reports whether a capacity has grown pathologically past what
-// the watermark says future runs need: beyond a floor (small slices are
-// never worth freeing) and more than 4x the retained need.
-func oversized(capacity, keep, floor int) bool {
-	return capacity > floor && capacity > 4*keep
 }
 
 const minusInf = logp.Time(-1) << 40
@@ -234,40 +218,31 @@ func New(m logp.Machine, mode Mode) *Engine {
 // so a single P=10^6 case in the middle of a small-P sweep does not pin
 // hundreds of megabytes for the rest of the process.
 func (e *Engine) Reset(m logp.Machine, mode Mode) {
-	hwExec := e.hwExecuted.update(len(e.executed.Events))
-	hwSend := e.hwSendBuf.update(len(e.sendBuf))
-	hwViol := e.hwViol.update(len(e.violations))
-	hwFlight := e.hwInflight.update(e.inflight.peak)
-	hwAvail := e.hwAvail.update(len(e.avail.entries))
-	hwProcs := e.hwProcs.update(m.P)
+	hwExec := e.hwExecuted.Update(len(e.executed.Events))
+	hwSend := e.hwSendBuf.Update(len(e.sendBuf))
+	hwViol := e.hwViol.Update(len(e.violations))
+	hwFlight := e.hwInflight.Update(e.inflight.peak)
+	hwAvail := e.hwAvail.Update(len(e.avail.entries))
+	hwProcs := e.hwProcs.Update(m.P)
+	hwEnds := e.hwEnds.Update(e.ends.Peak())
 
 	e.M, e.Mode = m, mode
 	e.now = 0
 	e.executed.M = m
-	if oversized(cap(e.executed.Events), hwExec, 1024) {
-		e.executed.Events = nil
-	} else {
-		e.executed.Events = e.executed.Events[:0]
-	}
-	if oversized(cap(e.sendBuf), hwSend, 1024) {
-		e.sendBuf = nil
-	} else {
-		e.sendBuf = e.sendBuf[:0]
-	}
-	if oversized(cap(e.violations), hwViol, 64) {
-		e.violations = nil
-	} else {
-		e.violations = e.violations[:0]
-	}
+	e.executed.Events = slab.Reuse(e.executed.Events, hwExec, 1024)
+	e.sendBuf = slab.Reuse(e.sendBuf, hwSend, 1024)
+	e.violations = slab.Reuse(e.violations, hwViol, 64)
+	e.buffered = slab.Reuse(e.buffered, hwProcs, 1024)
+	e.ends.Reset(hwEnds)
 	e.inflight.reset(m.P)
 	e.inflight.shrink(hwFlight)
-	if oversized(cap(e.avail.entries), hwAvail, 1024) {
+	if slab.Oversized(cap(e.avail.entries), hwAvail, 1024) {
 		e.avail.entries = nil
 	}
 	e.avail.reset(m.P)
 	e.nEvents, e.nCapChecks, e.bufferedNow = 0, 0, 0
 	e.flushedEvents = 0
-	if cap(e.procs) < m.P || oversized(cap(e.procs), max(m.P, hwProcs), 1024) {
+	if cap(e.procs) < m.P || slab.Oversized(cap(e.procs), max(m.P, hwProcs), 1024) {
 		e.procs = make([]procState, m.P)
 	} else {
 		e.procs = e.procs[:m.P]
@@ -277,25 +252,10 @@ func (e *Engine) Reset(m logp.Machine, mode Mode) {
 		ps.lastSendStart = minusInf
 		ps.lastRecvStart = minusInf
 		ps.busyUntil = minusInf
-		if oversized(cap(ps.buffer), ps.maxBuffer, 64) {
-			ps.buffer = nil
-		} else {
-			ps.buffer = ps.buffer[:0]
-		}
+		ps.buffer = slab.Reuse(ps.buffer, ps.maxBuffer, 64)
 		ps.maxBuffer = 0
-		ps.outEnds = shrinkEnds(ps.outEnds)
-		ps.inEnds = shrinkEnds(ps.inEnds)
+		ps.outEnds, ps.inEnds = slab.List{}, slab.List{}
 	}
-}
-
-// shrinkEnds truncates a capacity-tracking queue for reuse, releasing it
-// when it has grown far past the handful of in-transit ends ceil(L/g)
-// usually bounds it to.
-func shrinkEnds(ends []logp.Time) []logp.Time {
-	if oversized(cap(ends), len(ends), 128) {
-		return nil
-	}
-	return ends[:0]
 }
 
 // Now returns the current simulation time.
@@ -404,38 +364,33 @@ func (e *Engine) checkCapacity(from, to int) {
 	start := e.now + e.M.O
 	end := start + e.M.L
 	ps, qs := &e.procs[from], &e.procs[to]
-	ps.outEnds = pruneEnds(ps.outEnds, start)
-	qs.inEnds = pruneEnds(qs.inEnds, start)
+	e.pruneEnds(&ps.outEnds, start)
+	e.pruneEnds(&qs.inEnds, start)
 	e.nCapChecks++
-	if len(ps.outEnds)+1 > capN {
+	if ps.outEnds.Len()+1 > capN {
 		e.violate(from, schedule.Violation{
 			Kind: schedule.VCapacity,
 			Msg: fmt.Sprintf("sim: %d messages in transit from proc %d at time %d (capacity %d)",
-				len(ps.outEnds)+1, from, start, capN),
+				ps.outEnds.Len()+1, from, start, capN),
 		})
 	}
-	if len(qs.inEnds)+1 > capN {
+	if qs.inEnds.Len()+1 > capN {
 		e.violate(to, schedule.Violation{
 			Kind: schedule.VCapacity,
 			Msg: fmt.Sprintf("sim: %d messages in transit to proc %d at time %d (capacity %d)",
-				len(qs.inEnds)+1, to, start, capN),
+				qs.inEnds.Len()+1, to, start, capN),
 		})
 	}
-	ps.outEnds = append(ps.outEnds, end)
-	qs.inEnds = append(qs.inEnds, end)
+	e.ends.Push(&ps.outEnds, end)
+	e.ends.Push(&qs.inEnds, end)
 }
 
 // pruneEnds drops leading interval ends that are at or before s. Ends are
-// appended in nondecreasing order, so the expired prefix is contiguous.
-func pruneEnds(ends []logp.Time, s logp.Time) []logp.Time {
-	i := 0
-	for i < len(ends) && ends[i] <= s {
-		i++
+// pushed in nondecreasing order, so the expired ones leave from the front.
+func (e *Engine) pruneEnds(l *slab.List, s logp.Time) {
+	for l.Len() > 0 && e.ends.Front(l) <= s {
+		e.ends.Pop(l)
 	}
-	if i > 0 {
-		ends = append(ends[:0], ends[i:]...)
-	}
-	return ends
 }
 
 // TickTo advances simulation time to t, processing all arrivals and (in
@@ -454,8 +409,8 @@ func (e *Engine) TickTo(t logp.Time) {
 func (e *Engine) Tick() { e.TickTo(e.now + 1) }
 
 // processArrivals handles every message arriving at the current instant and,
-// in Buffered mode, lets each processor receive one buffered message if its
-// receive port is free.
+// in Buffered mode, lets each processor with a non-empty buffer receive one
+// buffered message if its receive port is free.
 func (e *Engine) processArrivals() {
 	for e.inflight.len() > 0 && e.inflight.peek().Arrive <= e.now {
 		msg := e.inflight.pop()
@@ -465,7 +420,6 @@ func (e *Engine) processArrivals() {
 			e.flushedEvents = e.nEvents
 			gInflight.Set(int64(e.inflight.len()))
 		}
-		ps := &e.procs[msg.To]
 		switch e.Mode {
 		case Strict:
 			if !e.canRecvAt(msg.To, msg.Arrive) {
@@ -478,52 +432,75 @@ func (e *Engine) processArrivals() {
 			}
 			e.receive(msg, msg.Arrive)
 		case Buffered:
-			ps.buffer = append(ps.buffer, msg)
-			if len(ps.buffer) > ps.maxBuffer {
-				ps.maxBuffer = len(ps.buffer)
-			}
-			e.bufferedNow++
-			if e.Tracer != nil {
-				pid := e.tracePID()
-				e.Tracer.Counter(pid, "inflight", int64(e.now), int64(e.inflight.len()))
-				e.Tracer.Counter(pid, "buffered", int64(e.now), int64(e.bufferedNow))
-			}
-			if e.BufferCap > 0 && len(ps.buffer) > e.BufferCap {
-				e.violate(msg.To, schedule.Violation{
-					Kind: schedule.VCapacity,
-					Msg: fmt.Sprintf("sim: proc %d buffer exceeds cap %d at time %d",
-						msg.To, e.BufferCap, e.now),
-				})
-			}
+			e.enqueue(msg)
 		}
 	}
-	if e.Mode == Buffered {
-		for p := range e.procs {
-			ps := &e.procs[p]
-			if len(ps.buffer) == 0 || !e.canRecvAt(p, e.now) {
-				continue
-			}
-			// Receive the earliest-arrived message not yet held; duplicates
-			// (already-held items) are received too — schedules decide what
-			// they send; the engine just models the machine. The drain order
-			// uses the same total comparator as the flight heap (flightBefore)
-			// so ties on (Arrive, Item) resolve by sender, never by buffer
-			// position.
-			best := 0
-			for i := 1; i < len(ps.buffer); i++ {
-				if flightBefore(ps.buffer[i], ps.buffer[best]) {
-					best = i
-				}
-			}
-			msg := ps.buffer[best]
-			ps.buffer = append(ps.buffer[:best], ps.buffer[best+1:]...)
+	if e.Mode == Buffered && len(e.buffered) > 0 {
+		e.drain()
+	}
+}
+
+// enqueue puts an arrival into its destination's input buffer.
+func (e *Engine) enqueue(msg Msg) {
+	ps := &e.procs[msg.To]
+	if len(ps.buffer) == 0 {
+		e.buffered = append(e.buffered, int32(msg.To))
+	}
+	ps.buffer.push(msg)
+	ps.maxBuffer = max(ps.maxBuffer, len(ps.buffer))
+	e.bufferedNow++
+	if e.Tracer != nil {
+		pid := e.tracePID()
+		e.Tracer.Counter(pid, "inflight", int64(e.now), int64(e.inflight.len()))
+		e.Tracer.Counter(pid, "buffered", int64(e.now), int64(e.bufferedNow))
+	}
+	if e.BufferCap > 0 && len(ps.buffer) > e.BufferCap {
+		e.violate(msg.To, schedule.Violation{
+			Kind: schedule.VCapacity,
+			Msg: fmt.Sprintf("sim: proc %d buffer exceeds cap %d at time %d",
+				msg.To, e.BufferCap, e.now),
+		})
+	}
+}
+
+// drain lets every buffered processor whose receive port is free take its
+// earliest buffered message, in processor order. Duplicates (already-held
+// items) are received too — schedules decide what they send; the engine
+// just models the machine. Each buffer is a heap in the flight heap's total
+// order (flightBefore), so ties on (Arrive, Item) resolve by sender, never
+// by buffer position.
+func (e *Engine) drain() {
+	if !slices.IsSorted(e.buffered) {
+		slices.Sort(e.buffered)
+	}
+	keep := e.buffered[:0]
+	for _, p := range e.buffered {
+		ps := &e.procs[p]
+		if e.canRecvAt(int(p), e.now) {
+			msg := ps.buffer.pop()
 			e.bufferedNow--
 			if e.Tracer != nil {
 				e.Tracer.Counter(e.tracePID(), "buffered", int64(e.now), int64(e.bufferedNow))
 			}
 			e.receive(msg, e.now)
 		}
+		if len(ps.buffer) > 0 {
+			keep = append(keep, p)
+		}
 	}
+	e.buffered = keep
+}
+
+// nextRecvFree returns the earliest time a buffered processor can receive
+// again, or ok false when nothing is buffered.
+func (e *Engine) nextRecvFree() (t logp.Time, ok bool) {
+	for _, p := range e.buffered {
+		ps := &e.procs[p]
+		if at := max(ps.lastRecvStart+e.M.G, ps.busyUntil); !ok || at < t {
+			t, ok = at, true
+		}
+	}
+	return t, ok
 }
 
 // receive performs the reception of msg beginning at time t.
@@ -559,14 +536,7 @@ func (e *Engine) Drain(horizon logp.Time) logp.Time {
 	return e.now
 }
 
-func (e *Engine) anyBuffered() bool {
-	for i := range e.procs {
-		if len(e.procs[i].buffer) > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (e *Engine) anyBuffered() bool { return e.bufferedNow > 0 }
 
 // Violations returns a copy of the violations recorded so far. The copy is
 // the caller's: recycling the engine with Reset (which truncates and reuses
@@ -683,18 +653,17 @@ func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) R
 			horizon = ev.Time
 		}
 	}
-	sort.Slice(sends, func(i, j int) bool {
-		a, b := sends[i], sends[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
+	slices.SortFunc(sends, func(a, b schedule.Event) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
+		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+			return c
 		}
-		if a.Item != b.Item {
-			return a.Item < b.Item
+		if c := cmp.Compare(a.Item, b.Item); c != 0 {
+			return c
 		}
-		return a.Peer < b.Peer
+		return cmp.Compare(a.Peer, b.Peer)
 	})
 	e.sendBuf = sends
 	horizon += s.M.O + s.M.L + 1
@@ -724,22 +693,21 @@ func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) R
 		if e.Now() > limit {
 			break // safety net: the clock should never get this far
 		}
-		if e.Mode == Strict {
-			// Strict-mode receptions are timestamped with the message's own
-			// arrival time, never the engine clock, so idle stretches can be
-			// skipped: jump straight to the next send or arrival instant.
-			next := limit + 1
-			if i < len(sends) {
-				next = sends[i].Time
-			}
-			if e.inflight.len() > 0 {
-				if at := e.inflight.peek().Arrive; at < next {
-					next = at
-				}
-			}
-			if next > e.now+1 {
-				e.now = next - 1 // Tick advances the final step
-			}
+		// Nothing happens between the next send, the next arrival and (in
+		// Buffered mode) the next instant a buffered processor's receive
+		// port frees, so idle stretches are skipped: jump straight there.
+		next := limit + 1
+		if i < len(sends) {
+			next = sends[i].Time
+		}
+		if e.inflight.len() > 0 {
+			next = min(next, e.inflight.peek().Arrive)
+		}
+		if at, ok := e.nextRecvFree(); ok {
+			next = min(next, at)
+		}
+		if next > e.now+1 {
+			e.now = next - 1 // Tick advances the final step
 		}
 		e.Tick()
 	}
@@ -786,7 +754,7 @@ func (e *Engine) registerProbes() {
 }
 
 // Stats is the port-activity summary for one run. It is the shared
-// schedule.Stats shape (also produced by the goroutine runtime), extended
+// schedule.Stats shape (also produced by the event-driven runtime), extended
 // since the run-global-only version with a per-processor busy/idle
 // breakdown and per-processor buffered-queue high-water marks.
 type Stats = schedule.Stats

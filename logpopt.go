@@ -8,7 +8,7 @@
 // personalized communication, combining broadcast (all-reduce) and
 // summation, on a LogP machine with parameters (P, L, o, g), plus the
 // classic baselines (linear, flat, binary, binomial trees), a deterministic
-// discrete-event LogP simulator, a goroutine-based message-passing runtime,
+// discrete-event LogP simulator, an event-driven message-passing runtime,
 // an independent schedule validator, and text renderers reproducing the
 // paper's figures.
 //
@@ -341,12 +341,13 @@ type (
 	Engine = sim.Engine
 	// SimReport summarizes a simulation run.
 	SimReport = sim.Report
-	// Runtime executes handlers on one goroutine per processor in
-	// barrier-synchronized virtual time.
+	// Runtime executes per-processor handlers in event-driven virtual time:
+	// a handler runs at time 0, on receptions and at requested wakes.
 	Runtime = runtime.Runtime
 	// Proc is the per-processor handle passed to runtime handlers.
 	Proc = runtime.Proc
-	// Handler is a per-step processor program.
+	// Handler is a processor program, run at time 0, when the processor
+	// receives and when a wake it requested with Proc.WakeAt comes due.
 	Handler = runtime.Handler
 	// Message is a payload-carrying runtime message.
 	Message = runtime.Message
@@ -358,7 +359,7 @@ var (
 	NewEngine = sim.New
 	// SimRun replays a schedule's sends on the simulator.
 	SimRun = sim.Run
-	// NewRuntime returns a goroutine-per-processor runtime.
+	// NewRuntime returns an event-driven runtime for P handlers.
 	NewRuntime = runtime.New
 	// ScheduleHandlers converts a schedule into replay handlers.
 	ScheduleHandlers = runtime.ScheduleHandlers
