@@ -36,13 +36,14 @@ bench-json:
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_3.json
+		| $(GO) run ./cmd/logpcheck benchjson > BENCH_3.json
 	@cat BENCH_3.json
 
 # Regression gate: rerun the bench-json suite and diff it against the last
-# committed baseline (BENCH_3.json) with cmd/benchdiff. Local runs hard-fail
-# on any metric past its threshold; on CI (the CI env var is set) the gate
-# only warns, because shared runners are too noisy for wall-time thresholds.
+# committed baseline (BENCH_3.json) with `logpcheck benchdiff`. Local runs
+# hard-fail on any metric past its threshold; on CI (the CI env var is set)
+# the gate only warns, because shared runners are too noisy for wall-time
+# thresholds.
 # The scale metrics gate direction-aware: events/sec on drops, peak RSS on
 # growth, both with generous fractions since they ride on wall time.
 bench-gate:
@@ -50,8 +51,8 @@ bench-gate:
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_gate.json
-	$(GO) run ./cmd/benchdiff $(if $(CI),,-strict) \
+		| $(GO) run ./cmd/logpcheck benchjson > BENCH_gate.json
+	$(GO) run ./cmd/logpcheck benchdiff $(if $(CI),,-strict) \
 		-extra 'events/sec=0.25,peak_rss_bytes=0.25,req/sec=0.5,p99_us=0.5' \
 		BENCH_3.json BENCH_gate.json
 	@rm -f BENCH_gate.json
@@ -68,7 +69,7 @@ bench-scale:
 # assert the emitted file is non-empty, Perfetto-loadable trace JSON.
 trace-smoke:
 	$(GO) run ./cmd/logpsched -op kitem -P 10 -L 3 -k 8 -trace trace-smoke.json > /dev/null
-	$(GO) run ./cmd/tracecheck trace-smoke.json
+	$(GO) run ./cmd/logpcheck trace trace-smoke.json
 	@rm -f trace-smoke.json
 
 # Smoke-test the run-report artifact chain: compile a schedule with -report
@@ -76,7 +77,7 @@ trace-smoke:
 report-smoke:
 	$(GO) run ./cmd/logpsched -op broadcast -P 512 -report report-smoke.json > /dev/null
 	$(GO) run ./cmd/logpsched -op summation -P 8 -L 5 -o 2 -g 4 -t 28 -report report-smoke-sum.json > /dev/null
-	$(GO) run ./cmd/reportcheck report-smoke.json report-smoke-sum.json
+	$(GO) run ./cmd/logpcheck report report-smoke.json report-smoke-sum.json
 	@rm -f report-smoke.json report-smoke-sum.json
 
 # Smoke-test the run store and differ end to end: archive the same
@@ -88,10 +89,10 @@ report-diff-smoke:
 	rm -rf report-diff-store
 	$(GO) run ./cmd/logpsched -op broadcast -P 64 -runstore report-diff-store > /dev/null
 	$(GO) run ./cmd/logpsched -op broadcast -P 64 -runstore report-diff-store > /dev/null
-	$(GO) run ./cmd/reportdiff report-diff-store
+	$(GO) run ./cmd/logpcheck reportdiff report-diff-store
 	find report-diff-store -name run-000002.json \
 		-exec sed -i 's/"violations": 0/"violations": 7/' {} +
-	! $(GO) run ./cmd/reportdiff report-diff-store
+	! $(GO) run ./cmd/logpcheck reportdiff report-diff-store
 	@rm -rf report-diff-store
 
 # Smoke-test the scheduling service end to end: build the daemon, boot it on
@@ -102,7 +103,7 @@ report-diff-smoke:
 servd-smoke:
 	$(GO) build -o servd-smoke-bin ./cmd/logpservd
 	$(GO) build -o servd-smoke-sched ./cmd/logpsched
-	$(GO) run ./cmd/servdsmoke -bin ./servd-smoke-bin -sched ./servd-smoke-sched
+	$(GO) run ./cmd/logpcheck servd -bin ./servd-smoke-bin -sched ./servd-smoke-sched
 	@rm -f servd-smoke-bin servd-smoke-sched
 
 # Short fuzzing pass over the schedule validator (against its map-based

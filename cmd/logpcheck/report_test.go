@@ -15,12 +15,12 @@ import (
 	"logpopt/internal/schedule"
 )
 
-// exec drives run() in-process: (stdout, gated, err) mirrors the process
-// exit contract (err -> 2, gated -> 1, else 0).
-func exec(t *testing.T, args ...string) (string, bool, error) {
+// runDiff drives diffReports() in-process: (stdout, gated, err) mirrors the
+// process exit contract (err -> 2, gated -> 1, else 0).
+func runDiff(t *testing.T, args ...string) (string, bool, error) {
 	t.Helper()
 	var out, errb bytes.Buffer
-	gated, err := run(args, &out, &errb)
+	gated, err := diffReports(args, &out, &errb)
 	return out.String(), gated, err
 }
 
@@ -77,7 +77,7 @@ func TestIdenticalFilesExitClean(t *testing.T) {
 	dir := t.TempDir()
 	a := writeReport(t, dir, "a.json", buildReport(t))
 	b := writeReport(t, dir, "b.json", buildReport(t))
-	out, gated, err := exec(t, a, b)
+	out, gated, err := runDiff(t, a, b)
 	if err != nil || gated {
 		t.Fatalf("identical reports gated (gated=%v err=%v):\n%s", gated, err, out)
 	}
@@ -121,7 +121,7 @@ func TestEachGatedPerturbationFlipsExit(t *testing.T) {
 			perturbed := buildReport(t)
 			tc.perturb(perturbed)
 			b := writeReport(t, dir, "b.json", perturbed)
-			out, gated, err := exec(t, a, b)
+			out, gated, err := runDiff(t, a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestEachGatedPerturbationFlipsExit(t *testing.T) {
 			store := filepath.Join(t.TempDir(), "store")
 			archive(t, store, buildReport(t))
 			archive(t, store, perturbed)
-			_, gated, err = exec(t, store)
+			_, gated, err = runDiff(t, store)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestEachGatedPerturbationFlipsExit(t *testing.T) {
 func TestSingleStoreMode(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "store")
 	archive(t, store, buildReport(t))
-	out, gated, err := exec(t, store)
+	out, gated, err := runDiff(t, store)
 	if err != nil || gated {
 		t.Fatalf("single run gated (gated=%v err=%v):\n%s", gated, err, out)
 	}
@@ -161,7 +161,7 @@ func TestSingleStoreMode(t *testing.T) {
 		t.Fatalf("lone run not announced:\n%s", out)
 	}
 	archive(t, store, buildReport(t))
-	out, gated, err = exec(t, store)
+	out, gated, err = runDiff(t, store)
 	if err != nil || gated {
 		t.Fatalf("identical consecutive runs gated (gated=%v err=%v):\n%s", gated, err, out)
 	}
@@ -176,7 +176,7 @@ func TestStorePairMode(t *testing.T) {
 	oldS, newS := filepath.Join(t.TempDir(), "old"), filepath.Join(t.TempDir(), "new")
 	archive(t, oldS, buildReport(t))
 	archive(t, newS, buildReport(t))
-	out, gated, err := exec(t, oldS, newS)
+	out, gated, err := runDiff(t, oldS, newS)
 	if err != nil || gated {
 		t.Fatalf("identical stores gated (gated=%v err=%v):\n%s", gated, err, out)
 	}
@@ -188,7 +188,7 @@ func TestStorePairMode(t *testing.T) {
 	extra.Gap += 4
 	extra.Breakdown.Wait += 4
 	archive(t, newS, extra)
-	_, gated, err = exec(t, oldS, newS)
+	_, gated, err = runDiff(t, oldS, newS)
 	if err != nil || gated {
 		t.Fatalf("extra key in new store gated (gated=%v err=%v)", gated, err)
 	}
@@ -198,7 +198,7 @@ func TestStorePairMode(t *testing.T) {
 	lost := buildReport(t)
 	lost.Constructor = "logtime"
 	archive(t, oldS, lost)
-	out, gated, err = exec(t, oldS, newS)
+	out, gated, err = runDiff(t, oldS, newS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestThresholdFlags(t *testing.T) {
 	perturbed := buildReport(t)
 	perturbed.Violations = 3
 	b := writeReport(t, dir, "b.json", perturbed)
-	_, gated, err := exec(t, "-violations", "-1", a, b)
+	_, gated, err := runDiff(t, "-violations", "-1", a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestThresholdFlags(t *testing.T) {
 		t.Fatal("disabled violations gate still gated")
 	}
 	// And -v surfaces the now-informational drift.
-	out, _, err := exec(t, "-violations", "-1", "-v", a, b)
+	out, _, err := runDiff(t, "-violations", "-1", "-v", a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestUsageErrors(t *testing.T) {
 		{filepath.Join(dir, "missing.json"), f},
 	}
 	for _, args := range cases {
-		if _, _, err := exec(t, args...); err == nil {
+		if _, _, err := runDiff(t, args...); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
 	}
@@ -259,7 +259,7 @@ func TestJSONOutput(t *testing.T) {
 	perturbed := buildReport(t)
 	perturbed.Violations = 2
 	b := writeReport(t, dir, "b.json", perturbed)
-	out, gated, err := exec(t, "-json", a, b)
+	out, gated, err := runDiff(t, "-json", a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,3 @@
-// Command servdsmoke is the end-to-end proof that a real logpservd process
-// behaves: it boots the daemon binary on an ephemeral port, waits for
-// /readyz, fires N concurrent identical cold requests and asserts the
-// singleflight collapsed them into exactly one solver run, checks the RED
-// series made it to /metrics, and shuts the process down with SIGTERM
-// expecting a clean exit. `make servd-smoke` builds the daemon and runs this
-// against it; CI runs the target on every push.
-//
-// With -sched pointing at a built logpsched, the smoke also diffs the CLI
-// and the service byte-for-byte: `logpsched -render json` solving locally
-// must emit exactly the bytes `logpsched -remote <url> -render json` fetches
-// from the daemon.
-//
-// Usage:
-//
-//	servdsmoke -bin ./logpservd [-sched ./logpsched] [-n 32]
 package main
 
 import (
@@ -29,26 +13,40 @@ import (
 	"sync"
 	"syscall"
 	"time"
-
-	"logpopt/internal/cliutil"
 )
 
-func main() {
-	bin := flag.String("bin", "", "`path` to the logpservd binary to smoke-test")
-	sched := flag.String("sched", "", "`path` to a logpsched binary; when set, diff its local solve against -remote byte-for-byte")
-	n := flag.Int("n", 32, "concurrent identical requests to fire at one cold key")
-	flag.Parse()
+// servd is the end-to-end proof that a real logpservd process behaves: it
+// boots the daemon binary on an ephemeral port, waits for /readyz, fires N
+// concurrent identical cold requests and asserts the singleflight
+// collapsed them into exactly one solver run, checks the RED series made
+// it to /metrics, and shuts the process down with SIGTERM expecting a
+// clean exit.
+//
+// With -sched pointing at a built logpsched, it also diffs the CLI and the
+// service byte-for-byte: `logpsched -render json` solving locally must
+// emit exactly the bytes `logpsched -remote <url> -render json` fetches
+// from the daemon.
+func servd(args []string, _ io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("logpcheck servd", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	bin := fs.String("bin", "", "`path` to the logpservd binary to smoke-test")
+	sched := fs.String("sched", "", "`path` to a logpsched binary; when set, diff its local solve against -remote byte-for-byte")
+	n := fs.Int("n", 32, "concurrent identical requests to fire at one cold key")
+	fs.Parse(args) //nolint:errcheck // ExitOnError: 0 after -h, 2 on a bad flag
 	if *bin == "" {
-		cliutil.Fail("servdsmoke", fmt.Errorf("-bin is required (path to a built logpservd)"))
+		fmt.Fprintln(stderr, "logpcheck servd: -bin is required (path to a built logpservd)")
+		return 1
 	}
-	if err := smoke(*bin, *sched, *n); err != nil {
-		cliutil.Fail("servdsmoke", err)
+	if err := smoke(*bin, *sched, *n, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "logpcheck servd: %v\n", err)
+		return 1
 	}
-	fmt.Println("servd smoke: ok")
+	fmt.Fprintln(stdout, "servd smoke: ok")
+	return 0
 }
 
-func smoke(bin, sched string, n int) error {
-	dir, err := os.MkdirTemp("", "servdsmoke")
+func smoke(bin, sched string, n int, stdout, stderr io.Writer) error {
+	dir, err := os.MkdirTemp("", "logpcheck-servd")
 	if err != nil {
 		return err
 	}
@@ -56,7 +54,7 @@ func smoke(bin, sched string, n int) error {
 	addrFile := filepath.Join(dir, "servd.addr")
 
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addrfile", addrFile)
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("starting %s: %w", bin, err)
 	}
@@ -69,14 +67,19 @@ func smoke(bin, sched string, n int) error {
 		}
 	}()
 
-	base, err := waitAddr(addrFile, 15*time.Second)
-	if err != nil {
-		return err
+	// The daemon writes its address file once listening.
+	var base string
+	if !poll(func() bool {
+		b, err := os.ReadFile(addrFile)
+		base = "http://" + strings.TrimSpace(string(b))
+		return err == nil && len(b) > 0
+	}) {
+		return fmt.Errorf("daemon never wrote %s within %s", addrFile, pollTimeout)
 	}
-	if err := waitReady(base, 15*time.Second); err != nil {
-		return err
+	if !poll(func() bool { _, err := getBody(base + "/readyz"); return err == nil }) {
+		return fmt.Errorf("/readyz never answered 200 within %s", pollTimeout)
 	}
-	fmt.Printf("servd smoke: ready at %s\n", base)
+	fmt.Fprintf(stdout, "servd smoke: ready at %s\n", base)
 
 	// One cold key, n concurrent requests: the singleflight contract says
 	// the solver runs once and everyone else coalesces onto it (the warmup
@@ -110,15 +113,14 @@ func smoke(bin, sched string, n int) error {
 	if counts["miss"] != 1 {
 		return fmt.Errorf("%d concurrent cold requests produced %d solver runs, want exactly 1 (outcomes %v)", n, counts["miss"], counts)
 	}
-	fmt.Printf("servd smoke: %d concurrent requests -> 1 solve, %d coalesced, %d hits\n",
+	fmt.Fprintf(stdout, "servd smoke: %d concurrent requests -> 1 solve, %d coalesced, %d hits\n",
 		n, counts["coalesced"], counts["hit"])
 
 	// The cache's own ledger must agree: exactly 3 misses total (2 warmup
 	// solves + this one).
 	var cache struct {
 		Totals struct {
-			Misses    int64 `json:"misses"`
-			Coalesced int64 `json:"coalesced"`
+			Misses int64 `json:"misses"`
 		} `json:"totals"`
 	}
 	if err := getJSON(base+"/debug/cache", &cache); err != nil {
@@ -143,7 +145,7 @@ func smoke(bin, sched string, n int) error {
 			return fmt.Errorf("/metrics missing series %s", want)
 		}
 	}
-	fmt.Println("servd smoke: RED series present on /metrics")
+	fmt.Fprintln(stdout, "servd smoke: RED series present on /metrics")
 
 	// CLI/service agreement: a local solve and a -remote fetch of the same
 	// key must be byte-identical, below and above P = 512 alike.
@@ -161,7 +163,7 @@ func smoke(bin, sched string, n int) error {
 			if string(local) != string(remote) {
 				return fmt.Errorf("logpsched P=%s output differs: local %d bytes, remote %d bytes", p, len(local), len(remote))
 			}
-			fmt.Printf("servd smoke: logpsched -remote output byte-identical to local solve at P=%s\n", p)
+			fmt.Fprintf(stdout, "servd smoke: logpsched -remote output byte-identical to local solve at P=%s\n", p)
 		}
 	}
 
@@ -177,40 +179,24 @@ func smoke(bin, sched string, n int) error {
 		if err != nil {
 			return fmt.Errorf("daemon exited uncleanly after SIGTERM: %w", err)
 		}
-	case <-time.After(15 * time.Second):
-		return fmt.Errorf("daemon did not exit within 15s of SIGTERM")
+	case <-time.After(pollTimeout):
+		return fmt.Errorf("daemon did not exit within %s of SIGTERM", pollTimeout)
 	}
-	fmt.Println("servd smoke: clean shutdown on SIGTERM")
+	fmt.Fprintln(stdout, "servd smoke: clean shutdown on SIGTERM")
 	return nil
 }
 
-// waitAddr polls the addrfile the daemon writes once listening.
-func waitAddr(path string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
-			return "http://" + strings.TrimSpace(string(b)), nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return "", fmt.Errorf("daemon never wrote %s within %s", path, timeout)
-}
+// pollTimeout bounds each wait on the daemon: startup, readiness, shutdown.
+const pollTimeout = 15 * time.Second
 
-// waitReady polls /readyz until it answers 200.
-func waitReady(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/readyz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
+// poll retries ok every 20ms until it holds or pollTimeout passes.
+func poll(ok func() bool) bool {
+	for deadline := time.Now().Add(pollTimeout); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		if ok() {
+			return true
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	return fmt.Errorf("/readyz never answered 200 within %s", timeout)
+	return false
 }
 
 // getJSON GETs url and decodes the body into out.

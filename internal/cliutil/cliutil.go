@@ -33,7 +33,7 @@ const (
 	ServeUsage = "serve live telemetry over HTTP on `address` (:0 picks a free port): " +
 		"/metrics, /debug/pprof/, /traces/, /timeseries, /runs/, /compare, /regimes, /dashboard (default: off)"
 	RunstoreUsage = "archive the run report into the persistent run store at `dir`, " +
-		"keyed by (tool, op, constructor, machine) — the substrate for cmd/reportdiff " +
+		"keyed by (tool, op, constructor, machine) — the substrate for `logpcheck reportdiff` " +
 		"and the /regimes view (default: off)"
 	RemoteUsage = "fetch the schedule from a running logpservd at `url` " +
 		"(e.g. http://127.0.0.1:8080) instead of solving locally; " +

@@ -1,4 +1,4 @@
-package benchcmp
+package gate
 
 import (
 	"bytes"
@@ -21,7 +21,7 @@ func TestParseGoMaxProcsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	rs, err := Parse(in, 8)
+	rs, err := ParseBench(in, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestParseGoMaxProcsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("Parse(transcript, 8) encodes to\n%s\nwant\n%s", got.Bytes(), want)
+		t.Fatalf("ParseBench(transcript, 8) encodes to\n%s\nwant\n%s", got.Bytes(), want)
 	}
 
 	// A run with nothing to report still encodes as a JSON array.
-	rs, err = Parse(strings.NewReader("PASS\n"), 8)
+	rs, err = ParseBench(strings.NewReader("PASS\n"), 8)
 	if err != nil || rs == nil || len(rs) != 0 {
 		t.Fatalf("empty transcript: %v, %v; want a non-nil empty slice", rs, err)
 	}
@@ -50,20 +50,20 @@ func TestParseGoMaxProcsSuffix(t *testing.T) {
 // synthetic 20% ns/op regression on the broadcast benchmark, which the
 // default 10% threshold must flag — and a 30% threshold must not.
 func TestDetectsRegression(t *testing.T) {
-	old, err := Load("testdata/bench_old.json")
+	old, err := LoadBench("testdata/bench_old.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := Load("testdata/bench_new.json")
+	cur, err := LoadBench("testdata/bench_new.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Compare(old, cur, DefaultThresholds)
+	rep := CompareBench(old, cur, DefaultBench)
 	if rep.Regressions != 1 {
 		t.Fatalf("regressions = %d, want exactly the 20%% ns/op one\n%+v",
 			rep.Regressions, rep.Deltas)
 	}
-	var hit *Delta
+	var hit *BenchDelta
 	for i := range rep.Deltas {
 		if rep.Deltas[i].Regression {
 			hit = &rep.Deltas[i]
@@ -82,7 +82,7 @@ func TestDetectsRegression(t *testing.T) {
 		t.Errorf("OnlyNew = %v", rep.OnlyNew)
 	}
 
-	if rep := Compare(old, cur, Thresholds{NsPerOp: 0.30, BytesOp: 0.10, AllocsOp: 0}); rep.Regressions != 0 {
+	if rep := CompareBench(old, cur, BenchThresholds{NsPerOp: 0.30, BytesOp: 0.10, AllocsOp: 0}); rep.Regressions != 0 {
 		t.Errorf("30%% threshold still flags %d regression(s)", rep.Regressions)
 	}
 
@@ -98,7 +98,7 @@ func TestCompareEdgeCases(t *testing.T) {
 	// allocs going 0 -> 2 with exact threshold 0 is a regression.
 	b := a
 	b.AllocsOp = 2
-	rep := Compare([]Result{a}, []Result{b}, DefaultThresholds)
+	rep := CompareBench([]Result{a}, []Result{b}, DefaultBench)
 	found := false
 	for _, d := range rep.Deltas {
 		if d.Metric == "allocs/op" && d.Regression {
@@ -109,12 +109,12 @@ func TestCompareEdgeCases(t *testing.T) {
 		t.Errorf("new allocations from a zero baseline not flagged: %+v", rep.Deltas)
 	}
 	// Negative threshold disables the metric entirely.
-	rep = Compare([]Result{a}, []Result{b}, Thresholds{NsPerOp: 0, BytesOp: 0, AllocsOp: -1})
+	rep = CompareBench([]Result{a}, []Result{b}, BenchThresholds{NsPerOp: 0, BytesOp: 0, AllocsOp: -1})
 	if rep.Regressions != 0 {
 		t.Errorf("disabled metric still regressed: %+v", rep.Deltas)
 	}
 	// Identical files: zero regressions, metrics with 0 on both sides skipped.
-	rep = Compare([]Result{a}, []Result{a}, DefaultThresholds)
+	rep = CompareBench([]Result{a}, []Result{a}, DefaultBench)
 	if rep.Regressions != 0 || len(rep.Deltas) != 1 {
 		t.Errorf("identical compare: %+v", rep)
 	}
@@ -127,7 +127,7 @@ func TestCompareEdgeCases(t *testing.T) {
 func TestExtraMetricGating(t *testing.T) {
 	old := Result{Name: "BenchmarkScale/P100000", GoMaxProcs: 4, Package: "p", NsPerOp: 100,
 		Extra: map[string]float64{"events/sec": 2_000_000, "peak_rss_bytes": 1 << 30, "nodes/op": 5}}
-	regressed := func(deltas []Delta, unit string) bool {
+	regressed := func(deltas []BenchDelta, unit string) bool {
 		for _, d := range deltas {
 			if d.Metric == unit && d.Regression {
 				return true
@@ -135,13 +135,13 @@ func TestExtraMetricGating(t *testing.T) {
 		}
 		return false
 	}
-	th := Thresholds{NsPerOp: -1, BytesOp: -1, AllocsOp: -1,
+	th := BenchThresholds{NsPerOp: -1, BytesOp: -1, AllocsOp: -1,
 		Extra: map[string]float64{"events/sec": 0.15, "peak_rss_bytes": 0.10}}
 
 	// 20% throughput drop beyond the 15% threshold: regression.
 	slow := old
 	slow.Extra = map[string]float64{"events/sec": 1_600_000, "peak_rss_bytes": 1 << 30, "nodes/op": 5}
-	rep := Compare([]Result{old}, []Result{slow}, th)
+	rep := CompareBench([]Result{old}, []Result{slow}, th)
 	if !regressed(rep.Deltas, "events/sec") || rep.Regressions != 1 {
 		t.Errorf("20%% events/sec drop not flagged: %+v", rep.Deltas)
 	}
@@ -149,21 +149,21 @@ func TestExtraMetricGating(t *testing.T) {
 	// 20% throughput GAIN must not trip the rate gate.
 	fast := old
 	fast.Extra = map[string]float64{"events/sec": 2_400_000, "peak_rss_bytes": 1 << 30, "nodes/op": 5}
-	if rep := Compare([]Result{old}, []Result{fast}, th); rep.Regressions != 0 {
+	if rep := CompareBench([]Result{old}, []Result{fast}, th); rep.Regressions != 0 {
 		t.Errorf("throughput gain flagged as regression: %+v", rep.Deltas)
 	}
 
 	// 25% RSS growth beyond the 10% threshold: regression (lower is better).
 	big := old
 	big.Extra = map[string]float64{"events/sec": 2_000_000, "peak_rss_bytes": 5 << 28, "nodes/op": 5}
-	if rep := Compare([]Result{old}, []Result{big}, th); !regressed(rep.Deltas, "peak_rss_bytes") {
+	if rep := CompareBench([]Result{old}, []Result{big}, th); !regressed(rep.Deltas, "peak_rss_bytes") {
 		t.Errorf("25%% peak RSS growth not flagged: %+v", rep.Deltas)
 	}
 
 	// Ungated unit may move freely but still shows up in the deltas.
 	noisy := old
 	noisy.Extra = map[string]float64{"events/sec": 2_000_000, "peak_rss_bytes": 1 << 30, "nodes/op": 50}
-	rep = Compare([]Result{old}, []Result{noisy}, th)
+	rep = CompareBench([]Result{old}, []Result{noisy}, th)
 	if rep.Regressions != 0 {
 		t.Errorf("ungated nodes/op gated anyway: %+v", rep.Deltas)
 	}
@@ -179,10 +179,10 @@ func TestExtraMetricGating(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load("testdata/absent.json"); err == nil {
+	if _, err := LoadBench("testdata/absent.json"); err == nil {
 		t.Error("Load of a missing file must fail")
 	}
-	if _, err := Load("testdata/../benchcmp.go"); err == nil {
+	if _, err := LoadBench("testdata/../bench.go"); err == nil {
 		t.Error("Load of non-JSON must fail")
 	}
 }
@@ -191,11 +191,30 @@ func TestLoadErrors(t *testing.T) {
 // matched by two -bench patterns) must fail loudly, naming the key, instead
 // of Compare keeping whichever row came last.
 func TestLoadRejectsDuplicateKeys(t *testing.T) {
-	_, err := Load("testdata/bench_dup.json")
+	_, err := LoadBench("testdata/bench_dup.json")
 	if err == nil {
 		t.Fatal("Load accepted a file with a duplicated benchmark key")
 	}
 	if want := "logpopt/internal/bench.BenchmarkServdBatchSweep-1"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name the duplicated key %s", err, want)
+	}
+}
+
+// TestFromZeroPrintsNoPercentage: a metric growing from zero has no
+// fraction, so its row gates (under a non-negative threshold) and prints
+// no percentage instead of one scaled by the new value.
+func TestFromZeroPrintsNoPercentage(t *testing.T) {
+	a := Result{Name: "BenchmarkX", GoMaxProcs: 4, Package: "p", NsPerOp: 100}
+	b := a
+	b.BytesPerOp, b.AllocsOp = 4096, 5
+	rep := CompareBench([]Result{a}, []Result{b}, DefaultBench)
+	var out strings.Builder
+	rep.Write(&out, true)
+	want := "ok          p.BenchmarkX-4                                   ns/op               100 -> 100             +0.0%\n" +
+		"REGRESSION  p.BenchmarkX-4                                   B/op                  0 -> 4096        \n" +
+		"REGRESSION  p.BenchmarkX-4                                   allocs/op             0 -> 5           \n" +
+		"3 benchmark metric(s) compared, 2 regression(s)\n"
+	if out.String() != want {
+		t.Fatalf("Write:\n%q\nwant\n%q", out.String(), want)
 	}
 }

@@ -1,8 +1,5 @@
-// Package diff compares two run reports (internal/obs/report) field by
-// field and renders a machine-readable verdict — the run-report sibling of
-// internal/benchcmp, which does the same job over benchjson files. It is
-// the engine behind cmd/reportdiff and the telemetry server's /compare
-// view.
+// Run reports: field-by-field comparison of two internal/obs/report
+// documents into a machine-readable verdict.
 //
 // Fields split into three classes:
 //
@@ -10,7 +7,8 @@
 //     component, the port-stat quantiles, and the violation count. Each
 //     has a fractional threshold; a relative change beyond it (in either
 //     direction — an unexplained improvement is drift too) gates the
-//     verdict, which is what flips cmd/reportdiff to a non-zero exit.
+//     verdict, which is what flips `logpcheck reportdiff` to a non-zero
+//     exit.
 //   - identity: op, machine parameters, and schema version must match for
 //     the comparison to mean anything; a mismatch is always gated.
 //   - informational: tool, constructor, aggregate port stats, time-series
@@ -19,7 +17,8 @@
 //
 // Two runs of the same deterministic case produce an Empty verdict: no
 // deltas at all, not merely none gated.
-package diff
+
+package gate
 
 import (
 	"encoding/json"
@@ -31,12 +30,11 @@ import (
 	"logpopt/internal/obs/timeseries"
 )
 
-// Thresholds are the allowed fractional changes per gated field class: 0.05
-// passes anything within ±5% of the old value. A change from zero to
-// non-zero has no meaningful fraction and always gates (matching
-// benchcmp's growth-from-zero rule). A negative threshold disables the
-// gate for that class; the delta is still reported.
-type Thresholds struct {
+// ReportThresholds are the allowed fractional changes per gated field
+// class: 0.05 passes anything within ±5% of the old value. A change from
+// zero always gates. A negative threshold disables the gate for that
+// class; the delta is still reported.
+type ReportThresholds struct {
 	Finish     float64 // finish time
 	Gap        float64 // finish minus closed-form bound
 	Breakdown  float64 // each causal component
@@ -44,10 +42,10 @@ type Thresholds struct {
 	Violations float64 // violation count (0 = exact)
 }
 
-// Default tolerates nothing on violations (deterministic), is tight on the
-// finish (the certified outcome), and leaves headroom on the noisier
+// DefaultReport tolerates nothing on violations (deterministic), is tight
+// on the finish (the certified outcome), and leaves headroom on the noisier
 // distribution tails.
-var Default = Thresholds{
+var DefaultReport = ReportThresholds{
 	Finish:     0.02,
 	Gap:        0.05,
 	Breakdown:  0.10,
@@ -88,29 +86,33 @@ func (v *Verdict) add(field, old, new string, gated bool) {
 	v.Deltas = append(v.Deltas, Delta{Field: field, Old: old, New: new, Gated: gated})
 }
 
-// addNum records a numeric delta when old != new, gating on |frac| beyond
-// th (th < 0 never gates; old == 0 with new != 0 always gates when th is
-// active).
+// addNum records a numeric delta when old != new, gating on drift either
+// way under th.
 func (v *Verdict) addNum(field string, old, new float64, th float64) {
 	if old == new {
 		return
 	}
-	d := Delta{Field: field, Old: trim(old), New: trim(new)}
-	if old != 0 {
-		f := (new - old) / old
-		d.Frac = &f
+	frac, gated := decide(old, new, th, either)
+	v.add(field, trim(old), trim(new), gated)
+	if !math.IsNaN(frac) {
+		v.Deltas[len(v.Deltas)-1].Frac = &frac
 	}
-	if th >= 0 {
-		if d.Frac == nil {
-			d.Gated = true // change from zero: no meaningful fraction
-		} else {
-			d.Gated = math.Abs(*d.Frac) > th
-		}
+}
+
+// Coverage records a run key present on only one side of a store
+// comparison; an empty name marks the missing side. A key the old side has
+// and the new side lost gates — lost coverage can hide a regression; a key
+// only the new side has is informational.
+func Coverage(key, old, new string) *Verdict {
+	v := &Verdict{A: old, B: new}
+	if old == "" {
+		v.A = "absent"
 	}
-	if d.Gated {
-		v.Gated++
+	if new == "" {
+		v.B = "absent"
 	}
-	v.Deltas = append(v.Deltas, d)
+	v.add("key["+key+"]", v.A, v.B, new == "")
+	return v
 }
 
 // trim renders a float without a trailing ".000000" for integral values.
@@ -121,8 +123,9 @@ func trim(f float64) string {
 	return fmt.Sprintf("%g", f)
 }
 
-// Compare diffs b against a under th. a is the reference ("old") side.
-func Compare(a, b *report.Report, th Thresholds) *Verdict {
+// CompareReports diffs b against a under th. a is the reference ("old")
+// side.
+func CompareReports(a, b *report.Report, th ReportThresholds) *Verdict {
 	v := &Verdict{}
 
 	// Identity: these must match for any other delta to be meaningful.
@@ -159,7 +162,7 @@ func machineString(m report.Machine) string {
 	return fmt.Sprintf("P=%d L=%d o=%d g=%d", m.P, m.L, m.O, m.G)
 }
 
-func compareBreakdown(v *Verdict, a, b *report.Breakdown, th Thresholds) {
+func compareBreakdown(v *Verdict, a, b *report.Breakdown, th ReportThresholds) {
 	switch {
 	case a == nil && b == nil:
 		return
@@ -184,7 +187,7 @@ func compareBreakdown(v *Verdict, a, b *report.Breakdown, th Thresholds) {
 	}
 }
 
-func compareStats(v *Verdict, a, b *report.Stats, th Thresholds) {
+func compareStats(v *Verdict, a, b *report.Stats, th ReportThresholds) {
 	switch {
 	case a == nil && b == nil:
 		return
@@ -206,7 +209,7 @@ func compareStats(v *Verdict, a, b *report.Stats, th Thresholds) {
 	compareQuantiles(v, "stats.proc_idle", a.ProcIdle, b.ProcIdle, th)
 }
 
-func compareQuantiles(v *Verdict, prefix string, a, b report.Quantiles, th Thresholds) {
+func compareQuantiles(v *Verdict, prefix string, a, b report.Quantiles, th ReportThresholds) {
 	for _, c := range []struct {
 		name     string
 		old, new int64
@@ -250,20 +253,26 @@ func compareSeries(v *Verdict, a, b []timeseries.SeriesSummary) {
 	}
 }
 
+// compareExtra reports the extra keys that differ, in sorted key order so
+// that the same comparison always renders the same verdict.
 func compareExtra(v *Verdict, a, b map[string]any) {
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok {
-			v.add("extra."+k, fmt.Sprint(av), "absent", false)
-			continue
-		}
-		if fmt.Sprint(av) != fmt.Sprint(bv) {
-			v.add("extra."+k, fmt.Sprint(av), fmt.Sprint(bv), false)
-		}
+	union := make(map[string]bool, len(a)+len(b))
+	for k := range a {
+		union[k] = true
 	}
-	for k, bv := range b {
-		if _, ok := a[k]; !ok {
+	for k := range b {
+		union[k] = true
+	}
+	for _, k := range sortedKeys(union) {
+		av, inA := a[k]
+		bv, inB := b[k]
+		switch {
+		case !inB:
+			v.add("extra."+k, fmt.Sprint(av), "absent", false)
+		case !inA:
 			v.add("extra."+k, "absent", fmt.Sprint(bv), false)
+		case fmt.Sprint(av) != fmt.Sprint(bv):
+			v.add("extra."+k, fmt.Sprint(av), fmt.Sprint(bv), false)
 		}
 	}
 }
@@ -275,9 +284,9 @@ func presence(has bool) string {
 	return "absent"
 }
 
-// Write renders the verdict as a table, one line per delta, in benchcmp's
-// shape. With verbose false only gated deltas are listed; the summary line
-// always prints.
+// Write renders the verdict as a table, one line per delta, in the
+// benchmark report's shape. With verbose false only gated deltas are
+// listed; the summary line always prints.
 func (v *Verdict) Write(w io.Writer, verbose bool) {
 	label := ""
 	if v.A != "" || v.B != "" {

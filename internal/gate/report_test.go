@@ -1,4 +1,4 @@
-package diff
+package gate
 
 import (
 	"bytes"
@@ -51,7 +51,7 @@ func revalidate(t *testing.T, r *report.Report) *report.Report {
 // TestIdenticalReportsEmptyVerdict: same case, same run — no deltas at all.
 func TestIdenticalReportsEmptyVerdict(t *testing.T) {
 	a, b := buildReport(t), buildReport(t)
-	v := Compare(a, b, Default)
+	v := CompareReports(a, b, DefaultReport)
 	if !v.Empty() || v.Gated != 0 {
 		t.Fatalf("identical reports produced deltas: %+v", v.Deltas)
 	}
@@ -129,7 +129,7 @@ func TestEachGatedFieldGates(t *testing.T) {
 			b := buildReport(t)
 			tc.perturb(b)
 			revalidate(t, b)
-			v := Compare(a, b, Default)
+			v := CompareReports(a, b, DefaultReport)
 			if v.Gated == 0 {
 				t.Fatalf("perturbing %s did not gate: %+v", tc.name, v.Deltas)
 			}
@@ -163,7 +163,7 @@ func TestWithinThresholdDoesNotGate(t *testing.T) {
 	b.Gap += d
 	b.Breakdown.Latency += d
 	revalidate(t, b)
-	v := Compare(a, b, Default)
+	v := CompareReports(a, b, DefaultReport)
 	if v.Empty() {
 		t.Fatal("drift below threshold vanished entirely")
 	}
@@ -178,7 +178,7 @@ func TestIdentityMismatchGates(t *testing.T) {
 	a, b := buildReport(t), buildReport(t)
 	b.Op = "reduce"
 	b.Machine.P = 17
-	v := Compare(a, b, Default)
+	v := CompareReports(a, b, DefaultReport)
 	var ops, machines bool
 	for _, d := range v.Deltas {
 		if d.Field == "op" && d.Gated {
@@ -197,7 +197,7 @@ func TestIdentityMismatchGates(t *testing.T) {
 	a, b = buildReport(t), buildReport(t)
 	b.Tool = "logpbench"
 	b.Constructor = "logtime"
-	v = Compare(a, b, Default)
+	v = CompareReports(a, b, DefaultReport)
 	if v.Gated != 0 {
 		t.Fatalf("provenance-only changes gated: %+v", v.Deltas)
 	}
@@ -211,7 +211,7 @@ func TestIdentityMismatchGates(t *testing.T) {
 func TestBreakdownPresenceGates(t *testing.T) {
 	a, b := buildReport(t), buildReport(t)
 	b.Breakdown = nil
-	v := Compare(a, b, Default)
+	v := CompareReports(a, b, DefaultReport)
 	if v.Gated == 0 {
 		t.Fatalf("vanished breakdown not gated: %+v", v.Deltas)
 	}
@@ -220,7 +220,7 @@ func TestBreakdownPresenceGates(t *testing.T) {
 // TestDisabledThresholdReportsWithoutGating: a negative threshold turns a
 // gate into pure reporting.
 func TestDisabledThresholdReportsWithoutGating(t *testing.T) {
-	th := Default
+	th := DefaultReport
 	th.Finish, th.Gap, th.Breakdown = -1, -1, -1
 	a, b := buildReport(t), buildReport(t)
 	d := b.Finish / 2
@@ -228,7 +228,7 @@ func TestDisabledThresholdReportsWithoutGating(t *testing.T) {
 	b.Gap += d
 	b.Breakdown.Wait += d
 	revalidate(t, b)
-	v := Compare(a, b, th)
+	v := CompareReports(a, b, th)
 	if v.Empty() {
 		t.Fatal("disabled gates dropped the deltas too")
 	}
@@ -242,7 +242,7 @@ func TestDisabledThresholdReportsWithoutGating(t *testing.T) {
 func TestVerdictJSONRoundTrips(t *testing.T) {
 	a, b := buildReport(t), buildReport(t)
 	b.Violations = 2
-	v := Compare(a, b, Default)
+	v := CompareReports(a, b, DefaultReport)
 	v.A, v.B = "old.json", "new.json"
 	var buf bytes.Buffer
 	if err := v.WriteJSON(&buf); err != nil {
@@ -254,5 +254,24 @@ func TestVerdictJSONRoundTrips(t *testing.T) {
 	}
 	if got.Gated != v.Gated || len(got.Deltas) != len(v.Deltas) || got.A != "old.json" {
 		t.Fatalf("verdict mangled in JSON: %+v vs %+v", got, v)
+	}
+}
+
+// TestExtraDeltasSorted: extra-map deltas come out in key order, whatever
+// the maps' iteration order, so one comparison always renders one verdict.
+func TestExtraDeltasSorted(t *testing.T) {
+	a, b := buildReport(t), buildReport(t)
+	a.Extra = map[string]any{"e": 1, "d": 1, "c": 1, "a": 1}
+	b.Extra = map[string]any{"e": 2, "d": 2, "c": 2, "b": 1}
+	want := []string{"extra.a", "extra.b", "extra.c", "extra.d", "extra.e"}
+	for i := 0; i < 50; i++ {
+		v := CompareReports(a, b, DefaultReport)
+		var got []string
+		for _, d := range v.Deltas {
+			got = append(got, d.Field)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("extra deltas %v, want %v", got, want)
+		}
 	}
 }

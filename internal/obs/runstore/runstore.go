@@ -2,10 +2,10 @@
 // (internal/obs/report): every report a tool emits with -runstore lands in
 // a directory keyed by its canonical (tool, op, constructor, machine)
 // identity, numbered in arrival order and never overwritten. The store is
-// the substrate for cross-run comparison — cmd/reportdiff gates the latest
-// run of each key against its predecessor or against another store, and
-// the telemetry server's /regimes view folds a whole store into a regime
-// map over the machine parameters.
+// the substrate for cross-run comparison — `logpcheck reportdiff` gates the
+// latest run of each key against its predecessor or against another store,
+// and the telemetry server's /regimes view folds a whole store into a
+// regime map over the machine parameters.
 //
 // Layout on disk: one subdirectory per key, named by a readable slug plus
 // the first 12 hex digits of the SHA-256 of the canonical key string

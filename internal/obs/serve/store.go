@@ -12,7 +12,7 @@ import (
 	"html"
 	"net/http"
 
-	"logpopt/internal/obs/diff"
+	"logpopt/internal/gate"
 	"logpopt/internal/obs/report"
 	"logpopt/internal/obs/runstore"
 )
@@ -45,7 +45,7 @@ func (s *Server) lookupReport(name string) (*report.Report, error) {
 
 // compare serves /compare?a=<run>&b=<run>: the structural diff of two runs
 // under the default thresholds, as a text verdict (or JSON with
-// &format=json) — the HTTP face of cmd/reportdiff.
+// &format=json) — the HTTP face of `logpcheck reportdiff`.
 func (s *Server) compare(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	a, b := q.Get("a"), q.Get("b")
@@ -63,7 +63,7 @@ func (s *Server) compare(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	v := diff.Compare(ra, rb, diff.Default)
+	v := gate.CompareReports(ra, rb, gate.DefaultReport)
 	v.A, v.B = a, b
 	if q.Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
