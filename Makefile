@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race bench bench-json bench-gate bench-scale trace-smoke report-smoke report-diff-smoke servd-smoke fuzz conform conform-logtime vet fmt examples reproduce clean
+.PHONY: all check build test race bench bench-json bench-gate bench-scale trace-smoke report-smoke report-diff-smoke servd-smoke fuzz conform conform-logtime conform-scale vet fmt examples reproduce clean
 
 all: build test
 
@@ -131,6 +131,16 @@ conform:
 # schedules through all five backends. A fast corpus rides along.
 conform-logtime:
 	$(GO) run ./cmd/logpconform -logtime -seeds 100
+
+# Concurrent-check determinism: replay the scale cases at P = 64, 1024 and
+# 10^4 with Check's stages on one worker (GOMAXPROCS=1) and on every core;
+# both runs must conform and print identical output.
+conform-scale:
+	$(GO) build -o conform-scale-bin ./cmd/logpconform
+	GOMAXPROCS=1 ./conform-scale-bin -paper=false -seeds 0 -scale 64,1024,10000 > conform-scale-1.txt
+	./conform-scale-bin -paper=false -seeds 0 -scale 64,1024,10000 > conform-scale-n.txt
+	cmp conform-scale-1.txt conform-scale-n.txt
+	@rm -f conform-scale-bin conform-scale-1.txt conform-scale-n.txt
 
 vet:
 	$(GO) vet ./...

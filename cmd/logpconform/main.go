@@ -3,7 +3,8 @@
 // replayed on the strict and buffered simulator, the strict and buffered
 // event-driven runtime, and the analytic validator, and the results are diffed
 // under the backend-equivalence contract. Diverging cases are shrunk to a
-// minimal reproduction and printed.
+// minimal reproduction and printed. Each case's replays and checks run
+// concurrently on GOMAXPROCS workers; the output is the same at any width.
 //
 // Usage:
 //

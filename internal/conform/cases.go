@@ -9,6 +9,7 @@ import (
 	"logpopt/internal/core"
 	"logpopt/internal/kitem"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/schedule"
 	"logpopt/internal/summation"
 )
@@ -95,18 +96,20 @@ func PaperCases() []Case {
 // machine, at each requested processor count. These are the cases the
 // million-processor engine work is graded on — the backends must stay in
 // lockstep not just on the small paper instances but where the sharded
-// flight queue and the worker-pool runtime actually engage.
+// flight queue and the worker-pool runtime actually engage. The trees come
+// from the production counting construction (internal/logtime), which
+// builds the heap search's trees event for event (TestScaleCasesMatchSearch).
 func ScaleCases(ps ...int) []Case {
 	var cs []Case
 	for _, p := range ps {
 		m := logp.MustNew(p, 6, 2, 4)
 		cs = append(cs, Case{
 			Name:    fmt.Sprintf("scale-broadcast/p%d", p),
-			S:       core.BroadcastSchedule(m, 0),
+			S:       logtime.BroadcastSchedule(m, 0),
 			Origins: core.Origins(0),
 		})
 		pm := logp.Postal(p, 3)
-		red := combine.ReduceSchedule(pm, pm.P)
+		red := logtime.ReduceSchedule(pm, pm.P)
 		cs = append(cs, Case{
 			Name:    fmt.Sprintf("scale-reduce/p%d", p),
 			S:       red,

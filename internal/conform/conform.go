@@ -6,8 +6,10 @@ import (
 	"slices"
 	"time"
 
+	"logpopt/internal/logp"
 	"logpopt/internal/obs"
 	"logpopt/internal/obs/causal"
+	"logpopt/internal/par"
 	"logpopt/internal/runtime"
 	"logpopt/internal/schedule"
 	"logpopt/internal/sim"
@@ -23,7 +25,7 @@ var (
 
 // Checker replays cases on all five backends and diffs the results. One
 // Checker is cheap to keep around: its simulator engine and its runtime are
-// recycled across cases.
+// recycled across cases. A Checker serves one Check at a time.
 type Checker struct {
 	simStrict *SimBackend
 	simBuf    *SimBackend
@@ -71,12 +73,13 @@ func (ck *Checker) SetTracer(tr *obs.Tracer) {
 	}
 }
 
-// replay runs one backend and records its wall time in the per-backend
-// histogram.
+// replay runs one backend, records its wall time in the per-backend
+// histogram and sorts the returned trace with sortTrace.
 func (ck *Checker) replay(b Backend, c Case) Result {
 	start := time.Now()
 	r := b.Replay(c)
 	ck.replayUS[r.Backend].Observe(time.Since(start).Microseconds())
+	sortTrace(r.Trace)
 	return r
 }
 
@@ -102,6 +105,17 @@ func (ck *Checker) replay(b Backend, c Case) Result {
 //     field.
 //   - Always: the simulator's reported Finish must equal the finish time
 //     recomputed independently from its own trace.
+//
+// The replays and the expensive checks run as a par.Graph on up to
+// par.Limit() workers: the simulator chain (strict, then buffered, on the
+// shared engine), the runtime chain likewise, the validator, the deferred
+// validation of the buffered trace, the finish recomputation, and the four
+// critical-path analyses. The analyses form one chain, so at most one is in
+// flight (each holds a DAG of the case's size), and a mode's pair starts
+// once both of its traces are clean. The diffs are then assembled on the
+// caller's goroutine in a fixed order, so they are the same at every
+// width. A panicking stage re-panics here as a *par.StagePanic once every
+// other stage has finished.
 func (ck *Checker) Check(c Case) (diffs []string) {
 	mCases.Inc()
 	defer func() {
@@ -109,14 +123,41 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 			mDivergences.Inc()
 		}
 	}()
-	simS := ck.replay(ck.simStrict, c)
-	rtS := ck.replay(ck.rtStrict, c)
-	val := ck.replay(ck.validator, c)
-	simB := ck.replay(ck.simBuf, c)
-	rtB := ck.replay(ck.rtBuf, c)
-	for _, r := range []Result{simS, rtS, val, simB, rtB} {
-		sortTrace(r.Trace)
+	var (
+		simS, rtS, val, simB, rtB Result
+		deferred                  []schedule.Violation
+		fin                       [2]logp.Time // finishOf(simS), finishOf(simB)
+		sigS, sigB                [2]string    // critical paths: sim, runtime
+	)
+	var g par.Graph
+	sS := g.Add("sim-strict", func() { simS = ck.replay(ck.simStrict, c) })
+	rS := g.Add("runtime-strict", func() { rtS = ck.replay(ck.rtStrict, c) })
+	g.Add("validator", func() { val = ck.replay(ck.validator, c) })
+	sB := g.Add("sim-buffered", func() { simB = ck.replay(ck.simBuf, c) }, sS)
+	rB := g.Add("runtime-buffered", func() { rtB = ck.replay(ck.rtBuf, c) }, rS)
+	g.Add("deferred-validation", func() {
+		if simB.Clean() {
+			deferred = schedule.ValidateDeferred(simB.Trace)
+			deferred = append(deferred, schedule.CheckAvailability(simB.Trace, c.Origins)...)
+		}
+	}, sB)
+	// A mode's critical paths are compared only when both of its traces
+	// are clean, so only then are they computed.
+	analyze := func(sig *string, r, sim, rt *Result) func() {
+		return func() {
+			if sim.Clean() && rt.Clean() {
+				*sig = causal.Analyze(r.Trace, c.Origins).Signature()
+			}
+		}
 	}
+	a := g.Add("critical-path/sim-strict", analyze(&sigS[0], &simS, &simS, &rtS), sS, rS)
+	a = g.Add("critical-path/runtime-strict", analyze(&sigS[1], &rtS, &simS, &rtS), a)
+	a = g.Add("critical-path/sim-buffered", analyze(&sigB[0], &simB, &simB, &rtB), a, sB, rB)
+	g.Add("critical-path/runtime-buffered", analyze(&sigB[1], &rtB, &simB, &rtB), a)
+	g.Add("finish", func() {
+		fin = [2]logp.Time{finishOf(simS.Trace, c.Origins), finishOf(simB.Trace, c.Origins)}
+	}, sS, sB)
+	g.Run()
 
 	add := func(format string, args ...any) {
 		diffs = append(diffs, fmt.Sprintf(format, args...))
@@ -180,10 +221,8 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 		if msg := statsDiff(simB.Stats, rtB.Stats, true); msg != "" {
 			add("buffered stats: sim vs runtime: %s", msg)
 		}
-		vs := schedule.ValidateDeferred(simB.Trace)
-		vs = append(vs, schedule.CheckAvailability(simB.Trace, c.Origins)...)
-		if len(vs) != 0 {
-			add("clean buffered trace fails deferred validation: %v", vs[0])
+		if len(deferred) != 0 {
+			add("clean buffered trace fails deferred validation: %v", deferred[0])
 		}
 	}
 
@@ -193,24 +232,20 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 	// is deterministic in the event multiset, so a signature mismatch means
 	// the backends genuinely executed different causal structures (a subtler
 	// divergence than a trace diff, which would already have fired above).
-	if simS.Clean() {
-		if d := causalDiff(simS.Trace, rtS.Trace, c.Origins); d != "" {
-			add("strict critical path: sim vs runtime: %s", d)
-		}
+	if simS.Clean() && sigS[0] != sigS[1] {
+		add("strict critical path: sim vs runtime: %q vs %q", sigS[0], sigS[1])
 	}
-	if simB.Clean() {
-		if d := causalDiff(simB.Trace, rtB.Trace, c.Origins); d != "" {
-			add("buffered critical path: sim vs runtime: %s", d)
-		}
+	if simB.Clean() && sigB[0] != sigB[1] {
+		add("buffered critical path: sim vs runtime: %q vs %q", sigB[0], sigB[1])
 	}
 	if simS.Clean() && simB.Clean() {
 		if msg := traceDiff(simS.Trace, simB.Trace); msg != "" {
 			add("strict vs buffered trace on a clean schedule: %s", msg)
 		}
 	}
-	for _, r := range []Result{simS, simB} {
-		if f := finishOf(r.Trace, c.Origins); f != r.Finish {
-			add("%s reports Finish=%d but its trace implies %d", r.Backend, r.Finish, f)
+	for i, r := range []Result{simS, simB} {
+		if fin[i] != r.Finish {
+			add("%s reports Finish=%d but its trace implies %d", r.Backend, r.Finish, fin[i])
 		}
 	}
 	return diffs
@@ -219,17 +254,6 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 // Diverges reports whether the case violates the contract. It is the
 // predicate the shrinker minimizes against.
 func (ck *Checker) Diverges(c Case) bool { return len(ck.Check(c)) > 0 }
-
-// causalDiff compares the canonical critical-path signatures of two executed
-// traces ("" when identical).
-func causalDiff(a, b *schedule.Schedule, origins map[int]schedule.Origin) string {
-	sa := causal.Analyze(a, origins).Signature()
-	sb := causal.Analyze(b, origins).Signature()
-	if sa != sb {
-		return fmt.Sprintf("%q vs %q", sa, sb)
-	}
-	return ""
-}
 
 // statsDiff compares two Stats breakdowns and describes the first
 // disagreement ("" when equal). queues controls whether the per-processor

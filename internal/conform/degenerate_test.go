@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"math"
 	"testing"
 
 	"logpopt/internal/alltoall"
@@ -167,4 +168,22 @@ func TestDegenerateP2(t *testing.T) {
 			t.Errorf("%v: p2 reduce: %s", m, d)
 		}
 	}
+}
+
+// degenerateCases are the two-processor exchanges of the machines above,
+// clean on every backend, plus the same exchange on machines where a
+// reception's end, send + L + 2o, passes the int64 limit. The engines
+// disagree about the latter — the simulator executes the send, the runtime
+// does not — so they are the corpus's divergent cases, with several diffs
+// each.
+func degenerateCases() []Case {
+	var cs []Case
+	for _, m := range append(degenerateMachines,
+		logp.Machine{P: 2, L: math.MaxInt64 - 3, O: 2, G: 4},
+		logp.Machine{P: 2, L: math.MaxInt64 - 1, O: 1, G: 1},
+	) {
+		m.P = 2
+		cs = append(cs, Case{Name: "p2-broadcast/" + m.String(), S: core.BroadcastSchedule(m, 0), Origins: core.Origins(0)})
+	}
+	return cs
 }

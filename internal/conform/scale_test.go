@@ -2,6 +2,7 @@ package conform
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"logpopt/internal/baseline"
@@ -30,6 +31,26 @@ func TestScaleCasesConform(t *testing.T) {
 				t.Fatalf("%d divergences:\n%s", len(diffs), diffs[0])
 			}
 		})
+	}
+}
+
+// TestScaleCasesMatchSearch keeps the heap search as the oracle of the scale
+// cases: the counting construction they are built with must emit the heap
+// search's broadcast and reduction schedules event for event.
+func TestScaleCasesMatchSearch(t *testing.T) {
+	for _, p := range []int{64, 1024, 10_000} {
+		m, pm := logp.MustNew(p, 6, 2, 4), logp.Postal(p, 3)
+		cs := ScaleCases(p)
+		if len(cs) != 2 {
+			t.Fatalf("P=%d: %d scale cases, want 2", p, len(cs))
+		}
+		for i, want := range []*schedule.Schedule{core.BroadcastSchedule(m, 0), combine.ReduceSchedule(pm, pm.P)} {
+			got := cs[i].S
+			if got.M != want.M || !slices.Equal(got.Events, want.Events) {
+				t.Fatalf("%s: counting construction differs from the heap search (%d vs %d events on %v vs %v)",
+					cs[i].Name, len(got.Events), len(want.Events), got.M, want.M)
+			}
+		}
 	}
 }
 

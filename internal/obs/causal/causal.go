@@ -267,25 +267,39 @@ func (r *Report) String() string {
 }
 
 // constraint is one incoming edge of a node: its start must be >= bound.
+// from is the predecessor node index, -1 for an origin or start root.
 type constraint struct {
-	from  int // predecessor node index; -1 for origin/start
-	kind  EdgeKind
 	bound logp.Time
+	from  int32
+	kind  int8 // an EdgeKind
 }
 
-// node is one event of the analyzed schedule; node i is its event i.
+// node is the analysis state of event i of the analyzed schedule; the event
+// itself stays in the schedule. A node has at most three constraints —
+// busy, gap, and latency (a receive) or availability (a send) — held
+// inline, so a node takes 72 bytes and the whole DAG one allocation.
 type node struct {
-	ev    schedule.Event
 	start logp.Time
 	dur   logp.Time // o for send/recv, Dur for compute
-	cons  []constraint
+	cons  [3]constraint
+	ncons int8
 }
 
 func (n *node) end() logp.Time { return n.start + n.dur }
 
+// constraints returns the node's incoming edges.
+func (n *node) constraints() []constraint { return n.cons[:n.ncons] }
+
+// add attaches one incoming edge.
+func (n *node) add(from int, kind EdgeKind, bound logp.Time) {
+	n.cons[n.ncons] = constraint{bound: bound, from: int32(from), kind: int8(kind)}
+	n.ncons++
+}
+
 // analyzer holds the DAG under construction.
 type analyzer struct {
 	m      logp.Machine
+	evs    []schedule.Event // the analyzed schedule's events; node i is evs[i]
 	nodes  []node
 	order  []int32                  // node ids in deterministic (time, proc, op, item, peer) order
 	byProc schedule.Groups[nodeRef] // nodes by processor, in causal order
@@ -322,8 +336,8 @@ func (r *nodeRef) to() int {
 // order of s is irrelevant — so two backends that executed the same events
 // produce identical reports. Report.Bound is -1 until SetBound is called.
 func Analyze(s *schedule.Schedule, origins map[int]schedule.Origin) *Report {
-	a := &analyzer{m: s.M}
-	a.build(s, origins)
+	a := &analyzer{m: s.M, evs: s.Events}
+	a.build(origins)
 	rep := &Report{Bound: -1}
 	finNode, finTime := a.finish(s, origins)
 	rep.Finish = finTime
@@ -337,25 +351,23 @@ func Analyze(s *schedule.Schedule, origins map[int]schedule.Origin) *Report {
 // and availability edges) and by sending processor (latency edges), so the
 // whole construction is O(n log n) in the event count, and its memory O(n)
 // whatever the machine's P.
-func (a *analyzer) build(s *schedule.Schedule, origins map[int]schedule.Origin) {
+func (a *analyzer) build(origins map[int]schedule.Origin) {
 	m := a.m
-	// A node has at most three constraints: busy, gap, and latency (a
-	// receive) or availability (a send).
-	cons := make([]constraint, 3*len(s.Events))
-	a.nodes = make([]node, 0, len(s.Events))
-	for i, ev := range s.Events {
+	a.nodes = make([]node, len(a.evs))
+	for i := range a.evs {
+		ev := &a.evs[i]
 		dur := m.O
 		if ev.Op == schedule.OpCompute {
 			dur = ev.Dur
 		}
-		a.nodes = append(a.nodes, node{ev: ev, start: ev.Time, dur: dur, cons: cons[3*i : 3*i : 3*i+3]})
+		a.nodes[i] = node{start: ev.Time, dur: dur}
 	}
 	order := make([]int32, len(a.nodes))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortFunc(order, func(x, y int32) int {
-		p, q := &a.nodes[x].ev, &a.nodes[y].ev
+		p, q := &a.evs[x], &a.evs[y]
 		if c := cmp.Compare(p.Time, q.Time); c != 0 {
 			return c
 		}
@@ -373,7 +385,7 @@ func (a *analyzer) build(s *schedule.Schedule, origins map[int]schedule.Origin) 
 	a.order = order
 	refs := make([]nodeRef, len(order))
 	for r, id := range order {
-		ev := &a.nodes[id].ev
+		ev := &a.evs[id]
 		refs[r] = nodeRef{proc: ev.Proc, peer: ev.Peer, item: ev.Item, op: ev.Op, rank: int32(r), id: id}
 	}
 	a.byProc = schedule.GroupByProc(m.P, refs, func(r *nodeRef) int { return r.proc })
@@ -386,11 +398,10 @@ func (a *analyzer) build(s *schedule.Schedule, origins map[int]schedule.Origin) 
 			pn := &a.nodes[grp[i-1].id]
 			if pn.dur > 0 { // zero-duration events impose no busy constraint
 				kind := KindBusy
-				if pn.ev.Op == schedule.OpCompute {
+				if a.evs[grp[i-1].id].Op == schedule.OpCompute {
 					kind = KindCompute
 				}
-				n := &a.nodes[grp[i].id]
-				n.cons = append(n.cons, constraint{from: int(grp[i-1].id), kind: kind, bound: pn.end()})
+				a.nodes[grp[i].id].add(int(grp[i-1].id), kind, pn.end())
 			}
 		}
 
@@ -405,8 +416,7 @@ func (a *analyzer) build(s *schedule.Schedule, origins map[int]schedule.Origin) 
 		for i := 1; i < len(tmp); i++ {
 			if tmp[i].op == tmp[i-1].op && tmp[i].op != schedule.OpCompute {
 				prev := int(tmp[i-1].id)
-				n := &a.nodes[tmp[i].id]
-				n.cons = append(n.cons, constraint{from: prev, kind: KindGap, bound: a.nodes[prev].start + m.G})
+				a.nodes[tmp[i].id].add(prev, KindGap, a.nodes[prev].start+m.G)
 			}
 		}
 
@@ -453,8 +463,7 @@ func (a *analyzer) build(s *schedule.Schedule, origins map[int]schedule.Origin) 
 				continue
 			}
 			for _, r := range run[lo:hi] {
-				n := &a.nodes[r.id]
-				n.cons = append(n.cons, constraint{from: provider, kind: kind, bound: at})
+				a.nodes[r.id].add(provider, kind, at)
 			}
 		}
 	}
@@ -509,9 +518,7 @@ func (a *analyzer) build(s *schedule.Schedule, origins map[int]schedule.Origin) 
 				}
 				pick.claim(best)
 				sid := int(sends[best].id)
-				rn.cons = append(rn.cons, constraint{
-					from: sid, kind: KindLatency, bound: a.nodes[sid].start + m.O + m.L,
-				})
+				rn.add(sid, KindLatency, a.nodes[sid].start+m.O+m.L)
 			}
 		}
 	}
@@ -626,7 +633,7 @@ func (a *analyzer) finish(s *schedule.Schedule, origins map[int]schedule.Origin)
 	}
 	for _, id := range a.order {
 		n := &a.nodes[id]
-		if n.ev.Op == schedule.OpCompute && (n.end() > bestT || !havePI) {
+		if a.evs[id].Op == schedule.OpCompute && (n.end() > bestT || !havePI) {
 			havePI, bestT, bestNode = true, n.end(), int(id)
 		}
 	}
@@ -639,12 +646,12 @@ func (a *analyzer) finish(s *schedule.Schedule, origins map[int]schedule.Origin)
 // binding returns the constraint with the latest bound (ties broken by kind
 // order, then predecessor index) and reports whether any constraint exists.
 func (a *analyzer) binding(id int) (constraint, bool) {
-	n := &a.nodes[id]
-	if len(n.cons) == 0 {
+	cons := a.nodes[id].constraints()
+	if len(cons) == 0 {
 		return constraint{}, false
 	}
-	best := n.cons[0]
-	for _, c := range n.cons[1:] {
+	best := cons[0]
+	for _, c := range cons[1:] {
 		if c.bound > best.bound ||
 			(c.bound == best.bound && (c.kind > best.kind ||
 				(c.kind == best.kind && c.from < best.from))) {
@@ -663,7 +670,7 @@ func (a *analyzer) walk(finNode int, finTime logp.Time) ([]Step, Breakdown) {
 		return nil, bd
 	}
 	fin := &a.nodes[finNode]
-	switch fin.ev.Op {
+	switch a.evs[finNode].Op {
 	case schedule.OpCompute:
 		bd.Compute += fin.dur
 	default:
@@ -675,13 +682,14 @@ func (a *analyzer) walk(finNode int, finTime logp.Time) ([]Step, Breakdown) {
 		n := &a.nodes[id]
 		c, ok := a.binding(id)
 		if !ok {
-			rev = append(rev, Step{Event: n.ev, Index: id, Kind: KindStart, Slack: n.start})
+			rev = append(rev, Step{Event: a.evs[id], Index: id, Kind: KindStart, Slack: n.start})
 			bd.Wait += n.start
 			break
 		}
-		rev = append(rev, Step{Event: n.ev, Index: id, Kind: c.kind, Slack: n.start - c.bound})
+		kind := EdgeKind(c.kind)
+		rev = append(rev, Step{Event: a.evs[id], Index: id, Kind: kind, Slack: n.start - c.bound})
 		bd.Wait += n.start - c.bound
-		switch c.kind {
+		switch kind {
 		case KindLatency:
 			bd.Latency += a.m.L
 			bd.Overhead += a.m.O
@@ -694,10 +702,10 @@ func (a *analyzer) walk(finNode int, finTime logp.Time) ([]Step, Breakdown) {
 		case KindOrigin:
 			bd.Origin += c.bound
 		}
-		if c.from < 0 || c.kind == KindOrigin {
+		if c.from < 0 || kind == KindOrigin {
 			break
 		}
-		id = c.from
+		id = int(c.from)
 	}
 	path := make([]Step, 0, len(rev))
 	for i := len(rev) - 1; i >= 0; i-- {
@@ -718,23 +726,21 @@ func (a *analyzer) slacks(finTime logp.Time) []logp.Time {
 	// Process in reverse causal order: descending start; among equal starts
 	// sends first, so an o=0 availability edge (recv -> send at the same
 	// instant) sees its successor's final value.
-	order := make([]int, len(a.nodes))
+	order := make([]int32, len(a.nodes))
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(x, y int) int {
-		p, q := &a.nodes[x], &a.nodes[y]
-		if c := cmp.Compare(q.start, p.start); c != 0 {
+	slices.SortFunc(order, func(x, y int32) int {
+		if c := cmp.Compare(a.nodes[y].start, a.nodes[x].start); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(p.ev.Op, q.ev.Op); c != 0 {
+		if c := cmp.Compare(a.evs[x].Op, a.evs[y].Op); c != 0 {
 			return c
 		}
 		return cmp.Compare(x, y)
 	})
 	for _, id := range order {
-		n := &a.nodes[id]
-		for _, c := range n.cons {
+		for _, c := range a.nodes[id].constraints() {
 			if c.from < 0 {
 				continue
 			}

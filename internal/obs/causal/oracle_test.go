@@ -17,8 +17,8 @@ import (
 // oracleAnalyze is Analyze with build and finish replaced by their
 // map-based oracles.
 func oracleAnalyze(s *schedule.Schedule, origins map[int]schedule.Origin) *Report {
-	a := &analyzer{m: s.M}
-	a.oracleBuild(s, origins)
+	a := &analyzer{m: s.M, evs: s.Events}
+	a.oracleBuild(origins)
 	rep := &Report{Bound: -1}
 	finNode, finTime := a.oracleFinish(origins)
 	rep.Finish = finTime
@@ -29,35 +29,35 @@ func oracleAnalyze(s *schedule.Schedule, origins map[int]schedule.Origin) *Repor
 
 // oracleBuild creates the nodes in deterministic order and attaches every
 // constraint edge.
-func (a *analyzer) oracleBuild(s *schedule.Schedule, origins map[int]schedule.Origin) {
+func (a *analyzer) oracleBuild(origins map[int]schedule.Origin) {
 	m := a.m
-	a.nodes = make([]node, 0, len(s.Events))
-	for _, ev := range s.Events {
+	a.nodes = make([]node, 0, len(a.evs))
+	for _, ev := range a.evs {
 		dur := m.O
 		if ev.Op == schedule.OpCompute {
 			dur = ev.Dur
 		}
-		a.nodes = append(a.nodes, node{ev: ev, start: ev.Time, dur: dur})
+		a.nodes = append(a.nodes, node{start: ev.Time, dur: dur})
 	}
 	order := make([]int, len(a.nodes))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(x, y int) bool {
-		p, q := &a.nodes[order[x]], &a.nodes[order[y]]
-		if p.ev.Time != q.ev.Time {
-			return p.ev.Time < q.ev.Time
+		p, q := &a.evs[order[x]], &a.evs[order[y]]
+		if p.Time != q.Time {
+			return p.Time < q.Time
 		}
-		if p.ev.Proc != q.ev.Proc {
-			return p.ev.Proc < q.ev.Proc
+		if p.Proc != q.Proc {
+			return p.Proc < q.Proc
 		}
-		if p.ev.Op != q.ev.Op {
-			return p.ev.Op < q.ev.Op
+		if p.Op != q.Op {
+			return p.Op < q.Op
 		}
-		if p.ev.Item != q.ev.Item {
-			return p.ev.Item < q.ev.Item
+		if p.Item != q.Item {
+			return p.Item < q.Item
 		}
-		return p.ev.Peer < q.ev.Peer
+		return p.Peer < q.Peer
 	})
 	a.order = make([]int32, len(order))
 	for i, id := range order {
@@ -71,33 +71,31 @@ func (a *analyzer) oracleBuild(s *schedule.Schedule, origins map[int]schedule.Or
 	sendsBy := make(map[mkey][]int)        // sends per identity, time order
 	recvsAt := make(map[[2]int][]int)      // (proc, item) -> recvs, time order
 	for _, id := range order {
-		n := &a.nodes[id]
-		p := n.ev.Proc
+		n, ev := &a.nodes[id], &a.evs[id]
+		p := ev.Proc
 		if prev, ok := lastAt[p]; ok {
 			pn := &a.nodes[prev]
 			if pn.dur > 0 { // zero-duration events impose no busy constraint
 				kind := KindBusy
-				if pn.ev.Op == schedule.OpCompute {
+				if a.evs[prev].Op == schedule.OpCompute {
 					kind = KindCompute
 				}
-				n.cons = append(n.cons, constraint{from: prev, kind: kind, bound: pn.end()})
+				n.add(prev, kind, pn.end())
 			}
 		}
 		lastAt[p] = id
-		if n.ev.Op != schedule.OpCompute {
-			k := [2]int{p, int(n.ev.Op)}
+		if ev.Op != schedule.OpCompute {
+			k := [2]int{p, int(ev.Op)}
 			if prev, ok := lastOp[k]; ok {
-				n.cons = append(n.cons, constraint{
-					from: prev, kind: KindGap, bound: a.nodes[prev].start + m.G,
-				})
+				n.add(prev, KindGap, a.nodes[prev].start+m.G)
 			}
 			lastOp[k] = id
 		}
-		switch n.ev.Op {
+		switch ev.Op {
 		case schedule.OpSend:
-			sendsBy[mkey{p, n.ev.Peer, n.ev.Item}] = append(sendsBy[mkey{p, n.ev.Peer, n.ev.Item}], id)
+			sendsBy[mkey{p, ev.Peer, ev.Item}] = append(sendsBy[mkey{p, ev.Peer, ev.Item}], id)
 		case schedule.OpRecv:
-			recvsAt[[2]int{p, n.ev.Item}] = append(recvsAt[[2]int{p, n.ev.Item}], id)
+			recvsAt[[2]int{p, ev.Item}] = append(recvsAt[[2]int{p, ev.Item}], id)
 		}
 	}
 
@@ -107,11 +105,11 @@ func (a *analyzer) oracleBuild(s *schedule.Schedule, origins map[int]schedule.Or
 	// exact-arrival strict trace matches one-to-one.
 	used := make(map[int]bool)
 	for _, id := range order {
-		n := &a.nodes[id]
-		if n.ev.Op != schedule.OpRecv {
+		n, ev := &a.nodes[id], &a.evs[id]
+		if ev.Op != schedule.OpRecv {
 			continue
 		}
-		cands := sendsBy[mkey{n.ev.Peer, n.ev.Proc, n.ev.Item}]
+		cands := sendsBy[mkey{ev.Peer, ev.Proc, ev.Item}]
 		best := -1
 		for _, sid := range cands {
 			if used[sid] {
@@ -131,9 +129,7 @@ func (a *analyzer) oracleBuild(s *schedule.Schedule, origins map[int]schedule.Or
 		}
 		if best >= 0 {
 			used[best] = true
-			n.cons = append(n.cons, constraint{
-				from: best, kind: KindLatency, bound: a.nodes[best].start + m.O + m.L,
-			})
+			n.add(best, KindLatency, a.nodes[best].start+m.O+m.L)
 		}
 	}
 
@@ -141,22 +137,22 @@ func (a *analyzer) oracleBuild(s *schedule.Schedule, origins map[int]schedule.Or
 	// made it available earliest at the sender — the item's origin there, or
 	// the sender's first reception of it.
 	for _, id := range order {
-		n := &a.nodes[id]
-		if n.ev.Op != schedule.OpSend {
+		ev := &a.evs[id]
+		if ev.Op != schedule.OpSend {
 			continue
 		}
 		provider, kind, at := -1, EdgeKind(-1), logp.Time(0)
-		if og, ok := origins[n.ev.Item]; ok && og.Proc == n.ev.Proc {
+		if og, ok := origins[ev.Item]; ok && og.Proc == ev.Proc {
 			provider, kind, at = -1, KindOrigin, og.Time
 		}
-		if rs := recvsAt[[2]int{n.ev.Proc, n.ev.Item}]; len(rs) > 0 {
+		if rs := recvsAt[[2]int{ev.Proc, ev.Item}]; len(rs) > 0 {
 			first := rs[0] // earliest reception = earliest availability
 			if avail := a.nodes[first].end(); kind < 0 || avail < at {
 				provider, kind, at = first, KindAvail, avail
 			}
 		}
 		if kind >= 0 {
-			a.nodes[id].cons = append(a.nodes[id].cons, constraint{from: provider, kind: kind, bound: at})
+			a.nodes[id].add(provider, kind, at)
 		}
 	}
 }
@@ -177,12 +173,11 @@ func (a *analyzer) oracleFinish(origins map[int]schedule.Origin) (int, logp.Time
 		}
 	}
 	for _, id := range a.order {
-		n := &a.nodes[id]
-		if n.ev.Op != schedule.OpRecv {
+		if a.evs[id].Op != schedule.OpRecv {
 			continue
 		}
-		k := pi{n.ev.Proc, n.ev.Item}
-		at := n.end()
+		k := pi{a.evs[id].Proc, a.evs[id].Item}
+		at := a.nodes[id].end()
 		if t, ok := avail[k]; !ok || at < t {
 			avail[k] = at
 			by[k] = int(id)
@@ -197,7 +192,7 @@ func (a *analyzer) oracleFinish(origins map[int]schedule.Origin) (int, logp.Time
 	}
 	for _, id := range a.order {
 		n := &a.nodes[id]
-		if n.ev.Op == schedule.OpCompute && (n.end() > bestT || !havePI) {
+		if a.evs[id].Op == schedule.OpCompute && (n.end() > bestT || !havePI) {
 			havePI, bestT, bestNode = true, n.end(), int(id)
 		}
 	}
