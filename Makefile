@@ -132,13 +132,14 @@ conform:
 conform-logtime:
 	$(GO) run ./cmd/logpconform -logtime -seeds 100
 
-# Concurrent-check determinism: replay the scale cases at P = 64, 1024 and
-# 10^4 with Check's stages on one worker (GOMAXPROCS=1) and on every core;
-# both runs must conform and print identical output.
+# Concurrent-check determinism: replay the scale cases at P = 64, 1024, 10^4
+# and 10^5 (the last is the benchmark's replay_1e5 run) with Check's stages
+# on one worker (GOMAXPROCS=1) and on every core; both runs must conform and
+# print identical output.
 conform-scale:
 	$(GO) build -o conform-scale-bin ./cmd/logpconform
-	GOMAXPROCS=1 ./conform-scale-bin -paper=false -seeds 0 -scale 64,1024,10000 > conform-scale-1.txt
-	./conform-scale-bin -paper=false -seeds 0 -scale 64,1024,10000 > conform-scale-n.txt
+	GOMAXPROCS=1 ./conform-scale-bin -paper=false -seeds 0 -scale 64,1024,10000,100000 > conform-scale-1.txt
+	./conform-scale-bin -paper=false -seeds 0 -scale 64,1024,10000,100000 > conform-scale-n.txt
 	cmp conform-scale-1.txt conform-scale-n.txt
 	@rm -f conform-scale-bin conform-scale-1.txt conform-scale-n.txt
 

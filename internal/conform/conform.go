@@ -21,6 +21,7 @@ import (
 var (
 	mCases       = obs.Default.Counter("conform.cases")
 	mDivergences = obs.Default.Counter("conform.divergences")
+	mAnalyses    = obs.Default.Counter("conform.analyses") // causal.Analyze calls made by Check
 )
 
 // Checker replays cases on all five backends and diffs the results. One
@@ -109,11 +110,16 @@ func (ck *Checker) replay(b Backend, c Case) Result {
 // The replays and the expensive checks run as a par.Graph on up to
 // par.Limit() workers: the simulator chain (strict, then buffered, on the
 // shared engine), the runtime chain likewise, the validator, the deferred
-// validation of the buffered trace, the finish recomputation, and the four
+// validation of the buffered trace, the finish recomputation, and the
 // critical-path analyses. The analyses form one chain, so at most one is in
 // flight (each holds a DAG of the case's size), and a mode's pair starts
-// once both of its traces are clean. The diffs are then assembled on the
-// caller's goroutine in a fixed order, so they are the same at every
+// once both of its traces are clean. The analysis is deterministic in the
+// machine and the event multiset, so the chain analyzes each distinct
+// sorted trace once and hands its signature to every later trace equal to
+// it: a case clean in both modes, whose four executed traces agree, costs
+// one analysis. The finish recomputation likewise runs once when the strict
+// and buffered simulator traces are equal. The diffs are then assembled on
+// the caller's goroutine in a fixed order, so they are the same at every
 // width. A panicking stage re-panics here as a *par.StagePanic once every
 // other stage has finished.
 func (ck *Checker) Check(c Case) (diffs []string) {
@@ -142,11 +148,28 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 		}
 	}, sB)
 	// A mode's critical paths are compared only when both of its traces
-	// are clean, so only then are they computed.
+	// are clean, so only then are they computed. The chain's stages run
+	// one at a time, so they share analyzed without a lock.
+	type analysis struct {
+		tr  *schedule.Schedule
+		sig string
+	}
+	var analyzed []analysis
+	signature := func(tr *schedule.Schedule) string {
+		for _, a := range analyzed {
+			if sameTrace(a.tr, tr) {
+				return a.sig
+			}
+		}
+		mAnalyses.Inc()
+		sig := causal.Analyze(tr, c.Origins).Signature()
+		analyzed = append(analyzed, analysis{tr, sig})
+		return sig
+	}
 	analyze := func(sig *string, r, sim, rt *Result) func() {
 		return func() {
 			if sim.Clean() && rt.Clean() {
-				*sig = causal.Analyze(r.Trace, c.Origins).Signature()
+				*sig = signature(r.Trace)
 			}
 		}
 	}
@@ -155,7 +178,11 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 	a = g.Add("critical-path/sim-buffered", analyze(&sigB[0], &simB, &simB, &rtB), a, sB, rB)
 	g.Add("critical-path/runtime-buffered", analyze(&sigB[1], &rtB, &simB, &rtB), a)
 	g.Add("finish", func() {
-		fin = [2]logp.Time{finishOf(simS.Trace, c.Origins), finishOf(simB.Trace, c.Origins)}
+		fin[0] = finishOf(simS.Trace, c.Origins)
+		fin[1] = fin[0]
+		if !sameTrace(simS.Trace, simB.Trace) {
+			fin[1] = finishOf(simB.Trace, c.Origins)
+		}
 	}, sS, sB)
 	g.Run()
 
@@ -302,6 +329,12 @@ func traceDiff(a, b *schedule.Schedule) string {
 		return fmt.Sprintf("%d events vs %d", len(ae), len(be))
 	}
 	return ""
+}
+
+// sameTrace reports whether two sorted traces have the same machine and the
+// same events, which is all causal.Analyze and finishOf read of them.
+func sameTrace(a, b *schedule.Schedule) bool {
+	return a.M == b.M && slices.Equal(a.Events, b.Events)
 }
 
 // sortTrace sorts a backend's executed trace in place by every field, so

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -234,6 +235,16 @@ func (a *API) resolve(req Request, ri *reqInfo) (*Result, Outcome, error) {
 	return res, out, err
 }
 
+// resolveStatus is the status for a resolve error: 500 when the solve
+// panicked, 400 for every other error, which is the request's.
+func resolveStatus(err error) int {
+	var sp *SolvePanic
+	if errors.As(err, &sp) {
+		return http.StatusInternalServerError
+	}
+	return http.StatusBadRequest
+}
+
 func (a *API) handleSchedule(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 	req, err := a.parseRequest(r)
 	if err != nil {
@@ -242,7 +253,7 @@ func (a *API) handleSchedule(w http.ResponseWriter, r *http.Request, ri *reqInfo
 	}
 	res, out, err := a.resolve(req, ri)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, resolveStatus(err), "%v", err)
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
@@ -435,7 +446,7 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 	}
 	res, out, err := a.resolve(req, ri)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, resolveStatus(err), "%v", err)
 		return
 	}
 	// The cache holds only the schedule's bytes, so the schedule is

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 	"time"
 
@@ -132,6 +133,17 @@ func NewCache(n int, maxBytes int64, reg *obs.Registry) *Cache {
 // Shards returns the shard count.
 func (c *Cache) Shards() int { return len(c.shards) }
 
+// SolvePanic is the error a waiter gets when the solve for its key
+// panicked: the fault is the server's, not the request's.
+type SolvePanic struct {
+	Key   Key
+	Value any // what the solve panicked with
+}
+
+func (e *SolvePanic) Error() string {
+	return fmt.Sprintf("solving %s panicked: %v", e.Key, e.Value)
+}
+
 // Get answers k, computing it with solve (exactly once per key however many
 // requests race) and caching the result. The returned Outcome says whether
 // this request hit, missed (and solved), or coalesced onto another
@@ -170,7 +182,7 @@ func (c *Cache) Get(k Key) (*Result, Outcome, error) {
 	sh.mu.Unlock()
 	c.mMisses.Inc()
 
-	res, err := c.solve(k)
+	res, err := c.fill(k)
 	sh.mu.Lock()
 	if err != nil {
 		// Do not cache failures: drop the slot so the next request retries,
@@ -212,6 +224,18 @@ func (c *Cache) evictLocked(sh *shard) {
 		sh.evictions++
 		c.mEvictions.Inc()
 	}
+}
+
+// fill runs solve for the request leading k's slot, turning a panic into a
+// *SolvePanic, so that Get releases the slot and its waiters as it does for
+// any failed solve instead of leaving the key in flight for good.
+func (c *Cache) fill(k Key) (res *Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, &SolvePanic{Key: k, Value: v}
+		}
+	}()
+	return c.solve(k)
 }
 
 // solve answers the key and serializes it once. Broadcast, reduce and scan

@@ -2,10 +2,14 @@ package sched
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
@@ -265,5 +269,52 @@ func TestSolveErrorMentionsOp(t *testing.T) {
 	_, _, err := c.Get(k)
 	if err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Fatalf("err = %v, want unknown-op error", err)
+	}
+}
+
+// TestSolvePanicAnswers500 drives a key whose solve panics — a summation
+// whose deadline 2⁶³−1 overflows the capacity table — through a running
+// server twice. Each request must get a prompt 500, the cache must keep no
+// slot for the key and count both failed solves, and once the server closes
+// no goroutine may be left parked on the key.
+func TestSolvePanicAnswers500(t *testing.T) {
+	a, reg := newTestAPI(t)
+	base := runtime.NumGoroutine()
+	srv := httptest.NewServer(a.Handler())
+	client := &http.Client{Timeout: 5 * time.Second}
+	url := srv.URL + "/v1/schedule?op=summation&p=4&l=6&o=2&g=4&t=9223372036854775807"
+	for i := range 2 {
+		start := time.Now()
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "panicked") {
+			t.Fatalf("request %d: status %d, body %q; want 500 naming the panic", i, resp.StatusCode, body)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("request %d took %v", i, d)
+		}
+	}
+	var total ShardStats
+	for _, s := range a.cache.Stats() {
+		total.Add(s)
+	}
+	if total.Size != 0 || total.Misses != 2 {
+		t.Fatalf("cache after two panicking solves: %+v, want no entry and 2 misses", total)
+	}
+	if got := reg.Counter("servd.cache.solve.errors").Value(); got != 2 {
+		t.Fatalf("solve error counter = %d, want 2", got)
+	}
+	client.CloseIdleConnections()
+	srv.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the server closed, %d before it started", n, base)
 	}
 }
