@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race bench bench-json bench-gate bench-scale trace-smoke report-smoke report-diff-smoke servd-smoke fuzz conform conform-logtime conform-scale vet fmt examples reproduce clean
+.PHONY: all check build test race bench bench-json bench-gate bench-scale trace-smoke report-smoke report-diff-smoke servd-smoke fuzz conform conform-logtime conform-scale emit-smoke vet fmt examples reproduce clean
 
 all: build test
 
@@ -142,6 +142,22 @@ conform-scale:
 	./conform-scale-bin -paper=false -seeds 0 -scale 64,1024,10000,100000 > conform-scale-n.txt
 	cmp conform-scale-1.txt conform-scale-n.txt
 	@rm -f conform-scale-bin conform-scale-1.txt conform-scale-n.txt
+
+# Emission byte contract at P = 10^6: broadcast, reduce and scan JSON from
+# logpsched, once through a pipe and once to a file, must hash to the digests
+# in internal/schedule/testdata/p1e6.sha256. The encoder's own tests compare
+# against oracles that share its digit writer; these digests do not.
+emit-smoke:
+	$(GO) build -o emit-smoke-bin ./cmd/logpsched
+	for op in broadcast reduce scan; do \
+		want=$$(awk -v op=$$op '$$2 == op { print $$1 }' internal/schedule/testdata/p1e6.sha256); \
+		pipe=$$(./emit-smoke-bin -op $$op -P 1000000 -render json | sha256sum | cut -d' ' -f1); \
+		./emit-smoke-bin -op $$op -P 1000000 -render json > emit-smoke.json || exit 1; \
+		file=$$(sha256sum < emit-smoke.json | cut -d' ' -f1); \
+		echo "$$op: want $$want, pipe $$pipe, file $$file"; \
+		[ -n "$$want" ] && [ "$$pipe" = "$$want" ] && [ "$$file" = "$$want" ] || exit 1; \
+	done
+	@rm -f emit-smoke-bin emit-smoke.json
 
 vet:
 	$(GO) vet ./...

@@ -54,8 +54,10 @@
 // the counting tables in output order and encoded in 64 KiB chunks, so
 // neither the tree nor the events are ever held (a P = 10⁶ broadcast runs
 // in a few MiB). Every other request compiles the schedule first; the bytes
-// are the same either way. A failed write to stdout stops the stream and
-// exits non-zero.
+// are the same either way. When stdout is a pipe, logpsched first asks the
+// kernel (on Linux, best effort) to grow it to 1 MiB, so the encoder can run
+// sixteen chunks ahead of its reader. A failed write to stdout, in any
+// render, stops the output and exits non-zero.
 //
 // -trace writes a Chrome trace-event file (open in Perfetto or
 // chrome://tracing) covering the solver portfolio and a simulated replay of
@@ -78,6 +80,7 @@ import (
 	"net/url"
 	"os"
 	"strconv"
+	"strings"
 
 	logpopt "logpopt"
 	"logpopt/internal/cliutil"
@@ -94,6 +97,7 @@ import (
 )
 
 func main() {
+	cliutil.GrowPipe(os.Stdout)
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		cliutil.Fail("logpsched", err)
 	}
@@ -263,18 +267,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		if *render == "svg" {
-			fmt.Fprint(stdout, trace.SVGHighlight(s, rep.CriticalSet()))
+			if err := writeText(stdout, "critical-path SVG", trace.SVGHighlight(s, rep.CriticalSet())); err != nil {
+				return err
+			}
 			fmt.Fprint(stderr, rep.String())
-		} else {
-			fmt.Fprint(stdout, rep.String())
+			return nil
 		}
-		return nil
+		return writeText(stdout, "causal report", rep.String())
 	}
 
 	if *render == "tree" || *render == "dot" {
-		return renderStructure(m, *op, *k, logp.Time(*deadline), s, *render, stdout)
+		text, err := renderStructure(m, *op, *k, logp.Time(*deadline), s, *render)
+		if err != nil {
+			return err
+		}
+		return writeText(stdout, *render+" render", text)
 	}
 	return renderSchedule(s, *render, stdout)
+}
+
+// writeText writes a text rendering to stdout, reporting a failed write
+// (a closed pipe, a full disk) in the uniform output-error shape.
+func writeText(stdout io.Writer, what, text string) error {
+	if _, err := io.WriteString(stdout, text); err != nil {
+		return cliutil.WriteError(what, "stdout", err)
+	}
+	return nil
 }
 
 // checkRender rejects a -render value the request cannot honor, before
@@ -297,63 +315,61 @@ func checkRender(render, op string, remote bool) error {
 	return fmt.Errorf("unknown render %q (want json, gantt, table, svg, tree, or dot)", render)
 }
 
-// renderStructure writes the structure behind s, the schedule compiled for
+// renderStructure returns the structure behind s, the schedule compiled for
 // op: the optimal broadcast tree (Figure 1), the summation communication
 // tree (Figure 6), or the continuous-broadcast blocks, words and block
 // digraph (Figures 2-3). tree prints a headline, then the structure; dot
 // prints the structure alone as GraphViz. The structure is rebuilt here
 // rather than carried in sched.Compiled, so cached answers stay schedule-only.
-func renderStructure(m logp.Machine, op string, k int, deadline logp.Time, s *logpopt.Schedule, render string, stdout io.Writer) error {
+func renderStructure(m logp.Machine, op string, k int, deadline logp.Time, s *logpopt.Schedule, render string) (string, error) {
+	var out strings.Builder
 	switch op {
 	case "broadcast":
 		tr := logtime.Tree(m, m.P)
 		if render == "dot" {
-			fmt.Fprint(stdout, tr.DOT("broadcast"))
-			return nil
+			return tr.DOT("broadcast"), nil
 		}
-		fmt.Fprintf(stdout, "%v: B(P) = %d\n\nOptimal broadcast tree (node @availability):\n", m, tr.MaxLabel())
-		fmt.Fprint(stdout, tr.String())
+		fmt.Fprintf(&out, "%v: B(P) = %d\n\nOptimal broadcast tree (node @availability):\n", m, tr.MaxLabel())
+		out.WriteString(tr.String())
 	case "summation":
 		pl, err := summation.BuildWith(m, deadline, logtime.Tree)
 		if err != nil {
-			return err
+			return "", err
 		}
 		if render == "dot" {
-			fmt.Fprint(stdout, pl.Tree.DOT("summation"))
-			return nil
+			return pl.Tree.DOT("summation"), nil
 		}
-		fmt.Fprintf(stdout, "%v: n(%d) = %d operands on %d processors\n", m, deadline, pl.N, pl.Tree.P())
-		fmt.Fprint(stdout, "\nCommunication tree (reversed optimal broadcast on L+1):\n")
-		fmt.Fprint(stdout, pl.Tree.String())
+		fmt.Fprintf(&out, "%v: n(%d) = %d operands on %d processors\n", m, deadline, pl.N, pl.Tree.P())
+		out.WriteString("\nCommunication tree (reversed optimal broadcast on L+1):\n")
+		out.WriteString(pl.Tree.String())
 	case "continuous":
 		inst, err := sched.ContinuousInstance(int(m.L), m.P-1)
 		if err != nil {
-			return err
+			return "", err
 		}
 		a, err := inst.Assign()
 		if err != nil {
-			return err
+			return "", err
 		}
 		g := logpopt.DeriveBlockDigraph(a)
 		if render == "dot" {
-			fmt.Fprint(stdout, g.DOT("blocks"))
-			return nil
+			return g.DOT("blocks"), nil
 		}
 		worst, err := logpopt.VerifyContinuousDelay(s, k, inst.Delay())
 		if err != nil {
-			return err
+			return "", err
 		}
-		fmt.Fprintf(stdout, "postal L=%d, %d subscribers, horizon %d: per-item delay %d (worst measured %d), k=%d finishes at %d\n",
+		fmt.Fprintf(&out, "postal L=%d, %d subscribers, horizon %d: per-item delay %d (worst measured %d), k=%d finishes at %d\n",
 			inst.L, inst.P, inst.T, inst.Delay(), worst, k, s.LastRecv())
-		fmt.Fprint(stdout, "\nblocks and words (delays):\n")
+		out.WriteString("\nblocks and words (delays):\n")
 		for _, b := range inst.Blocks {
-			fmt.Fprintf(stdout, "  size %-3d delay %-3d word %v\n", b.Size, b.Delay, b.Word)
+			fmt.Fprintf(&out, "  size %-3d delay %-3d word %v\n", b.Size, b.Delay, b.Word)
 		}
-		fmt.Fprintf(stdout, "  receive-only delay %d\n", inst.RecvOnlyDelay)
-		fmt.Fprint(stdout, "\nblock transmission digraph:\n")
-		fmt.Fprint(stdout, g.String())
+		fmt.Fprintf(&out, "  receive-only delay %d\n", inst.RecvOnlyDelay)
+		out.WriteString("\nblock transmission digraph:\n")
+		out.WriteString(g.String())
 	}
-	return nil
+	return out.String(), nil
 }
 
 // renderSchedule writes s in the requested rendering — shared by the local
@@ -366,11 +382,11 @@ func renderSchedule(s *logpopt.Schedule, render string, stdout io.Writer) error 
 			return cliutil.WriteError("schedule JSON", "stdout", err)
 		}
 	case "gantt":
-		fmt.Fprint(stdout, logpopt.Gantt(s))
+		return writeText(stdout, "gantt render", logpopt.Gantt(s))
 	case "table":
-		fmt.Fprint(stdout, logpopt.ReceptionTable(s))
+		return writeText(stdout, "table render", logpopt.ReceptionTable(s))
 	case "svg":
-		fmt.Fprint(stdout, logpopt.TimelineSVG(s))
+		return writeText(stdout, "svg render", logpopt.TimelineSVG(s))
 	}
 	return nil
 }

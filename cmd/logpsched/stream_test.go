@@ -117,6 +117,30 @@ func TestWriteErrorStops(t *testing.T) {
 	}
 }
 
+// TestTextRenderWriteErrors: every text rendering — the schedule drawings,
+// the structure renders and both -explain outputs — reports a failed stdout
+// write instead of exiting 0.
+func TestTextRenderWriteErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-op", "reduce", "-P", "1000", "-render", "gantt"},
+		{"-op", "reduce", "-P", "1000", "-render", "table"},
+		{"-op", "reduce", "-P", "1000", "-render", "svg"},
+		{"-op", "broadcast", "-P", "64", "-render", "tree"},
+		{"-op", "broadcast", "-P", "64", "-render", "dot"},
+		{"-op", "summation", "-P", "8", "-L", "5", "-o", "2", "-g", "4", "-t", "28", "-render", "tree"},
+		{"-op", "continuous", "-L", "3", "-P", "10", "-k", "8", "-render", "dot"},
+		{"-op", "reduce", "-P", "1000", "-explain"},
+		{"-op", "reduce", "-P", "1000", "-explain", "-render", "svg"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			err := run(args, &brokenAfter{}, io.Discard)
+			if !errors.Is(err, errClosed) || !strings.Contains(err.Error(), "to stdout") {
+				t.Fatalf("err %v, want the stdout write error", err)
+			}
+		})
+	}
+}
+
 // TestClosedStdoutExitsNonZero runs the real binary's main with stdout a
 // pipe whose reader goes away after the first bytes: the process must fail
 // rather than report success.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"strconv"
 	"testing"
 
 	"logpopt/internal/logp"
@@ -223,6 +224,41 @@ func TestAppendJSONAppends(t *testing.T) {
 	}
 }
 
+// digitBoundaries is every value where a digit writer can slip: 0 through
+// 10, 10^k-1, 10^k and 10^k+1 for every power of ten an int64 holds, the
+// negative side's -1, and both int64 extremes.
+func digitBoundaries() []int64 {
+	vs := []int64{-1, math.MinInt64, math.MaxInt64}
+	for v := int64(0); v <= 10; v++ {
+		vs = append(vs, v)
+	}
+	for p := int64(10); ; p *= 10 {
+		vs = append(vs, p-1, p, p+1)
+		if p > math.MaxInt64/10 {
+			return vs
+		}
+	}
+}
+
+// TestAppendInt: the in-place digit writer and intLen agree with strconv at
+// every digit boundary, whether the buffer has room for the digits (written
+// in place) or not (strconv's path).
+func TestAppendInt(t *testing.T) {
+	for _, v := range digitBoundaries() {
+		want := strconv.AppendInt([]byte("x"), v, 10)
+		for _, spare := range []int{0, 1, len(want) - 2, 20} {
+			b := make([]byte, 1, 1+spare)
+			b[0] = 'x'
+			if got := appendInt(b, v); !bytes.Equal(got, want) {
+				t.Fatalf("appendInt(%d) with %d spare bytes = %q, want %q", v, spare, got, want)
+			}
+		}
+		if n := intLen(v); n != len(want)-1 {
+			t.Fatalf("intLen(%d) = %d, want %d", v, n, len(want)-1)
+		}
+	}
+}
+
 // FuzzWriteJSON decodes arbitrary bytes into a machine and events over the
 // full int64 range and asserts WriteJSON, AppendJSON and their streaming
 // forms StreamJSON and AppendSeqJSON equal the encoding/json oracle byte for
@@ -240,6 +276,16 @@ func FuzzWriteJSON(f *testing.F) {
 	f.Add(seed(8, 6, 2, 4, 0, 0, 0, 0, 1, 0, 1, 8, 1, 0, 0, 0))
 	f.Add(seed(8, 6, 2, 4, 2, 20, 2, 1, -1, 3))
 	f.Add(seed(1, 1, 0, 1, math.MinInt64, math.MaxInt64, 7, -1, math.MinInt64, math.MaxInt64))
+	// The digit boundaries, six to an event, so each lands in every field.
+	bs := digitBoundaries()
+	for i := range bs {
+		ev := make([]int64, 6)
+		for j := range ev {
+			ev[j] = bs[(i+j)%len(bs)]
+		}
+		ev[2] = int64(i % 3) // cycle through the known ops
+		f.Add(seed(append([]int64{bs[i], bs[(i+1)%len(bs)], bs[(i+2)%len(bs)], bs[(i+3)%len(bs)]}, ev...)...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int64 {
 			if len(data) < 8 {

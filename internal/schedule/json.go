@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 
 	"logpopt/internal/logp"
@@ -157,35 +158,43 @@ func AppendSeqJSON(dst []byte, m logp.Machine, seq Seq) ([]byte, Summary) {
 
 func appendHead(b []byte, m logp.Machine) []byte {
 	b = append(b, `{"version":1,"machine":{"p":`...)
-	b = strconv.AppendInt(b, int64(m.P), 10)
+	b = appendInt(b, int64(m.P))
 	b = append(b, `,"l":`...)
-	b = strconv.AppendInt(b, m.L, 10)
+	b = appendInt(b, m.L)
 	b = append(b, `,"o":`...)
-	b = strconv.AppendInt(b, m.O, 10)
+	b = appendInt(b, m.O)
 	b = append(b, `,"g":`...)
-	b = strconv.AppendInt(b, m.G, 10)
+	b = appendInt(b, m.G)
 	return append(b, `},"events":[`...)
 }
 
 func appendEvent(b []byte, e *Event, comma bool) []byte {
 	if comma {
-		b = append(b, ',')
+		b = append(b, `,{"proc":`...)
+	} else {
+		b = append(b, `{"proc":`...)
 	}
-	b = append(b, `{"proc":`...)
-	b = strconv.AppendInt(b, int64(e.Proc), 10)
+	b = appendInt(b, int64(e.Proc))
 	b = append(b, `,"time":`...)
-	b = strconv.AppendInt(b, e.Time, 10)
-	b = append(b, `,"op":"`...)
-	b = append(b, e.Op.String()...)
-	b = append(b, `","item":`...)
-	b = strconv.AppendInt(b, int64(e.Item), 10)
+	b = appendInt(b, e.Time)
+	switch e.Op {
+	case OpSend:
+		b = append(b, `,"op":"send","item":`...)
+	case OpRecv:
+		b = append(b, `,"op":"recv","item":`...)
+	default:
+		b = append(b, `,"op":"`...)
+		b = append(b, e.Op.String()...)
+		b = append(b, `","item":`...)
+	}
+	b = appendInt(b, int64(e.Item))
 	if e.Peer != 0 {
 		b = append(b, `,"peer":`...)
-		b = strconv.AppendInt(b, int64(e.Peer), 10)
+		b = appendInt(b, int64(e.Peer))
 	}
 	if e.Dur != 0 {
 		b = append(b, `,"dur":`...)
-		b = strconv.AppendInt(b, e.Dur, 10)
+		b = appendInt(b, e.Dur)
 	}
 	return append(b, '}')
 }
@@ -211,14 +220,72 @@ func eventLen(e *Event) int {
 
 // intLen is len(strconv.AppendInt(nil, v, 10)).
 func intLen(v int64) int {
-	n, u := 1, uint64(v)
 	if v < 0 {
-		n, u = 2, -u
+		return 1 + digits(-uint64(v))
 	}
-	for ; u >= 10; u /= 10 {
-		n++
+	return digits(uint64(v))
+}
+
+// pow10 holds 10^i for every i whose power fits in a uint64.
+var pow10 = [20]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// digits is the number of decimal digits of u. With x = u|1 (same digits,
+// and 0 counts as one), bits.Len64(x)*1233>>12 (1233/4096 ≈ log10 2) is
+// floor(log10 x) or one more; the table settles which.
+func digits(u uint64) int {
+	x := u | 1
+	t := bits.Len64(x) * 1233 >> 12
+	if x < pow10[t] {
+		return t
 	}
-	return n
+	return t + 1
+}
+
+// pairs holds "00" through "99", two bytes per value.
+const pairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendInt is strconv.AppendInt(b, v, 10) without the scratch buffer and
+// copy: it extends b by v's digit count and writes the digits into place
+// from the last, two at a time. Negative values, and a b without room for
+// the digits, take strconv's path.
+func appendInt(b []byte, v int64) []byte {
+	if v < 0 {
+		return strconv.AppendInt(b, v, 10)
+	}
+	if v < 10 {
+		return append(b, byte('0'+v))
+	}
+	u, n := uint64(v), len(b)
+	k := digits(u)
+	if cap(b)-n < k {
+		return strconv.AppendInt(b, v, 10)
+	}
+	b = b[:n+k]
+	i := n + k
+	for u >= 100 {
+		r := u % 100
+		u /= 100
+		i -= 2
+		b[i], b[i+1] = pairs[2*r], pairs[2*r+1]
+	}
+	if u >= 10 {
+		b[i-2], b[i-1] = pairs[2*u], pairs[2*u+1]
+	} else {
+		b[i-1] = byte('0' + u)
+	}
+	return b
 }
 
 // ReadJSON deserializes a schedule written by WriteJSON. The reader must
