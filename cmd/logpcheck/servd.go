@@ -18,8 +18,9 @@ import (
 // servd is the end-to-end proof that a real logpservd process behaves: it
 // boots the daemon binary on an ephemeral port, waits for /readyz, fires N
 // concurrent identical cold requests and asserts the singleflight
-// collapsed them into exactly one solver run, checks the RED series made
-// it to /metrics, and shuts the process down with SIGTERM expecting a
+// collapsed them into exactly one solver run, checks that two large keys
+// sharing a cache shard both stay cached, checks the RED series made it to
+// /metrics, and shuts the process down with SIGTERM expecting a
 // clean exit.
 //
 // With -sched pointing at a built logpsched, it also diffs the CLI and the
@@ -129,6 +130,26 @@ func smoke(bin, sched string, n int, stdout, stderr io.Writer) error {
 	if cache.Totals.Misses != 3 {
 		return fmt.Errorf("/debug/cache reports %d misses, want 3 (two warmups + one smoke solve)", cache.Totals.Misses)
 	}
+
+	// The byte budget is one budget for the whole cache: broadcast
+	// P=100000 (11.75 MB) and reduce P=99974 (12.3 MB) share shard 15 of
+	// the default 16, and together fit the default 256 MiB, so fetched in
+	// alternation both must hit on the second round.
+	pair := []string{"op=broadcast&p=100000", "op=reduce&p=99974"}
+	for round := range 2 {
+		for _, q := range pair {
+			var env struct {
+				Cache string `json:"cache"`
+			}
+			if err := getJSON(base+"/v1/schedule?schedule=false&"+q, &env); err != nil {
+				return err
+			}
+			if round == 1 && env.Cache != "hit" {
+				return fmt.Errorf("second fetch of %s: cache %q, want hit (both fit the budget)", q, env.Cache)
+			}
+		}
+	}
+	fmt.Fprintln(stdout, "servd smoke: two large keys sharing a shard both hit on refetch")
 
 	// The RED series for the schedule endpoint must be on /metrics.
 	metrics, err := getBody(base + "/metrics")

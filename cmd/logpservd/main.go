@@ -67,8 +67,8 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "listen `address` (:0 picks a free port)")
 		addrFile   = fs.String("addrfile", "", "write the bound address to `file` once listening (for scripts using -addr :0)")
-		shards     = fs.Int("shards", 16, "schedule-cache shards (lock domains)")
-		cacheBytes = fs.Int64("cache-bytes", 256<<20, "schedule-cache budget in bytes of serialized schedules (0 = unbounded)")
+		shards     = fs.Int("shards", 16, "schedule-cache shards (lock domains; the byte budget is not split across them)")
+		cacheBytes = fs.Int64("cache-bytes", 256<<20, "schedule-cache budget in bytes of serialized schedules, shared by all shards: past it the least-recently-used entry is evicted; an answer larger than the budget is served but not cached (0 = unbounded)")
 		slow       = fs.Duration("slow", 500*time.Millisecond, "log requests at or above this duration as warnings (0 disables)")
 		traceOut   = fs.String("trace", "", cliutil.TraceUsage)
 		sample     = fs.Int64("tracesample", 1, "with -trace: keep request spans for a seeded 1-in-N sample of requests; counter graphs thin by the same factor. 1 keeps everything")

@@ -25,7 +25,7 @@ const maxBatch = 4096
 // Options configures an API.
 type Options struct {
 	// Cache answers /v1/schedule and /v1/batch; nil builds a default
-	// 16-shard, 256 MiB cache over Registry.
+	// 16-shard cache with one 256 MiB budget over Registry.
 	Cache *Cache
 	// Registry receives the servd.* metrics; nil uses obs.Default.
 	Registry *obs.Registry

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"logpopt/internal/logp"
@@ -44,22 +45,26 @@ type Result struct {
 
 // entry is one cache slot. Until ready is closed the entry is in flight:
 // later requests for the key block on ready instead of solving (the
-// singleflight). In-flight entries are absent from the LRU list and are
-// never evicted.
+// singleflight). In-flight entries are absent from the LRU list, charge no
+// bytes and are never evicted.
 type entry struct {
+	key   Key
 	ready chan struct{}
 	res   *Result
 	err   error
 	elem  *list.Element // LRU position once ready; nil while in flight
 	bytes int64
+	stamp uint64 // cache-wide recency: the clock at insert or at the last hit
 }
 
 // shard is one lock domain of the cache: a map of entries plus an LRU list
-// of the ready ones, newest at the front.
+// of the ready ones, newest at the front. Stamps are taken under the shard's
+// lock as entries move to the front, so they fall from front to back and the
+// back is the shard's oldest entry.
 type shard struct {
 	mu        sync.Mutex
 	entries   map[Key]*entry
-	lru       list.List // of Key
+	lru       list.List // of *entry
 	bytes     int64
 	hits      int64
 	misses    int64
@@ -87,13 +92,22 @@ func (s *ShardStats) Add(o ShardStats) {
 	s.Evictions += o.Evictions
 }
 
-// Cache is the sharded, memory-bounded schedule cache. Each shard holds its
-// own lock, entry map, and LRU list; a key's shard is fixed by its canonical
-// hash, so a thundering herd on one key contends on exactly one shard and
-// computes the answer exactly once.
+// Cache is the sharded, memory-bounded schedule cache. Shards are lock
+// domains: each holds its own lock, entry map and LRU list, and a key's
+// shard is fixed by its canonical hash, so a hit takes one shard's lock and
+// a thundering herd on one key contends on exactly one shard and computes
+// the answer exactly once. The byte budget is one budget for the whole
+// cache: when an insert pushes the total past it, evict drops the
+// least-recently-used entry of any shard, by a cache-wide recency stamp,
+// until the total fits.
 type Cache struct {
 	shards   []*shard
-	maxBytes int64 // total budget, split evenly across shards; 0 = unbounded
+	maxBytes int64 // budget for the whole cache; 0 = unbounded
+
+	clock   atomic.Uint64 // source of recency stamps
+	bytes   atomic.Int64  // bytes charged by ready entries, all shards
+	size    atomic.Int64  // slots, ready and in flight, all shards
+	evictMu sync.Mutex    // one evictor at a time; taken before, never under, a shard lock
 
 	// Registry mirrors of the per-shard counters, so /metrics sees cache
 	// behavior without /debug/cache's lock sweep.
@@ -103,8 +117,9 @@ type Cache struct {
 }
 
 // NewCache builds a cache with n shards (n < 1 means 1) holding at most
-// maxBytes of serialized schedules in total (0 = unbounded). reg receives
-// the mirrored servd.cache.* metrics; nil uses obs.Default.
+// maxBytes of serialized schedules across all shards (0 = unbounded). An
+// answer larger than maxBytes on its own is served but never cached. reg
+// receives the mirrored servd.cache.* metrics; nil uses obs.Default.
 func NewCache(n int, maxBytes int64, reg *obs.Registry) *Cache {
 	if n < 1 {
 		n = 1
@@ -148,21 +163,22 @@ func (e *SolvePanic) Error() string {
 // requests race) and caching the result. The returned Outcome says whether
 // this request hit, missed (and solved), or coalesced onto another
 // request's solve. Failed solves are not cached: every waiter gets the
-// error, and the next request retries.
+// error, and the next request retries. Neither is an answer larger than the
+// whole budget: this request and its waiters get it, and the slot is
+// dropped without evicting anything else.
 func (c *Cache) Get(k Key) (*Result, Outcome, error) {
 	sh := c.shards[k.Shard(len(c.shards))]
 	sh.mu.Lock()
 	if e, ok := sh.entries[k]; ok {
 		select {
 		case <-e.ready:
-			// Ready: a plain hit.
+			// Ready: a plain hit. Failed and oversized solves leave the map
+			// before ready closes, so a ready entry holds a result.
 			sh.hits++
+			e.stamp = c.clock.Add(1)
 			sh.lru.MoveToFront(e.elem)
 			sh.mu.Unlock()
 			c.mHits.Inc()
-			if e.err != nil {
-				return nil, Hit, e.err
-			}
 			return e.res, Hit, nil
 		default:
 			// In flight: coalesce onto the solver already running.
@@ -176,54 +192,98 @@ func (c *Cache) Get(k Key) (*Result, Outcome, error) {
 			return e.res, Coalesced, nil
 		}
 	}
-	e := &entry{ready: make(chan struct{})}
+	e := &entry{key: k, ready: make(chan struct{})}
 	sh.entries[k] = e
 	sh.misses++
 	sh.mu.Unlock()
+	c.size.Add(1)
 	c.mMisses.Inc()
 
 	res, err := c.fill(k)
-	sh.mu.Lock()
-	if err != nil {
-		// Do not cache failures: drop the slot so the next request retries,
-		// then wake the coalesced waiters with the error.
-		delete(sh.entries, k)
-		e.err = err
-		sh.mu.Unlock()
-		c.mSolveErrors.Inc()
-		close(e.ready)
-		return nil, Miss, err
+	charge := int64(0)
+	if err == nil {
+		charge = int64(len(res.JSON)) + 64
 	}
-	e.res = res
-	e.bytes = int64(len(res.JSON)) + 64
-	e.elem = sh.lru.PushFront(k)
-	sh.bytes += e.bytes
-	c.evictLocked(sh)
+	cached := err == nil && (c.maxBytes <= 0 || charge <= c.maxBytes)
+	sh.mu.Lock()
+	if cached {
+		e.res, e.bytes = res, charge
+		e.stamp = c.clock.Add(1)
+		e.elem = sh.lru.PushFront(e)
+		sh.bytes += charge
+		c.bytes.Add(charge)
+	} else {
+		// Drop the slot so the next request retries (or re-solves the
+		// oversized answer), then wake the coalesced waiters.
+		delete(sh.entries, k)
+		e.res, e.err = res, err
+		c.size.Add(-1)
+	}
 	sh.mu.Unlock()
 	close(e.ready)
+	if cached {
+		c.evict(e)
+	}
 	c.publishGauges()
+	if err != nil {
+		c.mSolveErrors.Inc()
+		return nil, Miss, err
+	}
 	return res, Miss, nil
 }
 
-// evictLocked drops least-recently-used ready entries until the shard fits
-// its slice of the byte budget. Caller holds sh.mu. In-flight entries are
-// not in the LRU list and therefore survive; the entry being inserted is at
-// the front and is only dropped if it alone exceeds the whole budget.
-func (c *Cache) evictLocked(sh *shard) {
-	if c.maxBytes <= 0 {
+// evict drops least-recently-used ready entries, across all shards, until
+// the cache's charged bytes fit its budget; keep (the entry its caller just
+// inserted) is never dropped. Each round scans the shards for the one whose
+// oldest entry has the oldest stamp, then rechecks that entry under the
+// shard's lock before dropping it: a hit in between restamps it, and the
+// round scans again. Lock order is evictMu, then one shard lock at a time;
+// the caller holds no shard lock. In-flight entries are not in the LRU
+// lists and therefore survive.
+func (c *Cache) evict(keep *entry) {
+	if c.maxBytes <= 0 || c.bytes.Load() <= c.maxBytes {
 		return
 	}
-	budget := c.maxBytes / int64(len(c.shards))
-	for sh.bytes > budget && sh.lru.Len() > 1 {
-		back := sh.lru.Back()
-		k := back.Value.(Key)
-		e := sh.entries[k]
-		sh.lru.Remove(back)
-		delete(sh.entries, k)
-		sh.bytes -= e.bytes
-		sh.evictions++
-		c.mEvictions.Inc()
+	c.evictMu.Lock()
+	defer c.evictMu.Unlock()
+	for c.bytes.Load() > c.maxBytes {
+		var victim *shard
+		var oldest uint64
+		for _, sh := range c.shards {
+			sh.mu.Lock()
+			if v := sh.oldest(keep); v != nil && (victim == nil || v.stamp < oldest) {
+				victim, oldest = sh, v.stamp
+			}
+			sh.mu.Unlock()
+		}
+		if victim == nil {
+			return // nothing but keep is droppable
+		}
+		victim.mu.Lock()
+		if v := victim.oldest(keep); v != nil && v.stamp == oldest {
+			victim.lru.Remove(v.elem)
+			delete(victim.entries, v.key)
+			victim.bytes -= v.bytes
+			victim.evictions++
+			c.bytes.Add(-v.bytes)
+			c.size.Add(-1)
+			c.mEvictions.Inc()
+		}
+		victim.mu.Unlock()
 	}
+}
+
+// oldest returns the shard's least-recently-used ready entry other than
+// keep, or nil. Caller holds sh.mu.
+func (sh *shard) oldest(keep *entry) *entry {
+	el := sh.lru.Back()
+	if el != nil && el.Value.(*entry) == keep {
+		el = el.Prev()
+	}
+	if el == nil {
+		return nil
+	}
+	return el.Value.(*entry)
 }
 
 // fill runs solve for the request leading k's slot, turning a panic into a
@@ -268,16 +328,8 @@ func (c *Cache) solve(k Key) (*Result, error) {
 
 // publishGauges refreshes the registry's view of cache occupancy.
 func (c *Cache) publishGauges() {
-	var size int
-	var bts int64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		size += len(sh.entries)
-		bts += sh.bytes
-		sh.mu.Unlock()
-	}
-	c.mEntries.Set(int64(size))
-	c.mBytes.Set(bts)
+	c.mEntries.Set(c.size.Load())
+	c.mBytes.Set(c.bytes.Load())
 }
 
 // Stats snapshots every shard for /debug/cache.

@@ -2,10 +2,13 @@ package sched
 
 import (
 	"bytes"
+	"cmp"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,10 +74,7 @@ func TestCacheCoalescing(t *testing.T) {
 		t.Fatalf("%d distinct JSON payloads for one key, want 1", len(results))
 	}
 
-	var total ShardStats
-	for _, s := range c.Stats() {
-		total.Add(s)
-	}
+	total := totals(c)
 	if total.Misses != 1 {
 		t.Fatalf("shard stats misses = %d, want 1", total.Misses)
 	}
@@ -179,8 +179,7 @@ func TestCachedResultHoldsOnlyJSON(t *testing.T) {
 // order: the oldest untouched entries go first and recently-used ones stay.
 func TestCacheEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	// One shard so LRU order is globally observable; a budget that holds
-	// only a few small schedules.
+	// A budget that holds only a few small schedules.
 	c := NewCache(1, 2048, reg)
 	keys := make([]Key, 0, 12)
 	for p := 2; p < 14; p++ {
@@ -191,10 +190,7 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var total ShardStats
-	for _, s := range c.Stats() {
-		total.Add(s)
-	}
+	total := totals(c)
 	if total.Evictions == 0 {
 		t.Fatalf("no evictions after inserting %d entries into a 2 KiB cache (bytes=%d)", len(keys), total.Bytes)
 	}
@@ -233,10 +229,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if out != Miss {
 		t.Fatalf("second failed request outcome = %q, want miss (errors must not cache)", out)
 	}
-	var total ShardStats
-	for _, s := range c.Stats() {
-		total.Add(s)
-	}
+	total := totals(c)
 	if total.Size != 0 {
 		t.Fatalf("cache holds %d entries after only failed solves, want 0", total.Size)
 	}
@@ -298,10 +291,7 @@ func TestSolvePanicAnswers500(t *testing.T) {
 			t.Fatalf("request %d took %v", i, d)
 		}
 	}
-	var total ShardStats
-	for _, s := range a.cache.Stats() {
-		total.Add(s)
-	}
+	total := totals(a.cache)
 	if total.Size != 0 || total.Misses != 2 {
 		t.Fatalf("cache after two panicking solves: %+v, want no entry and 2 misses", total)
 	}
@@ -316,5 +306,199 @@ func TestSolvePanicAnswers500(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after the server closed, %d before it started", n, base)
+	}
+}
+
+// charged is what the cache charges for k's answer: its body plus the
+// per-entry overhead.
+func charged(t *testing.T, k Key) int64 {
+	t.Helper()
+	res, _, err := NewCache(1, 0, obs.NewRegistry()).Get(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(res.JSON)) + 64
+}
+
+// totals sums c's per-shard rows, as /debug/cache's totals row does.
+func totals(c *Cache) ShardStats {
+	var total ShardStats
+	for _, s := range c.Stats() {
+		total.Add(s)
+	}
+	return total
+}
+
+// wantOutcome fetches k and fails unless the cache answers with want.
+func wantOutcome(t *testing.T, c *Cache, k Key, want Outcome) {
+	t.Helper()
+	if _, out, err := c.Get(k); err != nil || out != want {
+		t.Fatalf("%v: outcome %q, err %v; want %q", k, out, err, want)
+	}
+}
+
+// TestCacheOversizedServedNotCached: an answer larger than the whole budget
+// reaches the request that solved it and every request coalesced onto it,
+// but the cache keeps no slot for it and evicts nothing to make room.
+func TestCacheOversizedServedNotCached(t *testing.T) {
+	c := NewCache(1, 2048, obs.NewRegistry())
+	var small []Key
+	for p := 2; p < 6; p++ {
+		k := testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1})
+		wantOutcome(t, c, k, Miss)
+		small = append(small, k)
+	}
+	before := totals(c)
+	big := testKey(t, Request{Op: "broadcast", P: 3000, L: 6, O: 2, G: 4, K: 1})
+	comp, err := Compile(big.Machine(), big.Op, 1, 0, logtime.Tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := comp.S.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, out, err := c.Get(big)
+			if err != nil || out == Hit || !bytes.Equal(res.JSON, want.Bytes()) {
+				t.Errorf("oversized key: outcome %q, err %v; want its body from a miss or a coalesced wait", out, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, k := range small {
+		wantOutcome(t, c, k, Hit)
+	}
+	wantOutcome(t, c, big, Miss)
+	after := totals(c)
+	if after.Size != len(small) || after.Bytes != before.Bytes || after.Evictions != 0 {
+		t.Fatalf("cache after oversized answers: %+v, want the %d small entries (%d bytes) and no eviction",
+			after, len(small), before.Bytes)
+	}
+}
+
+// TestCacheBudgetIsCacheWide: two keys that share a shard, each larger than
+// the budget's per-shard share but together within the budget, both stay.
+func TestCacheBudgetIsCacheWide(t *testing.T) {
+	const shards = 16
+	first := testKey(t, Request{Op: "broadcast", P: 1000, L: 6, O: 2, G: 4, K: 1})
+	second := first
+	for p := 1001; second == first; p++ {
+		if k := testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1}); k.Shard(shards) == first.Shard(shards) {
+			second = k
+		}
+	}
+	budget := charged(t, first) + charged(t, second)
+	if min(charged(t, first), charged(t, second)) <= budget/shards {
+		t.Fatalf("keys of %d and %d bytes fit a %d-byte shard share", charged(t, first), charged(t, second), budget/shards)
+	}
+	c := NewCache(shards, budget, obs.NewRegistry())
+	wantOutcome(t, c, first, Miss)
+	wantOutcome(t, c, second, Miss)
+	wantOutcome(t, c, first, Hit)
+	wantOutcome(t, c, second, Hit)
+	if got := totals(c); got.Evictions != 0 || got.Bytes != budget {
+		t.Fatalf("cache %+v, want both entries (%d bytes) and no eviction", got, budget)
+	}
+}
+
+// TestCacheEvictsCacheWideLRU: eviction drops the least-recently-used entry
+// of the whole cache, whichever shard holds it. Four keys sit in four
+// shards; after a hit on the first, inserting the fourth must drop the
+// second.
+func TestCacheEvictsCacheWideLRU(t *testing.T) {
+	const shards = 4
+	var keys []Key
+	used := map[int]bool{}
+	for p := 100; len(keys) < shards; p++ {
+		k := testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1})
+		if !used[k.Shard(shards)] {
+			used[k.Shard(shards)] = true
+			keys = append(keys, k)
+		}
+	}
+	// The victim must be the largest, so that dropping it alone makes room.
+	slices.SortFunc(keys, func(a, b Key) int { return cmp.Compare(charged(t, a), charged(t, b)) })
+	first, third, fourth, second := keys[0], keys[1], keys[2], keys[3]
+	c := NewCache(shards, charged(t, first)+charged(t, second)+charged(t, third), obs.NewRegistry())
+	for _, k := range []Key{first, second, third} {
+		wantOutcome(t, c, k, Miss)
+	}
+	wantOutcome(t, c, first, Hit)
+	wantOutcome(t, c, fourth, Miss)
+	for _, k := range []Key{first, third, fourth} {
+		wantOutcome(t, c, k, Hit)
+	}
+	if got := totals(c); got.Evictions != 1 {
+		t.Fatalf("%d evictions, want 1", got.Evictions)
+	}
+	wantOutcome(t, c, second, Miss)
+}
+
+// TestCacheConcurrentStress races Gets over many keys on every shard of a
+// cache far smaller than the keys' bodies, some of them larger than the
+// whole budget. Once the Gets return, the cache must fit its budget, its
+// ledger must account for every lookup, and no goroutine may be left behind. Run it under -race.
+func TestCacheConcurrentStress(t *testing.T) {
+	const (
+		workers = 8
+		rounds  = 300
+		budget  = 64 << 10
+	)
+	base := runtime.NumGoroutine()
+	c := NewCache(8, budget, obs.NewRegistry())
+	var keys []Key
+	for p := 2; p < 120; p += 3 {
+		keys = append(keys, testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1}))
+		keys = append(keys, testKey(t, Request{Op: "reduce", P: p, L: 6, O: 2, G: 4, K: 1}))
+	}
+	for _, p := range []int{1500, 2000} { // each body is larger than the budget
+		keys = append(keys, testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1}))
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 1))
+			for i := 0; i < rounds; i++ {
+				// Skewed toward the low keys, so hits, misses and
+				// coalesced waits all happen.
+				k := keys[min(rng.IntN(len(keys)), rng.IntN(len(keys)))]
+				if res, _, err := c.Get(k); err != nil || len(res.JSON) == 0 {
+					t.Errorf("%v: err %v", k, err)
+					return
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("concurrent Gets did not finish within 60s: deadlock")
+	}
+	total := totals(c)
+	if total.Bytes > budget {
+		t.Errorf("cache holds %d bytes, budget %d", total.Bytes, budget)
+	}
+	if got := total.Hits + total.Misses + total.Coalesced; got != workers*rounds {
+		t.Errorf("hits %d + misses %d + coalesced %d = %d, want %d lookups",
+			total.Hits, total.Misses, total.Coalesced, got, workers*rounds)
+	}
+	if total.Evictions == 0 {
+		t.Error("no evictions: the stress never filled the budget")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the stress, %d before", n, base)
 	}
 }

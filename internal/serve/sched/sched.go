@@ -1,10 +1,11 @@
 // Package sched is the scheduling service behind cmd/logpservd: the
 // operation compiler shared with cmd/logpsched, a canonical cache key over
-// (op, constructor, P, L, o, g, k, t), a sharded memory-bounded schedule
-// cache with singleflight request coalescing, and an instrumented HTTP/JSON
-// API (/v1/schedule, /v1/batch, /v1/explain) with RED metrics,
-// request-scoped tracing, structured logging, and live introspection
-// endpoints (/healthz, /readyz, /debug/inflight, /debug/cache).
+// (op, constructor, P, L, o, g, k, t), a sharded schedule cache under one
+// cache-wide byte budget with singleflight request coalescing, and an
+// instrumented HTTP/JSON API (/v1/schedule, /v1/batch, /v1/explain) with
+// RED metrics, request-scoped tracing, structured logging, and live
+// introspection endpoints (/healthz, /readyz, /debug/inflight,
+// /debug/cache).
 //
 // The compile layer here is the single source of truth for "what schedule
 // answers (op, machine, k, t)": cmd/logpsched calls it for local solves and
@@ -82,9 +83,10 @@ type Compiled struct {
 
 // Compile builds op's schedule on m. k is the item count for kitem,
 // alltoall, and continuous; deadline is the summation deadline; tb builds
-// the optimal broadcast tree for the ops that need one. The arms mirror the
-// paper's sections exactly — this is cmd/logpsched's former switch, factored
-// out so the service computes the identical artifact.
+// the optimal broadcast tree for the ops that need one (the broadcast
+// baselines need only its height, B(P), and take it from logtime.B). The
+// arms mirror the paper's sections exactly — this is cmd/logpsched's former
+// switch, factored out so the service computes the identical artifact.
 func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeBuilder) (*Compiled, error) {
 	if KOp(op) && k < 1 {
 		return nil, fmt.Errorf("op %s: k must be at least 1, got %d", op, k)
@@ -115,7 +117,9 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 		if err != nil {
 			return nil, err
 		}
-		c.Bound = tb(m, m.P).MaxLabel()
+		// B(P) is the optimal tree's height under every builder, so the
+		// bound needs no tree.
+		c.Bound = logtime.B(m, m.P)
 		c.Baseline = true
 	case "alltoall":
 		c.S = alltoall.Schedule(m, k)
