@@ -20,12 +20,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"logpopt/internal/bench"
 	"logpopt/internal/cliutil"
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
 	"logpopt/internal/par"
 )
@@ -63,6 +65,21 @@ func experiments() []experiment {
 			return out, nil
 		}},
 	}
+}
+
+// runAll writes every experiment's output to w under a "### id: desc"
+// heading, in list order: the -all report. It stops at the first experiment
+// that fails.
+func runAll(w io.Writer, exps []experiment, run func(experiment) (string, error)) error {
+	for _, e := range exps {
+		fmt.Fprintf(w, "### %s: %s\n\n", e.id, e.desc)
+		out, err := run(e)
+		if err != nil {
+			return fmt.Errorf("%s: %v", e.id, err)
+		}
+		fmt.Fprintln(w, out)
+	}
+	return nil
 }
 
 func main() {
@@ -122,9 +139,8 @@ func main() {
 			// same way on every commit so artifacts diff cleanly, with the
 			// sweep's extent recorded alongside.
 			m := logp.MustNew(8, 6, 2, 4)
-			s := core.BroadcastSchedule(m, 0)
-			r := cliutil.BuildReport("logpbench", "broadcast", s, core.Origins(0),
-				core.OptimalTree(m, m.P).MaxLabel(), nil)
+			s := logtime.BroadcastSchedule(m, 0)
+			r := cliutil.BuildReport("logpbench", "broadcast", s, core.Origins(0), logtime.B(m, m.P), nil)
 			r.Extra = map[string]any{"experiments": ran}
 			if *reportOut != "" {
 				if err := cliutil.WriteReport("logpbench", r, *reportOut); err != nil {
@@ -150,14 +166,9 @@ func main() {
 			fmt.Printf("%-5s %s\n", e.id, e.desc)
 		}
 	case *all:
-		for _, e := range exps {
-			fmt.Printf("### %s: %s\n\n", e.id, e.desc)
-			out, err := runTraced(e)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
-				os.Exit(1)
-			}
-			fmt.Println(out)
+		if err := runAll(os.Stdout, exps, runTraced); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		finish()
 	case *exp != "":

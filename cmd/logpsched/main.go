@@ -263,7 +263,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *explain {
 		rep := analyze()
-		if err := sched.ApplyBound(rep, c, m, logtime.Tree); err != nil {
+		if err := sched.ApplyBound(rep, c, m); err != nil {
 			return err
 		}
 		if *render == "svg" {
@@ -332,7 +332,7 @@ func renderStructure(m logp.Machine, op string, k int, deadline logp.Time, s *lo
 		fmt.Fprintf(&out, "%v: B(P) = %d\n\nOptimal broadcast tree (node @availability):\n", m, tr.MaxLabel())
 		out.WriteString(tr.String())
 	case "summation":
-		pl, err := summation.BuildWith(m, deadline, logtime.Tree)
+		pl, err := summation.Build(m, deadline)
 		if err != nil {
 			return "", err
 		}

@@ -135,5 +135,5 @@ func SequentialPipelined(l logp.Time, p, k int) (*schedule.Schedule, logp.Time, 
 // an optimal one-to-all broadcast, i.e. 2 B(P) — compared with the paper's
 // Theorem 4.1 time of B(P) (Section 4.2: "optimal to within a factor of 2").
 func ReduceThenBroadcastTime(m logp.Machine, p int) logp.Time {
-	return 2 * core.B(m, p)
+	return 2 * logtime.B(m, p)
 }

@@ -57,8 +57,8 @@ func BenchmarkTreeEmit(b *testing.B) {
 			}
 			return s
 		}},
-		{"reduce", logtime.Reduce, func() *schedule.Schedule { return combine.ReduceScheduleWith(m, m.P, logtime.Tree) }},
-		{"scan", logtime.Scan, func() *schedule.Schedule { return combine.ScanScheduleWith(m, m.P, logtime.Tree) }},
+		{"reduce", logtime.Reduce, func() *schedule.Schedule { return combine.ReduceSchedule(m, m.P) }},
+		{"scan", logtime.Scan, func() *schedule.Schedule { return combine.ScanSchedule(m, m.P) }},
 	}
 	for _, o := range ops {
 		size := int64(len(o.oracle().AppendJSON(nil)))

@@ -46,7 +46,7 @@ func Theorem22(lMax, tMax int) *Table {
 	for _, row := range gridRows(grid, func(pt point) []any {
 		seq := core.SeqFor(pt.l)
 		m := logp.Postal(2, logp.Time(pt.l))
-		p := core.Pt(m, logp.Time(pt.t), 0)
+		p := logtime.For(m).Count(logp.Time(pt.t), 0)
 		ft := seq.F(pt.t)
 		b := seq.InvF(ft)
 		pass := p == ft && (ft == 1 || b == pt.t)
@@ -328,7 +328,7 @@ func SummationTable() *Table {
 		{"CM-5-like", logp.ProfileCM5, 36},
 	}
 	for _, c := range cases {
-		n, _ := summation.Capacity(c.m, c.t)
+		n := summation.Capacity(c.m, c.t)
 		pl, err := summation.Build(c.m, c.t)
 		if err != nil {
 			tb.Add(c.name, c.t, n, "err", "-", "-", "-")
@@ -345,8 +345,7 @@ func SummationTable() *Table {
 		tb.Add(c.name, c.t, n, pl.N, pl.Tree.P(),
 			ok(execErr == nil && got == want), ok(tInv == c.t || func() bool {
 				// t(n) <= t always; equality unless capacity is flat at t.
-				c2, _ := summation.Capacity(c.m, tInv)
-				return c2 >= n && tInv <= c.t
+				return summation.Capacity(c.m, tInv) >= n && tInv <= c.t
 			}()))
 	}
 	return tb

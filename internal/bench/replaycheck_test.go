@@ -25,7 +25,7 @@ func BenchmarkReplayCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	flatRed := combine.ReduceScheduleWith(m, m.P, baseline.FlatTree)
+	flatRed := combine.ReduceScheduleWith(baseline.FlatTree(m, m.P))
 	cases = append(cases,
 		conform.Case{Name: fmt.Sprintf("flat-broadcast/p%d", m.P), S: flat, Origins: core.Origins(0)},
 		conform.Case{Name: fmt.Sprintf("flat-reduce/p%d", m.P), S: flatRed, Origins: schedule.DerivedOrigins(flatRed)},

@@ -21,6 +21,10 @@
 // rotation of the full product; tests exploit this to verify the combining
 // order exactly. (The paper's footnote on renumbering applies: commutativity
 // is only needed if all processors must hold the identical value.)
+//
+// The reduction and the scan are built on the optimal broadcast tree ß(P),
+// which they take from internal/logtime; ReduceScheduleWith and
+// ScanScheduleWith expand a tree the caller already holds.
 package combine
 
 import (
@@ -28,6 +32,7 @@ import (
 
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/schedule"
 )
 
@@ -163,16 +168,18 @@ func initialSegments(p int) []Segment {
 // of all P values at time B(P). Combining is charged zero time (postal-model
 // convention of Section 4).
 //
-// Message ids are the sending processor's index.
+// Message ids are the sending processor's index. The tree is ß(p) from
+// logtime.Tree.
 func ReduceSchedule(m logp.Machine, p int) *schedule.Schedule {
-	return ReduceScheduleWith(m, p, core.OptimalTree)
+	return ReduceScheduleWith(logtime.Tree(m, p))
 }
 
-// ReduceScheduleWith is ReduceSchedule with the broadcast-tree constructor
-// injected; the search-free internal/logtime builder produces the identical
-// tree and hence the identical reduction schedule.
-func ReduceScheduleWith(m logp.Machine, p int, tb core.TreeBuilder) *schedule.Schedule {
-	tr := tb(m, p)
+// ReduceScheduleWith expands a given broadcast tree into its reversed-tree
+// reduction on the tree's machine, as core.TreeSchedule expands it into a
+// broadcast: callers that hold a prebuilt tree, a baseline tree or the
+// heap-search oracle's tree pass it here.
+func ReduceScheduleWith(tr *core.Tree) *schedule.Schedule {
+	m := tr.M
 	T := tr.MaxLabel()
 	s := &schedule.Schedule{M: m, Events: make([]schedule.Event, 0, 2*max(len(tr.Nodes)-1, 0))}
 	for ni, n := range tr.Nodes {
@@ -199,7 +206,7 @@ func ReduceRun[V any](m logp.Machine, vals []V, op func(V, V) V) (V, logp.Time, 
 	if p < 1 || p > m.P {
 		return zero, 0, fmt.Errorf("combine: %d values for P=%d", p, m.P)
 	}
-	tr := core.OptimalTree(m, p)
+	tr := logtime.Tree(m, p)
 	T := tr.MaxLabel()
 	cur := append([]V(nil), vals...)
 	type msg struct {

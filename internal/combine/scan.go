@@ -5,6 +5,7 @@ import (
 
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/schedule"
 )
 
@@ -31,7 +32,7 @@ import (
 // broadcast tree ß(p) on machine m: the scan computes, at the processor
 // assigned to node i, the prefix of all values with rank <= rank[i].
 func ScanRanks(m logp.Machine, p int) []int {
-	tr := core.OptimalTree(m, p)
+	tr := logtime.Tree(m, p)
 	rank := make([]int, tr.P())
 	next := 0
 	var rec func(ni int)
@@ -57,7 +58,7 @@ func ScanRun[V any](m logp.Machine, vals []V, op func(V, V) V) ([]V, logp.Time, 
 	if p < 1 || p > m.P {
 		return nil, 0, fmt.Errorf("combine: %d values for P=%d", p, m.P)
 	}
-	tr := core.OptimalTree(m, p)
+	tr := logtime.Tree(m, p)
 	T := tr.MaxLabel()
 
 	// Up-sweep: subtree sums in preorder-consistent order: a node's subtree
@@ -105,15 +106,16 @@ func ScanRun[V any](m logp.Machine, vals []V, op func(V, V) V) ([]V, logp.Time, 
 // ScanSchedule returns the communication schedule of the two-sweep scan:
 // the reversed-tree reduction (messages carry subtree sums, item id = the
 // sending node) followed at time B(P) by the forward broadcast (messages
-// carry exclusive prefixes, item id = p + receiving node).
+// carry exclusive prefixes, item id = p + receiving node). The tree is ß(p)
+// from logtime.Tree.
 func ScanSchedule(m logp.Machine, p int) *schedule.Schedule {
-	return ScanScheduleWith(m, p, core.OptimalTree)
+	return ScanScheduleWith(logtime.Tree(m, p))
 }
 
-// ScanScheduleWith is ScanSchedule with the broadcast-tree constructor
-// injected (see ReduceScheduleWith).
-func ScanScheduleWith(m logp.Machine, p int, tb core.TreeBuilder) *schedule.Schedule {
-	tr := tb(m, p)
+// ScanScheduleWith expands a given broadcast tree into the two-sweep scan
+// on the tree's machine (see ReduceScheduleWith).
+func ScanScheduleWith(tr *core.Tree) *schedule.Schedule {
+	m, p := tr.M, tr.P()
 	T := tr.MaxLabel()
 	s := &schedule.Schedule{M: m, Events: make([]schedule.Event, 0, 4*max(len(tr.Nodes)-1, 0))}
 	for ni, nd := range tr.Nodes {

@@ -32,7 +32,7 @@ func PaperCases() []Case {
 		logp.Postal(16, 3),
 		logp.MustNew(12, 7, 1, 3),
 	} {
-		add("broadcast/"+m.String(), core.BroadcastSchedule(m, 0), core.Origins(0))
+		add("broadcast/"+m.String(), logtime.BroadcastSchedule(m, 0), core.Origins(0))
 	}
 
 	if _, s, err := kitem.ViaContinuous(3, 8, 10); err == nil {
@@ -109,7 +109,7 @@ func ScaleCases(ps ...int) []Case {
 			Origins: core.Origins(0),
 		})
 		pm := logp.Postal(p, 3)
-		red := logtime.ReduceSchedule(pm, pm.P)
+		red := combine.ReduceSchedule(pm, pm.P)
 		cs = append(cs, Case{
 			Name:    fmt.Sprintf("scale-reduce/p%d", p),
 			S:       red,

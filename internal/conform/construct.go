@@ -28,40 +28,46 @@ type Constructor struct {
 	Summation func(m logp.Machine, t logp.Time) (*schedule.Schedule, error)
 }
 
-// SearchConstructor wraps the original heap-search construction path.
+// SearchConstructor builds every schedule on core.OptimalTree's heap
+// search, the oracle side of the differential. Its expanders are the ones
+// the logtime side uses, so only the tree differs.
 func SearchConstructor() Constructor {
 	return Constructor{
 		Name:      "search",
 		Broadcast: func(m logp.Machine) *schedule.Schedule { return core.BroadcastSchedule(m, 0) },
 		BTime:     core.B,
-		Reduce:    combine.ReduceSchedule,
-		Scan:      combine.ScanSchedule,
+		Reduce: func(m logp.Machine, p int) *schedule.Schedule {
+			return combine.ReduceScheduleWith(core.OptimalTree(m, p))
+		},
+		Scan: func(m logp.Machine, p int) *schedule.Schedule {
+			return combine.ScanScheduleWith(core.OptimalTree(m, p))
+		},
 		Summation: func(m logp.Machine, t logp.Time) (*schedule.Schedule, error) {
-			pl, err := summation.Build(m, t)
-			if err != nil {
-				return nil, err
-			}
-			return pl.Schedule(), nil
+			return summationSchedule(summation.BuildWith(m, t, core.OptimalTree))
 		},
 	}
 }
 
-// LogtimeConstructor wraps the search-free internal/logtime construction.
+// LogtimeConstructor is the production construction: every default, which
+// takes its tree from internal/logtime.
 func LogtimeConstructor() Constructor {
 	return Constructor{
 		Name:      "logtime",
 		Broadcast: func(m logp.Machine) *schedule.Schedule { return logtime.BroadcastSchedule(m, 0) },
 		BTime:     logtime.B,
-		Reduce:    logtime.ReduceSchedule,
-		Scan:      logtime.ScanSchedule,
+		Reduce:    combine.ReduceSchedule,
+		Scan:      combine.ScanSchedule,
 		Summation: func(m logp.Machine, t logp.Time) (*schedule.Schedule, error) {
-			pl, err := logtime.SummationBuild(m, t)
-			if err != nil {
-				return nil, err
-			}
-			return pl.Schedule(), nil
+			return summationSchedule(summation.Build(m, t))
 		},
 	}
+}
+
+func summationSchedule(pl *summation.Plan, err error) (*schedule.Schedule, error) {
+	if err != nil {
+		return nil, err
+	}
+	return pl.Schedule(), nil
 }
 
 // replayHorizon bounds the schedules CheckConstructors forwards to the

@@ -93,7 +93,7 @@ func TestDegenerateP1(t *testing.T) {
 				if ps.Makespan() > tt {
 					t.Errorf("%v: summation t=%d at P=1 overruns deadline: makespan %d", m, tt, ps.Makespan())
 				}
-				if n, _ := summation.Capacity(m, tt); n != int64(tt)+1 {
+				if n := summation.Capacity(m, tt); n != int64(tt)+1 {
 					t.Errorf("%v: capacity(t=%d) at P=1 = %d, want t+1 = %d", m, tt, n, tt+1)
 				}
 			}

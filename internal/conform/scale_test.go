@@ -65,7 +65,7 @@ func TestFlatHubConform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatRed := combine.ReduceScheduleWith(m, m.P, baseline.FlatTree)
+	flatRed := combine.ReduceScheduleWith(baseline.FlatTree(m, m.P))
 	ck := NewChecker()
 	for _, c := range []Case{
 		{Name: fmt.Sprintf("flat-broadcast/p%d", m.P), S: flat, Origins: core.Origins(0)},

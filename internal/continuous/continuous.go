@@ -33,6 +33,7 @@ import (
 
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/schedule"
 )
 
@@ -71,7 +72,7 @@ func NewInstance(l, t int) (*Instance, error) {
 		return nil, fmt.Errorf("continuous: t=%d < L=%d (single non-source processor; trivial)", t, l)
 	}
 	p := int(core.SeqFor(l).F(t))
-	tree := core.OptimalTree(logp.Postal(p, logp.Time(l)), p)
+	tree := logtime.Tree(logp.Postal(p, logp.Time(l)), p)
 	if got := int(tree.MaxLabel()); got != t {
 		return nil, fmt.Errorf("continuous: tree max label %d != t=%d", got, t)
 	}
@@ -390,7 +391,7 @@ func NewInstanceGeneral(l, p int) (*Instance, error) {
 		return nil, fmt.Errorf("continuous: need at least 2 non-source processors, got %d", p)
 	}
 	t := core.SeqFor(l).InvF(int64(p))
-	tree := core.OptimalTree(logp.Postal(p, logp.Time(l)), p)
+	tree := logtime.Tree(logp.Postal(p, logp.Time(l)), p)
 	if got := int(tree.MaxLabel()); got != t {
 		return nil, fmt.Errorf("continuous: tree max label %d != B(p)=%d", got, t)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 )
 
 // This file implements Theorem 3.5: for L = 2, a continuous-broadcast delay
@@ -29,7 +30,7 @@ func SolveL2(t int) (*Instance, error) {
 	want := int(seq.F(t))    // nodes to keep
 	big := int(seq.F(t + 1)) // nodes of the horizon-(t+1) optimal tree
 	remove := big - want     // = f_{t-1}
-	full := core.OptimalTree(logp.Postal(big, l), big)
+	full := logtime.Tree(logp.Postal(big, l), big)
 	if int(full.MaxLabel()) != t+1 {
 		return nil, fmt.Errorf("continuous: horizon tree has depth %d, want %d", full.MaxLabel(), t+1)
 	}

@@ -25,11 +25,11 @@ type Tree struct {
 	Nodes []Node
 }
 
-// TreeBuilder constructs the optimal broadcast tree ß(p) for a machine. It
-// is the seam through which alternative constructors (the heap-based
-// OptimalTree, the search-free internal/logtime builder) plug into the
-// schedule expanders: every implementation must produce the identical tree,
-// node for node, so callers may treat them interchangeably.
+// TreeBuilder constructs the optimal broadcast tree ß(p) for a machine.
+// Production code passes internal/logtime's builder; tests pass the heap
+// search OptimalTree, which must produce the identical tree node for node.
+// Only sched.Compile and summation.BuildWith take one: summation's tree
+// size depends on its deadline. Every other expander takes the tree.
 type TreeBuilder func(m logp.Machine, p int) *Tree
 
 // P returns the number of nodes (processors participating in the broadcast).

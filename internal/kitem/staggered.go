@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/schedule"
 )
 
@@ -43,7 +43,7 @@ func Staggered(l logp.Time, p, k int) (Result, error) {
 	}
 	m := logp.Postal(p, l)
 	inner := logp.Postal(p-1, l)
-	tr := core.OptimalTree(inner, p-1)
+	tr := logtime.Tree(inner, p-1)
 
 	// Blocks: one per internal node; processors 1..P-1 in block order, the
 	// last one receive-only (sum of block sizes is exactly P-3+1... the

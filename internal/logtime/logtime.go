@@ -1,8 +1,16 @@
-// Package logtime constructs optimal broadcast and summation schedules
-// without search, in O(log P) time per processor after a small shared
+// Package logtime builds the universal optimal broadcast tree ß(P) without
+// search, in O(log P) time per processor after a small shared
 // precomputation — the repository's implementation of the construction idea
 // in Träff's "Optimal Broadcast Schedules in Logarithmic Time" (arXiv
 // 2407.18004), specialized to the KSSS93 universal optimal broadcast tree.
+//
+// It is the one builder of ß(P) that production code reaches. Every
+// collective built on the tree — broadcast, reduce and scan (combine),
+// summation's time-reversed tree on the lazy machine, k-item, continuous
+// and the baselines' bound — imports this package and takes its tree, B(P)
+// or P(t) from here; logtime itself depends only on core's tree type. The
+// heap search core.OptimalTree builds the same tree node for node and is
+// kept as the test oracle.
 //
 // The universal tree of Definition 2.3 is determined entirely by two
 // machine constants: d = L + 2o (the parent-to-child delay) and
@@ -19,7 +27,7 @@
 //     The distinct labels up to B(P) — the "label points" — number far fewer
 //     than P (one point can carry exponentially many nodes).
 //   - N(τ), the number of universal-tree nodes with label <= τ, obeys
-//     N(τ) = 1 + Σ_{i>=0} N(τ - d - i*stride) (core.Pt's recurrence). Its
+//     N(τ) = 1 + Σ_{i>=0} N(τ - d - i*stride) (Definition 2.2's P(t)). Its
 //     group sizes G(τ) = N(τ) - N(τ-1) satisfy a purely local identity:
 //     the nodes labeled τ correspond one-to-one, in order, to the earlier
 //     nodes q with t_q ≡ τ - d (mod stride) and t_q <= τ - d — node q's
@@ -37,8 +45,9 @@
 // values for one machine shape (d, stride); the tables are independent of P
 // and grow lazily as larger P are queried. On top of it, Node answers
 // per-rank queries in O(log P), Tree materializes ß(p) in O(p) — node for
-// node identical to core.OptimalTree, which the tests assert — and BTime
-// returns B(p) without building anything.
+// node identical to core.OptimalTree, which the tests assert — and BTime,
+// Count and LabelSum return B(p), P(t) and ß(p)'s label sum without
+// building anything.
 package logtime
 
 import (
@@ -50,6 +59,7 @@ import (
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
 	"logpopt/internal/obs"
+	"logpopt/internal/schedule"
 )
 
 // Builder-cache and table-growth metrics: how often For reuses a per-shape
@@ -237,12 +247,15 @@ func (b *Builder) checkP(p int) {
 }
 
 // Count returns N(t) — the number of universal-tree nodes with label <= t,
-// saturating at maxCount (<= 0 selects core.Pt's default of 1<<40). It is
-// the search-free equivalent of core.Pt.
+// which is P(t; L,o,g) of Definition 2.2 — saturating at maxCount. A
+// maxCount <= 0 selects the default of 1<<40, and one above 1<<62, where the
+// tables themselves saturate, counts as 1<<62, so a larger cap never gives a
+// smaller answer. It reads the sparse label points, never a per-time table.
 func (b *Builder) Count(t logp.Time, maxCount int64) int64 {
-	if maxCount <= 0 || maxCount > satCap {
+	if maxCount <= 0 {
 		maxCount = 1 << 40
 	}
+	maxCount = min(maxCount, satCap)
 	if t < 0 {
 		return 0
 	}
@@ -276,6 +289,20 @@ func (b *Builder) BTime(p int) logp.Time {
 	b.ensure(int64(p))
 	i := sort.Search(len(b.pts), func(i int) bool { return b.pts[i].n >= int64(p) })
 	return b.pts[i].label
+}
+
+// LabelSum returns the sum of ß(p)'s labels, read off the label groups
+// without building the tree. Summation's capacity (Lemma 5.1) is affine in
+// it: n(t) = (o+1) + p(t-o) - LabelSum(p) on the lazy machine.
+func (b *Builder) LabelSum(p int) logp.Time {
+	var sum logp.Time
+	left := int64(p)
+	for _, pt := range b.edges(p).pts {
+		cnt := min(pt.g, left)
+		sum += logp.Time(cnt) * pt.label
+		left -= cnt
+	}
+	return sum
 }
 
 // NodeInfo describes one node of ß(p) by rank — the node's index in
@@ -434,14 +461,29 @@ func For(m logp.Machine) *Builder {
 	return b
 }
 
-// Tree is the package-level core.TreeBuilder: ß(p) for m via the shared
-// per-shape builder. It is interchangeable with core.OptimalTree. The shared
-// builder carries the first machine seen for the shape, so the tree is
-// restamped with the caller's machine (same L, o, g; possibly different P).
+// Tree builds ß(p) for m through the shared per-shape builder. It is the
+// one tree builder production code uses: every broadcast, reduce, scan,
+// summation, k-item and continuous construction takes its tree from here,
+// and core.OptimalTree's heap search, which builds the same tree node for
+// node, is kept only as the oracle the tests and the conformance
+// differential compare against. The shared builder carries the first
+// machine seen for the shape, so the tree is restamped with the caller's
+// machine (same L, o, g; possibly different P).
 func Tree(m logp.Machine, p int) *core.Tree {
 	t := For(m).Tree(p)
 	t.M = m
 	return t
+}
+
+// BroadcastSchedule returns the optimal single-item broadcast schedule for
+// the machine: ß(P) expanded with the identity processor assignment, item
+// id item, starting at time 0 with the datum at processor 0.
+func BroadcastSchedule(m logp.Machine, item int) *schedule.Schedule {
+	s, err := core.TreeSchedule(Tree(m, m.P), item, nil, 0)
+	if err != nil {
+		panic(err) // identity assignment can't mismatch
+	}
+	return s
 }
 
 // B returns the optimal single-item broadcast time B(p; L,o,g) without

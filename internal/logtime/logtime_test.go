@@ -1,14 +1,14 @@
 package logtime
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
-	"logpopt/internal/combine"
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
 	"logpopt/internal/schedule"
-	"logpopt/internal/summation"
 )
 
 // shapes covers the paper's machines plus shapes that stress every branch of
@@ -77,6 +77,22 @@ func TestCountMatchesPt(t *testing.T) {
 			} else if tau < 0 && b.Count(tau, 0) != 0 {
 				t.Fatalf("%v: Count(%d) != 0", m, tau)
 			}
+		}
+	}
+}
+
+// TestCountSaturatesAtCap: a cap above the count's saturation point answers
+// that point, so a larger cap never gives a smaller count. In the binomial
+// regime N(70) = 2^70 saturates.
+func TestCountSaturatesAtCap(t *testing.T) {
+	b := MustBuilder(logp.Postal(2, 1))
+	for _, c := range []struct{ maxCount, want int64 }{
+		{1 << 62, 1 << 62},
+		{1<<62 + 1, 1 << 62},
+		{math.MaxInt64, 1 << 62},
+	} {
+		if got := b.Count(70, c.maxCount); got != c.want {
+			t.Errorf("Count(70, %d) = %d, want %d", c.maxCount, got, c.want)
 		}
 	}
 }
@@ -168,86 +184,6 @@ func TestBroadcastScheduleIdentical(t *testing.T) {
 	}
 }
 
-func TestReduceScanIdentical(t *testing.T) {
-	for _, m := range shapes {
-		for _, p := range []int{1, 2, 5, m.P} {
-			if !reflect.DeepEqual(ReduceSchedule(m, p), combine.ReduceSchedule(m, p)) {
-				t.Fatalf("%v P=%d: reduce schedules differ", m, p)
-			}
-			if !reflect.DeepEqual(ScanSchedule(m, p), combine.ScanSchedule(m, p)) {
-				t.Fatalf("%v P=%d: scan schedules differ", m, p)
-			}
-		}
-	}
-}
-
-func TestSummationIdentical(t *testing.T) {
-	for _, m := range shapes {
-		if summation.Validate(m) != nil {
-			continue
-		}
-		for tt := logp.Time(0); tt <= 40; tt++ {
-			wantN, _ := summation.Capacity(m, tt)
-			if gotN := SummationCapacity(m, tt); gotN != wantN {
-				t.Fatalf("%v t=%d: capacity %d, summation.Capacity %d", m, tt, gotN, wantN)
-			}
-			want, err := summation.Build(m, tt)
-			if err != nil {
-				t.Fatalf("%v t=%d: %v", m, tt, err)
-			}
-			got, err := SummationBuild(m, tt)
-			if err != nil {
-				t.Fatalf("%v t=%d: %v", m, tt, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v t=%d: summation plans differ", m, tt)
-			}
-			// Per-rank answers against the built plan.
-			for r := 0; r < want.Tree.P(); r++ {
-				sn := SummationNode(m, tt, r)
-				if sn.SendAt != want.SendAt[r] {
-					t.Fatalf("%v t=%d rank %d: sendAt %d, plan %d", m, tt, r, sn.SendAt, want.SendAt[r])
-				}
-				if sn.Locals != want.Locals[r] {
-					t.Fatalf("%v t=%d rank %d: locals %d, plan %d", m, tt, r, sn.Locals, want.Locals[r])
-				}
-				if sn.Parent != want.Tree.Nodes[r].Parent {
-					t.Fatalf("%v t=%d rank %d: parent %d, plan %d", m, tt, r, sn.Parent, want.Tree.Nodes[r].Parent)
-				}
-				var arrives []logp.Time
-				var folds []int
-				for _, op := range want.Ops[r] {
-					if op.Kind == summation.OpRecvFold {
-						arrives = append(arrives, op.At)
-						folds = append(folds, op.Child)
-					}
-				}
-				// Plan ops are time-sorted (latest child arrives first was
-				// built in child order then sorted); compare as sets by
-				// sorting both the same way.
-				if len(folds) != len(sn.Folds) {
-					t.Fatalf("%v t=%d rank %d: %d folds, plan %d", m, tt, r, len(sn.Folds), len(folds))
-				}
-				for i := range folds {
-					ok := false
-					for j := range sn.Folds {
-						if sn.Folds[j] == folds[i] && sn.Arrive[j] == arrives[i] {
-							ok = true
-						}
-					}
-					if !ok {
-						t.Fatalf("%v t=%d rank %d: fold of child %d at %d missing from %v/%v",
-							m, tt, r, folds[i], arrives[i], sn.Folds, sn.Arrive)
-					}
-				}
-			}
-		}
-		if n := int64(50); SummationTimeFor(m, n) != summation.TimeFor(m, n) {
-			t.Fatalf("%v: TimeFor(50) mismatch", m)
-		}
-	}
-}
-
 // TestDegenerate pins the P=1 and P=2 contract for the new constructor:
 // empty schedule with finish 0, and a single send/recv finishing at o+L+o.
 func TestDegenerate(t *testing.T) {
@@ -310,4 +246,46 @@ func lastAvail(s *schedule.Schedule) logp.Time {
 		}
 	}
 	return mx
+}
+
+// TestWalkMatchesTree: walk yields exactly the materialized tree's edges,
+// parents by rank and children in send order, with each child's label.
+func TestWalkMatchesTree(t *testing.T) {
+	for _, m := range shapes {
+		b := MustBuilder(m)
+		for _, p := range ps {
+			tr := core.OptimalTree(m, p)
+			var want, got [][3]int64
+			for ni, n := range tr.Nodes {
+				for _, c := range n.Children {
+					want = append(want, [3]int64{int64(ni), int64(c), tr.Nodes[c].Label})
+				}
+			}
+			es := b.edges(p)
+			if es.b != tr.MaxLabel() {
+				t.Fatalf("%v P=%d: edges.b %d, tree max label %d", m, p, es.b, tr.MaxLabel())
+			}
+			es.walk(func(parent, child int, label logp.Time) bool {
+				got = append(got, [3]int64{int64(parent), int64(child), label})
+				return true
+			})
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%v P=%d: walk\n%v\ntree\n%v", m, p, got, want)
+			}
+		}
+	}
+}
+
+// TestWalkStops: once yield returns false the walk yields nothing more.
+func TestWalkStops(t *testing.T) {
+	es := For(logp.ProfilePaperFig1).edges(1000)
+	for _, stop := range []int{1, 2, 500, 998} {
+		n := 0
+		if es.walk(func(int, int, logp.Time) bool { n++; return n < stop }) {
+			t.Fatalf("stop at %d: walk reported completion", stop)
+		}
+		if n != stop {
+			t.Fatalf("stop at %d: yield ran %d times", stop, n)
+		}
+	}
 }

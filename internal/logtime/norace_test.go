@@ -1,5 +1,5 @@
 //go:build !race
 
-package logtime
+package logtime_test
 
 const raceEnabled = false

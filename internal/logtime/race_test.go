@@ -1,6 +1,6 @@
 //go:build race
 
-package logtime
+package logtime_test
 
 // raceEnabled reports whether the race detector is on; the P = 10⁶ stream
 // tests skip under it.

@@ -1,4 +1,4 @@
-package logtime
+package logtime_test
 
 import (
 	"bytes"
@@ -14,29 +14,26 @@ import (
 	"logpopt/internal/combine"
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/schedule"
 )
 
 // streamOps pairs every tree-walk collective with its materialized oracle:
-// the schedule built from a tree, which WriteJSON then encodes.
+// the schedule expanded from a tree, which WriteJSON then encodes.
 var streamOps = []struct {
 	name   string
-	op     Collective
-	oracle func(m logp.Machine, tb core.TreeBuilder) *schedule.Schedule
+	op     logtime.Collective
+	oracle func(tr *core.Tree) *schedule.Schedule
 }{
-	{"broadcast", Broadcast, func(m logp.Machine, tb core.TreeBuilder) *schedule.Schedule {
-		s, err := core.TreeSchedule(tb(m, m.P), 0, nil, 0)
+	{"broadcast", logtime.Broadcast, func(tr *core.Tree) *schedule.Schedule {
+		s, err := core.TreeSchedule(tr, 0, nil, 0)
 		if err != nil {
 			panic(err)
 		}
 		return s
 	}},
-	{"reduce", Reduce, func(m logp.Machine, tb core.TreeBuilder) *schedule.Schedule {
-		return combine.ReduceScheduleWith(m, m.P, tb)
-	}},
-	{"scan", Scan, func(m logp.Machine, tb core.TreeBuilder) *schedule.Schedule {
-		return combine.ScanScheduleWith(m, m.P, tb)
-	}},
+	{"reduce", logtime.Reduce, combine.ReduceScheduleWith},
+	{"scan", logtime.Scan, combine.ScanScheduleWith},
 }
 
 // streamShapes sweeps the machine shapes the walk must get right: the
@@ -71,7 +68,7 @@ func (w *hashWriter) sum() string { return fmt.Sprintf("%d/%x", w.n, w.h.Sum(nil
 // checkStream asserts that op's streamed schedule on m is byte-identical to
 // the oracle's WriteJSON, through both sinks when the body is small enough
 // to hold, and that the streamed summary matches the materialized schedule.
-func checkStream(t *testing.T, m logp.Machine, op Collective, oracle *schedule.Schedule) {
+func checkStream(t *testing.T, m logp.Machine, op logtime.Collective, oracle *schedule.Schedule) {
 	t.Helper()
 	want := newHashWriter()
 	if err := oracle.WriteJSON(want); err != nil {
@@ -79,7 +76,7 @@ func checkStream(t *testing.T, m logp.Machine, op Collective, oracle *schedule.S
 	}
 	wantSum := schedule.Summary{Events: len(oracle.Events), Makespan: oracle.Makespan()}
 	got := newHashWriter()
-	sum, err := schedule.StreamJSON(got, m, Seq(m, op))
+	sum, err := schedule.StreamJSON(got, m, logtime.Seq(m, op))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +89,7 @@ func checkStream(t *testing.T, m logp.Machine, op Collective, oracle *schedule.S
 	if m.P > 100000 {
 		return
 	}
-	body, sum := schedule.AppendSeqJSON(nil, m, Seq(m, op))
+	body, sum := schedule.AppendSeqJSON(nil, m, logtime.Seq(m, op))
 	if !bytes.Equal(body, oracle.AppendJSON(nil)) {
 		t.Fatalf("%v op %d: AppendSeqJSON differs from the oracle", m, op)
 	}
@@ -118,9 +115,9 @@ func TestStreamMatchesOracle(t *testing.T) {
 			if p == 100000 && (testing.Short() || raceEnabled && !paper) {
 				continue
 			}
-			m := withP(shape, p)
+			m := shape.WithP(p)
 			for _, so := range streamOps {
-				checkStream(t, m, so.op, so.oracle(m, Tree))
+				checkStream(t, m, so.op, so.oracle(logtime.Tree(m, m.P)))
 			}
 		}
 	}
@@ -131,53 +128,11 @@ func TestStreamMatchesOracle(t *testing.T) {
 // the caller's P, not the builder's.
 func TestStreamHeadUsesCallerMachine(t *testing.T) {
 	shape := logp.MustNew(1, 7, 3, 5) // used by no other test
-	For(withP(shape, 50)).BTime(50)
+	logtime.For(shape.WithP(50)).BTime(50)
 	for _, p := range []int{3000, 20} {
-		m := withP(shape, p)
+		m := shape.WithP(p)
 		for _, so := range streamOps {
-			checkStream(t, m, so.op, so.oracle(m, Tree))
-		}
-	}
-}
-
-// TestWalkMatchesTree: walk yields exactly the materialized tree's edges,
-// parents by rank and children in send order, with each child's label.
-func TestWalkMatchesTree(t *testing.T) {
-	for _, m := range shapes {
-		b := MustBuilder(m)
-		for _, p := range ps {
-			tr := core.OptimalTree(m, p)
-			var want, got [][3]int64
-			for ni, n := range tr.Nodes {
-				for _, c := range n.Children {
-					want = append(want, [3]int64{int64(ni), int64(c), tr.Nodes[c].Label})
-				}
-			}
-			es := b.edges(p)
-			if es.b != tr.MaxLabel() {
-				t.Fatalf("%v P=%d: edges.b %d, tree max label %d", m, p, es.b, tr.MaxLabel())
-			}
-			es.walk(func(parent, child int, label logp.Time) bool {
-				got = append(got, [3]int64{int64(parent), int64(child), label})
-				return true
-			})
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%v P=%d: walk\n%v\ntree\n%v", m, p, got, want)
-			}
-		}
-	}
-}
-
-// TestWalkStops: once yield returns false the walk yields nothing more.
-func TestWalkStops(t *testing.T) {
-	es := For(logp.ProfilePaperFig1).edges(1000)
-	for _, stop := range []int{1, 2, 500, 998} {
-		n := 0
-		if es.walk(func(int, int, logp.Time) bool { n++; return n < stop }) {
-			t.Fatalf("stop at %d: walk reported completion", stop)
-		}
-		if n != stop {
-			t.Fatalf("stop at %d: yield ran %d times", stop, n)
+			checkStream(t, m, so.op, so.oracle(logtime.Tree(m, m.P)))
 		}
 	}
 }
@@ -206,12 +161,12 @@ func (w *failAfter) Write(b []byte) (int, error) {
 // at that chunk: the error comes back, nothing more is written, and the walk
 // yields no event past the chunk that could not be written.
 func TestStreamWriteErrorEndsWalk(t *testing.T) {
-	m := withP(logp.ProfilePaperFig1, 100000)
+	m := logp.ProfilePaperFig1.WithP(100000)
 	for _, so := range streamOps {
 		for _, limit := range []int{0, 100, 200000} {
 			w := &failAfter{n: limit}
 			events := 0
-			seq := Seq(m, so.op)
+			seq := logtime.Seq(m, so.op)
 			_, err := schedule.StreamJSON(w, m, func(yield func(schedule.Event) bool) {
 				seq(func(e schedule.Event) bool {
 					events++
@@ -240,12 +195,12 @@ func TestStreamAllocs(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("P = 10⁶ stream; allocation counts are not meaningful under the race detector")
 	}
-	m := withP(logp.ProfilePaperFig1, 1000000)
-	For(m).BTime(m.P) // table growth is the builder's, shared by every query
+	m := logp.ProfilePaperFig1.WithP(1000000)
+	logtime.For(m).BTime(m.P) // table growth is the builder's, shared by every query
 	for _, so := range streamOps {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		sum, err := schedule.StreamJSON(io.Discard, m, Seq(m, so.op))
+		sum, err := schedule.StreamJSON(io.Discard, m, logtime.Seq(m, so.op))
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -268,10 +223,10 @@ func TestStreamConcurrent(t *testing.T) {
 	ps := []int{100, 500, 900, 1300, 1700, 2100, 2500, 3000}
 	want := make([][]string, len(ps))
 	for i, p := range ps {
-		m := withP(shape, p)
+		m := shape.WithP(p)
 		for _, so := range streamOps {
 			w := newHashWriter()
-			if err := so.oracle(m, core.OptimalTree).WriteJSON(w); err != nil {
+			if err := so.oracle(core.OptimalTree(m, m.P)).WriteJSON(w); err != nil {
 				t.Fatal(err)
 			}
 			want[i] = append(want[i], w.sum())
@@ -282,7 +237,7 @@ func TestStreamConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		b := For(shape)
+		b := logtime.For(shape)
 		for p := 2; ; p += 97 {
 			select {
 			case <-done:
@@ -299,10 +254,10 @@ func TestStreamConcurrent(t *testing.T) {
 		streams.Add(1)
 		go func() {
 			defer streams.Done()
-			m := withP(shape, p)
+			m := shape.WithP(p)
 			for j, so := range streamOps {
 				w := newHashWriter()
-				if _, err := schedule.StreamJSON(w, m, Seq(m, so.op)); err != nil {
+				if _, err := schedule.StreamJSON(w, m, logtime.Seq(m, so.op)); err != nil {
 					errs <- err
 					return
 				}
@@ -331,6 +286,6 @@ func FuzzStreamTree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, op uint8, p uint16, l, o, g uint8) {
 		m := logp.MustNew(int(p)%5000+1, logp.Time(l%64)+1, logp.Time(o%16), logp.Time(g%16)+1)
 		so := streamOps[int(op)%len(streamOps)]
-		checkStream(t, m, so.op, so.oracle(m, Tree))
+		checkStream(t, m, so.op, so.oracle(logtime.Tree(m, m.P)))
 	})
 }

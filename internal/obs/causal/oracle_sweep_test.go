@@ -47,7 +47,7 @@ func TestAnalyzeOracleHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	red := combine.ReduceScheduleWith(m, m.P, baseline.FlatTree)
+	red := combine.ReduceScheduleWith(baseline.FlatTree(m, m.P))
 	for _, c := range []conform.Case{
 		{Name: "flat-broadcast", S: bc, Origins: core.Origins(0)},
 		{Name: "flat-reduce", S: red, Origins: schedule.DerivedOrigins(red)},

@@ -30,7 +30,7 @@ func replayToDrain(rt *Runtime, s *schedule.Schedule) {
 // requested wake, and steps only the instants where something is due.
 func TestFlatHubCostFollowsEvents(t *testing.T) {
 	m := logp.MustNew(2000, 6, 2, 4)
-	s := combine.ReduceScheduleWith(m, m.P, baseline.FlatTree)
+	s := combine.ReduceScheduleWith(baseline.FlatTree(m, m.P))
 	og := schedule.DerivedOrigins(s)
 	var calls atomic.Int64
 	handlers := ReplayHandlers(s, og)

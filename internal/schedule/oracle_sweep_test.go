@@ -69,7 +69,7 @@ func hubCases(m logp.Machine) []conform.Case {
 	if err != nil {
 		panic(err)
 	}
-	red := combine.ReduceScheduleWith(m, m.P, baseline.FlatTree)
+	red := combine.ReduceScheduleWith(baseline.FlatTree(m, m.P))
 	return []conform.Case{
 		{Name: "flat-broadcast", S: bc, Origins: core.Origins(0)},
 		{Name: "flat-reduce", S: red, Origins: schedule.DerivedOrigins(red)},

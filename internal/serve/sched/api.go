@@ -459,7 +459,7 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 		return
 	}
 	rep := causal.Analyze(comp.S, schedule.DerivedOrigins(comp.S))
-	if err := ApplyBound(rep, comp, key.Machine(), logtime.Tree); err != nil {
+	if err := ApplyBound(rep, comp, key.Machine()); err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

@@ -135,11 +135,11 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 		c.Bound = alltoall.ScatterLowerBound(m)
 	case "reduce":
 		tr := tb(m, m.P)
-		c.S = combine.ReduceScheduleWith(m, m.P, func(logp.Machine, int) *core.Tree { return tr })
+		c.S = combine.ReduceScheduleWith(tr)
 		c.Bound = tr.MaxLabel()
 	case "scan":
 		tr := tb(m, m.P)
-		c.S = combine.ScanScheduleWith(m, m.P, func(logp.Machine, int) *core.Tree { return tr })
+		c.S = combine.ScanScheduleWith(tr)
 		c.Bound = tr.MaxLabel() // one sweep is unavoidable
 	case "kitem":
 		_, c.S, err = kitem.OptimalGeneral(m.L, m.P, k)
@@ -223,30 +223,22 @@ func ContinuousInstance(l, p int) (*continuous.Instance, error) {
 // OptimalBroadcastRef is the gap-attribution reference the broadcast
 // baselines use: the causal breakdown of the *optimal* broadcast on the same
 // machine, so -explain (and /v1/explain) attribute a baseline's gap against
-// how the optimal tree spends its time. Returns nil if the optimal schedule
-// cannot be built (it always can for a valid machine).
-func OptimalBroadcastRef(m logp.Machine, tb core.TreeBuilder) *causal.Breakdown {
-	opt, err := core.TreeSchedule(tb(m, m.P), 0, nil, 0)
-	if err != nil {
-		return nil
-	}
-	r := causal.Analyze(opt, core.Origins(0)).Achieved
-	return &r
+// how the optimal tree spends its time.
+func OptimalBroadcastRef(m logp.Machine) causal.Breakdown {
+	return causal.Analyze(logtime.BroadcastSchedule(m, 0), core.Origins(0)).Achieved
 }
 
 // ApplyBound attaches c's closed-form bound to rep the way cmd/logpsched
 // -explain always has: the reference breakdown is the optimal broadcast's
 // for baselines, and the achieved breakdown scaled to the bound otherwise.
 // A Compiled with no known bound leaves rep untouched.
-func ApplyBound(rep *causal.Report, c *Compiled, m logp.Machine, tb core.TreeBuilder) error {
+func ApplyBound(rep *causal.Report, c *Compiled, m logp.Machine) error {
 	if c.Bound < 0 {
 		return nil
 	}
 	ref := rep.Achieved.Scaled(c.Bound)
 	if c.Baseline {
-		if r := OptimalBroadcastRef(m, tb); r != nil {
-			ref = *r
-		}
+		ref = OptimalBroadcastRef(m)
 	}
 	return rep.SetBound(c.Bound, ref)
 }

@@ -25,13 +25,20 @@
 //
 // The construction requires g >= o+1 (the paper's implicit assumption: the
 // reception-plus-add busy period o+1 must fit in one gap window).
+//
+// The tree is the lazy machine's ß(p) from internal/logtime. Capacity,
+// TimeFor and Node read logtime's counting tables and build no tree; Build
+// materializes ß(p) with logtime.Tree.
 package summation
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/schedule"
 )
 
@@ -53,77 +60,107 @@ func Validate(m logp.Machine) error {
 }
 
 // Capacity returns n(t): the maximum number of operands a P-processor LogP
-// machine can sum in t cycles (Lemma 5.1), together with the summation tree
-// realizing it. Nodes are admitted while their marginal contribution
-// t - d - o is positive, up to m.P nodes. For t < 0 capacity is 0.
-func Capacity(m logp.Machine, t logp.Time) (int64, *core.Tree) {
-	return CapacityWith(m, t, core.OptimalTree)
-}
-
-// CapacityWith is Capacity with the broadcast-tree constructor injected: tb
-// must produce ß(p) on the lazy machine exactly as core.OptimalTree does
-// (the internal/logtime builder qualifies), so plans built through either
-// constructor are identical.
-func CapacityWith(m logp.Machine, t logp.Time, tb core.TreeBuilder) (int64, *core.Tree) {
+// machine can sum in t cycles (Lemma 5.1). The plan admits the lazy
+// machine's universal-tree nodes whose marginal contribution t - d - o is
+// positive, up to m.P of them, so n(t) = (o+1) + p(t-o) - (sum of ß(p)'s
+// labels), read off the counting tables in O(label points) time and space:
+// no tree is built and nothing is indexed by time. For t < 0 capacity is 0.
+func Capacity(m logp.Machine, t logp.Time) int64 {
 	if err := Validate(m); err != nil {
 		panic(err)
 	}
 	if t < 0 {
-		return 0, nil
+		return 0
 	}
-	lm := Lazy(m)
-	// Grow the universal tree one node at a time while labels stay useful.
-	// Build the largest admissible tree by counting admissible labels first.
-	maxLabel := t - m.O - 1
-	var p int
-	if maxLabel < 0 {
-		p = 1 // the root alone (label 0 may exceed maxLabel; root always works)
-	} else {
-		cnt := core.Pt(lm, maxLabel, int64(m.P))
-		p = int(cnt)
-		if p > m.P {
-			p = m.P
-		}
-		if p < 1 {
-			p = 1
-		}
+	n, ok := capacity(m, t, size(m, t))
+	if !ok {
+		panic(fmt.Sprintf("summation: n(%d) on %v overflows int64", t, m))
 	}
-	tr := tb(lm, p)
-	n := int64(m.O) + 1
-	for _, nd := range tr.Nodes {
-		c := t - nd.Label - m.O
-		if c > 0 {
-			n += c
-		} else if nd.Parent == -1 {
-			// Root with t <= o: it still holds its first operand at time 0
-			// and can fold t further... no: with t <= o the formula's root
-			// term t-o is non-positive; the machine still sums t+1 operands
-			// locally. Handled below.
-			n = t + 1
-		}
+	return n
+}
+
+// size returns the number of processors the plan for deadline t uses: the
+// lazy machine's universal-tree nodes with label <= t-o-1, at most m.P, and
+// at least the root, which always works (for t <= o it folds t+1 operands
+// locally).
+func size(m logp.Machine, t logp.Time) int {
+	return int(max(1, logtime.For(Lazy(m)).Count(t-m.O-1, int64(m.P))))
+}
+
+// capacity is Lemma 5.1's n(t) for the p-node plan: (o+1) plus each node's
+// t - label - o. ok is false when (o+1) + p(t-o) does not fit in int64.
+func capacity(m logp.Machine, t logp.Time, p int) (n int64, ok bool) {
+	if t <= m.O {
+		return int64(t) + 1, true // the root alone (p = 1), folding one operand per cycle
 	}
-	if n < t+1 && p == 1 {
-		n = t + 1
+	hi, lo := bits.Mul64(uint64(p), uint64(t-m.O))
+	if hi != 0 || lo > math.MaxInt64-uint64(m.O)-1 {
+		return 0, false
 	}
-	return n, tr
+	return int64(m.O) + 1 + int64(lo) - int64(logtime.For(Lazy(m)).LabelSum(p)), true
 }
 
 // TimeFor returns the minimum t such that Capacity(m, t) >= n (the optimal
-// summation time for n operands), found by binary search; n >= 1.
+// summation time for n operands), found by binary search; n >= 1. A probe
+// whose capacity overflows int64 exceeds every n, so TimeFor answers for
+// every int64 n.
 func TimeFor(m logp.Machine, n int64) logp.Time {
+	if err := Validate(m); err != nil {
+		panic(err)
+	}
 	if n < 1 {
 		panic(fmt.Sprintf("summation: TimeFor requires n >= 1, got %d", n))
 	}
 	lo, hi := logp.Time(0), logp.Time(n-1) // one processor alone sums n in n-1
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if c, _ := Capacity(m, mid); c >= n {
+		mid := lo + (hi-lo)/2
+		if c, ok := capacity(m, mid, size(m, mid)); !ok || c >= n {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	return lo
+}
+
+// NodeInfo describes one processor's role in the optimal summation plan for
+// deadline t, answerable per rank in O(log P) without building the plan:
+// when it sends its partial sum, to whom, which children's partial sums it
+// folds (child i's fold completes at SendAt - i*stride), and how many local
+// operands it folds in its remaining cycles.
+type NodeInfo struct {
+	Rank   int
+	SendAt logp.Time   // partial-sum send time T - label (fictitious for the root: T)
+	Parent int         // parent rank; -1 for the root
+	Arrive []logp.Time // per child (in tree child order): message arrival time
+	Folds  []int       // per child: the child's rank
+	Locals int64       // local operands folded (including the free first operand)
+}
+
+// Node answers the per-rank summation query for deadline t. The plan it
+// describes is exactly Build's: rank r of the lazy machine's ß(p), where p
+// is the admitted node count for deadline t.
+func Node(m logp.Machine, t logp.Time, rank int) NodeInfo {
+	if err := Validate(m); err != nil {
+		panic(err)
+	}
+	if t < 0 {
+		panic(fmt.Sprintf("summation: negative deadline %d", t))
+	}
+	lm := Lazy(m)
+	ni := logtime.For(lm).Node(size(m, t), rank)
+	sn := NodeInfo{Rank: rank, SendAt: t - ni.Label, Parent: ni.Parent}
+	stride := core.SendStride(lm)
+	busy := int64(0)
+	for i, c := range ni.Children {
+		sn.Arrive = append(sn.Arrive, sn.SendAt-logp.Time(i)*stride-m.O-1)
+		sn.Folds = append(sn.Folds, c)
+		busy += int64(m.O) + 1
+	}
+	// Local adds fill every cycle of [0, SendAt) outside the disjoint
+	// reception windows (stride >= o+1 keeps them disjoint and above 0).
+	sn.Locals = 1 + int64(sn.SendAt) - busy
+	return sn
 }
 
 // OpKind distinguishes the two accumulator operations of a processor.
@@ -159,14 +196,17 @@ type Plan struct {
 	Ops    [][]FoldOp // time-ordered accumulator updates per node
 }
 
-// Build constructs the optimal summation plan for deadline t.
+// Build constructs the optimal summation plan for deadline t on the lazy
+// machine's ß(p), built by logtime.Tree.
 func Build(m logp.Machine, t logp.Time) (*Plan, error) {
-	return BuildWith(m, t, core.OptimalTree)
+	return BuildWith(m, t, logtime.Tree)
 }
 
-// BuildWith is Build with the broadcast-tree constructor injected (see
-// CapacityWith); any constructor producing the universal tree node for node
-// yields the identical plan.
+// BuildWith is Build with the tree builder passed in: tb(Lazy(m), p) must
+// return ß(p) as logtime.Tree does. The tree's size depends on t, so the
+// builder, not a prebuilt tree, is the parameter. The tests and the
+// conformance differential pass core.OptimalTree; the plan's operand count
+// is checked against the closed-form Capacity either way.
 func BuildWith(m logp.Machine, t logp.Time, tb core.TreeBuilder) (*Plan, error) {
 	if err := Validate(m); err != nil {
 		return nil, err
@@ -174,7 +214,8 @@ func BuildWith(m logp.Machine, t logp.Time, tb core.TreeBuilder) (*Plan, error) 
 	if t < 0 {
 		return nil, fmt.Errorf("summation: negative deadline %d", t)
 	}
-	n, tr := CapacityWith(m, t, tb)
+	p := size(m, t)
+	n, tr := Capacity(m, t), tb(Lazy(m), p)
 	pl := &Plan{M: m, T: t, Tree: tr, N: n}
 	pl.SendAt = make([]logp.Time, tr.P())
 	pl.Locals = make([]int64, tr.P())

@@ -2,11 +2,14 @@ package summation
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"logpopt/internal/core"
 	"logpopt/internal/logp"
+	"logpopt/internal/logtime"
 	"logpopt/internal/schedule"
 )
 
@@ -15,10 +18,10 @@ func TestFigure6Capacity(t *testing.T) {
 	// (L+1)=6, o=2, g=4, whose 8 smallest universal labels are
 	// 0,10,14,18,20,22,24,24; n(28) = 3 + sum(26 - d) = 79.
 	m := logp.MustNew(8, 5, 2, 4)
-	n, tr := Capacity(m, 28)
-	if n != 79 {
+	if n := Capacity(m, 28); n != 79 {
 		t.Fatalf("n(28) = %d, want 79", n)
 	}
+	tr := logtime.Tree(Lazy(m), size(m, 28))
 	if tr.P() != 8 {
 		t.Fatalf("summation tree uses %d processors, want 8", tr.P())
 	}
@@ -112,7 +115,7 @@ func TestCapacityMonotone(t *testing.T) {
 	m := logp.MustNew(16, 4, 1, 3)
 	prev := int64(-1)
 	for tt := logp.Time(0); tt <= 60; tt++ {
-		n, _ := Capacity(m, tt)
+		n := Capacity(m, tt)
 		if n <= prev {
 			t.Fatalf("capacity not strictly increasing at t=%d: %d then %d", tt, prev, n)
 		}
@@ -129,13 +132,12 @@ func TestTimeForInverse(t *testing.T) {
 	for _, m := range machines {
 		for _, n := range []int64{1, 2, 3, 10, 79, 200, 1000} {
 			tt := TimeFor(m, n)
-			c, _ := Capacity(m, tt)
+			c := Capacity(m, tt)
 			if c < n {
 				t.Fatalf("%v n=%d: capacity(%d) = %d < n", m, n, tt, c)
 			}
 			if tt > 0 {
-				c2, _ := Capacity(m, tt-1)
-				if c2 >= n {
+				if c2 := Capacity(m, tt-1); c2 >= n {
 					t.Fatalf("%v n=%d: TimeFor=%d not minimal", m, n, tt)
 				}
 			}
@@ -146,7 +148,7 @@ func TestTimeForInverse(t *testing.T) {
 func TestSingleProcessor(t *testing.T) {
 	m := logp.MustNew(1, 3, 1, 2)
 	for tt := logp.Time(0); tt <= 10; tt++ {
-		n, _ := Capacity(m, tt)
+		n := Capacity(m, tt)
 		if n != int64(tt)+1 {
 			t.Fatalf("P=1 capacity(%d) = %d, want %d", tt, n, tt+1)
 		}
@@ -157,7 +159,7 @@ func TestSmallDeadlines(t *testing.T) {
 	// For t <= o no reception completes; capacity is t+1 (local only).
 	m := logp.MustNew(8, 5, 2, 4)
 	for tt := logp.Time(0); tt <= 2; tt++ {
-		n, _ := Capacity(m, tt)
+		n := Capacity(m, tt)
 		if n != int64(tt)+1 {
 			t.Fatalf("capacity(%d) = %d, want %d", tt, n, tt+1)
 		}
@@ -320,7 +322,7 @@ func TestCapacityExhaustiveSmall(t *testing.T) {
 	for _, m := range machines {
 		for tt := logp.Time(0); tt <= 18; tt++ {
 			want := exhaustiveCapacity(m, tt)
-			got, _ := Capacity(m, tt)
+			got := Capacity(m, tt)
 			if got != want {
 				t.Fatalf("%v t=%d: Capacity=%d, exhaustive=%d", m, tt, got, want)
 			}
@@ -350,6 +352,126 @@ func TestBroadcastDual(t *testing.T) {
 			if pl.SendAt[ni]+pl.Tree.Nodes[ni].Label != pl.T {
 				t.Fatalf("%v: node %d sends at %d but dual availability is %d (T=%d)",
 					m, ni, pl.SendAt[ni], pl.Tree.Nodes[ni].Label, pl.T)
+			}
+		}
+	}
+}
+
+// sumShapes are machines that admit lazy summation (g >= o+1): the paper's
+// Figure 6 and Figure 1 machines, postal machines, g far above d,
+// d ≡ 1 (mod stride), one processor, and enough processors that the
+// deadline, not P, caps the tree.
+var sumShapes = []logp.Machine{
+	logp.MustNew(8, 5, 2, 4),
+	logp.MustNew(8, 6, 2, 4),
+	logp.MustNew(12, 7, 1, 3),
+	logp.MustNew(9, 1, 0, 1),
+	logp.MustNew(10, 5, 2, 9),
+	logp.MustNew(11, 4, 1, 5),
+	logp.MustNew(1, 3, 1, 2),
+	logp.MustNew(1000, 6, 2, 4),
+	logp.Postal(16, 3),
+	logp.Postal(64, 1),
+}
+
+// treeWalkCapacity is Lemma 5.1's n(t) the long way: count the admissible
+// nodes with core.Pt's time-indexed memo, build them with the heap search,
+// and add up each node's t - label - o. It is the oracle for Capacity's
+// closed form.
+func treeWalkCapacity(m logp.Machine, t logp.Time) int64 {
+	if t < 0 {
+		return 0
+	}
+	lm := Lazy(m)
+	p := 1
+	if maxLabel := t - m.O - 1; maxLabel >= 0 {
+		p = int(max(1, min(core.Pt(lm, maxLabel, int64(m.P)), int64(m.P))))
+	}
+	n := int64(m.O) + 1
+	for _, nd := range core.OptimalTree(lm, p).Nodes {
+		if c := t - nd.Label - m.O; c > 0 {
+			n += int64(c)
+		} else if nd.Parent == -1 {
+			return int64(t) + 1 // the root alone, folding one operand per cycle
+		}
+	}
+	return n
+}
+
+// TestCapacityMatchesTreeWalk: the closed form equals the tree walk, and
+// TimeFor inverts it exactly as a search over the tree walk would.
+func TestCapacityMatchesTreeWalk(t *testing.T) {
+	for _, m := range sumShapes {
+		for tt := logp.Time(-1); tt <= 80; tt++ {
+			if got, want := Capacity(m, tt), treeWalkCapacity(m, tt); got != want {
+				t.Fatalf("%v t=%d: Capacity %d, tree walk %d", m, tt, got, want)
+			}
+		}
+		for _, n := range []int64{1, 2, 50, 79, 1000} {
+			tt := TimeFor(m, n)
+			if treeWalkCapacity(m, tt) < n || tt > 0 && treeWalkCapacity(m, tt-1) >= n {
+				t.Fatalf("%v: TimeFor(%d) = %d is not the tree walk's minimal deadline", m, n, tt)
+			}
+		}
+	}
+}
+
+// TestCapacityOverflowPanics: a deadline whose n(t) cannot fit in int64
+// panics with the reason instead of wrapping.
+func TestCapacityOverflowPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "overflows int64") {
+			t.Fatalf("recovered %v, want an overflow panic", r)
+		}
+	}()
+	Capacity(logp.MustNew(4, 6, 2, 4), math.MaxInt64)
+}
+
+// TestTimeForLargeN: TimeFor answers for n up to MaxInt64, where its first
+// probes sit at deadlines whose capacity overflows int64 (an overflowing
+// capacity exceeds n; the minimal deadline's own capacity may overflow).
+func TestTimeForLargeN(t *testing.T) {
+	for _, m := range []logp.Machine{logp.ProfilePaperFig6, logp.MustNew(1, 3, 1, 2), logp.Postal(64, 1)} {
+		for _, n := range []int64{1 << 62, math.MaxInt64 - 1, math.MaxInt64} {
+			tt := TimeFor(m, n)
+			c, ok := capacity(m, tt, size(m, tt))
+			if ok && c < n || Capacity(m, tt-1) >= n {
+				t.Fatalf("%v: TimeFor(%d) = %d is not the minimal deadline", m, n, tt)
+			}
+		}
+	}
+}
+
+// TestNode checks the per-rank answers against the plan Build materializes:
+// send time, local operand count, parent, and each child's fold arrival.
+func TestNode(t *testing.T) {
+	for _, m := range sumShapes {
+		for tt := logp.Time(0); tt <= 40; tt++ {
+			pl, err := Build(m, tt)
+			if err != nil {
+				t.Fatalf("%v t=%d: %v", m, tt, err)
+			}
+			for r := 0; r < pl.Tree.P(); r++ {
+				sn := Node(m, tt, r)
+				if sn.SendAt != pl.SendAt[r] || sn.Locals != pl.Locals[r] || sn.Parent != pl.Tree.Nodes[r].Parent {
+					t.Fatalf("%v t=%d rank %d: send %d locals %d parent %d; plan %d, %d, %d", m, tt, r,
+						sn.SendAt, sn.Locals, sn.Parent, pl.SendAt[r], pl.Locals[r], pl.Tree.Nodes[r].Parent)
+				}
+				// Plan ops are time-sorted, Node's folds are in child
+				// order: compare as sets of (child, arrival).
+				want := map[[2]int64]bool{}
+				for _, op := range pl.Ops[r] {
+					if op.Kind == OpRecvFold {
+						want[[2]int64{int64(op.Child), int64(op.At)}] = true
+					}
+				}
+				got := map[[2]int64]bool{}
+				for i, c := range sn.Folds {
+					got[[2]int64{int64(c), int64(sn.Arrive[i])}] = true
+				}
+				if len(sn.Folds) != len(sn.Arrive) || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%v t=%d rank %d: folds %v at %v, plan %v", m, tt, r, sn.Folds, sn.Arrive, want)
+				}
 			}
 		}
 	}

@@ -115,9 +115,6 @@ var (
 	// BroadcastTime returns B(P; L,o,g), the optimal broadcast time, read
 	// off the counting tables without building a tree.
 	BroadcastTime = logtime.B
-	// Reachable returns P(t; L,o,g), the maximum number of processors
-	// reachable in t steps (Theorem 2.2).
-	Reachable = core.Pt
 	// BroadcastSchedule expands the optimal tree into a schedule.
 	BroadcastSchedule = logtime.BroadcastSchedule
 	// TreeSchedule expands any broadcast tree with an explicit processor
@@ -127,6 +124,17 @@ var (
 	// processor 0.
 	BroadcastOrigins = core.Origins
 )
+
+// Reachable returns P(t; L,o,g), the maximum number of processors reachable
+// in t steps (Definition 2.2, Theorem 2.2), saturating at maxCount (<= 0
+// selects 1<<40). It is read off the counting tables behind
+// OptimalBroadcastTree, in time and space independent of t. Those tables
+// are shared per machine shape for the life of the process, so the label
+// points a large maxCount adds stay allocated after the call (O(L) points
+// on postal machines at the default cap).
+func Reachable(m Machine, t Time, maxCount int64) int64 {
+	return logtime.For(m).Count(t, maxCount)
+}
 
 // Per-rank queries against the search-free construction behind the
 // broadcast functions above (internal/logtime; DESIGN.md §5b): the tree is

@@ -67,7 +67,7 @@ func TestPublicCombineAndReduce(t *testing.T) {
 
 func TestPublicSummation(t *testing.T) {
 	m := logpopt.ProfilePaperFig6
-	n, _ := logpopt.SummationCapacity(m, 28)
+	n := logpopt.SummationCapacity(m, 28)
 	if n != 79 {
 		t.Fatalf("n(28) = %d, want 79", n)
 	}
