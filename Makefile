@@ -32,7 +32,7 @@ bench:
 # allocation counts are scheduler-dependent, and the exact-allocs gate
 # would trip on noise — req/sec and p99_us are their gated metrics.
 bench-json:
-	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|TreeEmit|ReplayCheck' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|TreeEmit|ReplayCheck|SortEvents' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -47,7 +47,7 @@ bench-json:
 # The scale metrics gate direction-aware: events/sec on drops, peak RSS on
 # growth, both with generous fractions since they ride on wall time.
 bench-gate:
-	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|TreeEmit|ReplayCheck' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|TreeEmit|ReplayCheck|SortEvents' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -108,12 +108,14 @@ servd-smoke:
 
 # Short fuzzing pass over the schedule validator (against its map-based
 # oracle), the schedule JSON encoder (against its encoding/json oracle), the
-# streamed tree schedules (against the materialized tree's schedules), the
+# event order's counting sort (against a comparison sort), the streamed tree
+# schedules (against the materialized tree's schedules), the
 # conformance harness and the causal analyzer (against its map-based oracle).
 fuzz:
 	$(GO) test -fuzz=FuzzValidate -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzValidatorConsistency -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzWriteJSON -fuzztime=10s ./internal/schedule/
+	$(GO) test -fuzz=FuzzSortEvents -fuzztime=10s ./internal/schedule/
 	$(GO) test -fuzz=FuzzStreamTree -fuzztime=10s ./internal/logtime/
 	$(GO) test -fuzz=FuzzConform -fuzztime=30s ./internal/conform/
 	$(GO) test -fuzz=FuzzCausal -fuzztime=30s ./internal/obs/causal/

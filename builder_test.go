@@ -131,3 +131,23 @@ func TestCapacityQueriesAllocateNoTimeTable(t *testing.T) {
 		t.Fatalf("capacity queries at t = 2^26 allocated %d bytes, want < 1 MiB", d)
 	}
 }
+
+// TestReachableRetainsNoTables: Reachable counts to its cap on a private
+// builder when the shared per-shape tables do not hold the answer, so the
+// label points a postal machine with L = 2^16 needs to reach the default
+// cap (tens of MB) are garbage once the call returns.
+func TestReachableRetainsNoTables(t *testing.T) {
+	m := logpopt.Postal(2, 1<<16)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n := logpopt.Reachable(m, 1<<30, 0)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n != 1<<40 {
+		t.Fatalf("Reachable = %d, want the default cap 2^40", n)
+	}
+	if d := int64(after.HeapAlloc) - int64(before.HeapAlloc); d >= 1<<20 {
+		t.Fatalf("Reachable(Postal(2, 2^16), 2^30, 0) left %d bytes of heap behind, want < 1 MiB", d)
+	}
+}

@@ -49,15 +49,16 @@
 // (internal/logtime) at every P; its schedules are byte-identical to the
 // heap search's, which the conformance tests keep as the oracle.
 //
-// -render json for broadcast, reduce and scan — without -explain, -trace,
-// -report or -runstore — streams: the schedule's events are generated from
-// the counting tables in output order and encoded in 64 KiB chunks, so
-// neither the tree nor the events are ever held (a P = 10⁶ broadcast runs
-// in a few MiB). Every other request compiles the schedule first; the bytes
-// are the same either way. When stdout is a pipe, logpsched first asks the
-// kernel (on Linux, best effort) to grow it to 1 MiB, so the encoder can run
-// sixteen chunks ahead of its reader. A failed write to stdout, in any
-// render, stops the output and exits non-zero.
+// -render json for broadcast, reduce, scan and binomial — without -explain,
+// -trace, -report or -runstore — streams: the schedule's events are
+// generated from the counting tables in output order and encoded in 64 KiB
+// chunks, so neither the tree nor the events are ever held (a P = 10⁶
+// broadcast runs in a few MiB). Every other request compiles the schedule
+// first; the bytes are the same either way. When stdout is a pipe,
+// logpsched first asks the kernel (on Linux, best effort) to grow it to
+// 1 MiB, so the encoder can run sixteen chunks ahead of its reader. A
+// failed write to stdout, in any render, stops the output and exits
+// non-zero.
 //
 // -trace writes a Chrome trace-event file (open in Perfetto or
 // chrome://tracing) covering the solver portfolio and a simulated replay of

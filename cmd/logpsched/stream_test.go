@@ -16,15 +16,17 @@ import (
 	"logpopt/internal/serve/sched"
 )
 
-// TestStreamedJSONMatchesCompiled: -render json for broadcast, reduce and
-// scan streams, and what it streams is the compiled schedule's WriteJSON
-// byte for byte — over machines with o = 0, g < o and g = o.
+// TestStreamedJSONMatchesCompiled: -render json for broadcast, reduce, scan
+// and binomial streams, and what it streams is the compiled schedule's
+// WriteJSON byte for byte — over machines with o = 0, g < o, g = o and
+// g ≥ L+2o.
 func TestStreamedJSONMatchesCompiled(t *testing.T) {
 	for _, shape := range []logp.Machine{
 		logp.MustNew(1, 6, 2, 4), logp.MustNew(1, 3, 0, 2), logp.MustNew(1, 6, 3, 1), logp.MustNew(1, 5, 2, 2),
+		logp.MustNew(1, 2, 1, 7),
 	} {
 		for _, p := range []int{1, 2, 300, 3000} {
-			for _, op := range []string{"broadcast", "reduce", "scan"} {
+			for _, op := range []string{"broadcast", "reduce", "scan", "binomial"} {
 				m := shape.WithP(p)
 				args := []string{"-op", op, "-P", strconv.Itoa(p), "-L", strconv.FormatInt(m.L, 10),
 					"-o", strconv.FormatInt(m.O, 10), "-g", strconv.FormatInt(m.G, 10)}
@@ -48,14 +50,14 @@ func TestStreamedJSONMatchesCompiled(t *testing.T) {
 	}
 }
 
-// TestJSONRenderStreams: a P = 2·10⁵ broadcast, reduce or scan to stdout
-// allocates a few hundred KiB, not the ~40 MB its tree and events take when
-// materialized — the request took the streaming path.
+// TestJSONRenderStreams: a P = 2·10⁵ broadcast, reduce, scan or binomial
+// baseline to stdout allocates a few hundred KiB, not the ~40 MB its tree
+// and events take when materialized — the request took the streaming path.
 func TestJSONRenderStreams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("P = 2·10⁵ schedules")
 	}
-	for _, op := range []string{"broadcast", "reduce", "scan"} {
+	for _, op := range []string{"broadcast", "reduce", "scan", "binomial"} {
 		args := []string{"-op", op, "-P", "200000"}
 		if err := run(args, io.Discard, io.Discard); err != nil { // grows the shared tables
 			t.Fatal(err)

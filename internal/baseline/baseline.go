@@ -75,15 +75,18 @@ func BinaryTree(m logp.Machine, p int) *core.Tree {
 // slower when g < L+2o (the regime the LogP model highlights). Completion:
 // about ceil(log2 P)(L+2o).
 func BinomialTree(m logp.Machine, p int) *core.Tree {
-	// The universal-tree construction with sibling stride L+2o instead of g.
-	fake := m
-	fake.G = m.D()
-	if fake.G < m.G {
-		fake.G = m.G
-	}
-	t := logtime.Tree(fake, p)
+	t := logtime.Tree(BinomialMachine(m), p)
 	t.M = m // the schedule still runs on the real machine
 	return t
+}
+
+// BinomialMachine is the stretched machine BinomialTree builds on: m with
+// gap g′ = max(g, L+2o), so that the universal-tree construction spaces
+// siblings by the full message span. Only g differs, so a schedule walked
+// on it has the event times of BinomialTree's schedule on m.
+func BinomialMachine(m logp.Machine) logp.Machine {
+	m.G = max(m.G, m.D())
+	return m
 }
 
 // TreeTime returns the completion time of a baseline tree's broadcast.

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"logpopt/internal/baseline"
@@ -54,5 +57,34 @@ func BenchmarkReplayCheck(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSortEvents sorts the P = 10⁵ scale broadcast's events in the
+// order the engines record them — by time, and within a time in no
+// particular order — into the event order: with the counting EventSorter,
+// reusing its scratch as an engine does, and with the comparison sort it
+// replaced.
+func BenchmarkSortEvents(b *testing.B) {
+	c := conform.ScaleCases(100_000)[0]
+	in := slices.Clone(c.S.Events)
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+	slices.SortStableFunc(in, func(a, b schedule.Event) int { return cmp.Compare(a.Time, b.Time) })
+	evs := make([]schedule.Event, len(in))
+	var s schedule.EventSorter
+	for _, v := range []struct {
+		name string
+		sort func()
+	}{
+		{"count", func() { s.Sort(evs) }},
+		{"compare", func() { slices.SortFunc(evs, schedule.CompareEvents) }},
+	} {
+		b.Run(fmt.Sprintf("P%d/%s", c.S.M.P, v.name), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(evs, in)
+				v.sort()
+			}
+		})
 	}
 }

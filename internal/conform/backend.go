@@ -41,9 +41,18 @@ type Result struct {
 func (r Result) Clean() bool { return len(r.Violations) == 0 }
 
 // Backend replays conformance cases on one machine implementation.
+// Backends return traces their caller owns, in the event order
+// (schedule.CompareEvents).
 type Backend interface {
 	Name() string
 	Replay(c Case) Result
+}
+
+// backend is a Backend that can take what it derives from its trace from
+// the traces of the Check it runs in (nil: derive afresh).
+type backend interface {
+	Backend
+	replayIn(c Case, t *traces) Result
 }
 
 // SimBackend replays cases on the discrete-event simulator, recycling one
@@ -64,6 +73,9 @@ func (b *SimBackend) Name() string {
 	}
 	return "sim-strict"
 }
+
+// replayIn is Replay: the simulator derives nothing from its trace.
+func (b *SimBackend) replayIn(c Case, _ *traces) Result { return b.Replay(c) }
 
 func (b *SimBackend) Replay(c Case) Result {
 	if b.eng == nil {
@@ -104,7 +116,9 @@ func (b *RuntimeBackend) Name() string {
 	return "runtime-strict"
 }
 
-func (b *RuntimeBackend) Replay(c Case) Result {
+func (b *RuntimeBackend) Replay(c Case) Result { return b.replayIn(c, nil) }
+
+func (b *RuntimeBackend) replayIn(c Case, t *traces) Result {
 	res := Result{Backend: b.Name()}
 	// The handler table is indexed by sender, so sends from an out-of-range
 	// processor cannot be replayed at all; record them up front the way the
@@ -141,7 +155,7 @@ func (b *RuntimeBackend) Replay(c Case) Result {
 	}
 	res.Violations = append(res.Violations, rt.Violations()...)
 	res.Trace = rt.Trace()
-	res.Finish = finishOf(res.Trace, c.Origins)
+	res.Finish = t.orNew(c).finish(res.Trace)
 	res.MaxBuffer = rt.MaxQueue()
 	res.Stats = rt.Stats(res.Finish)
 	return res
@@ -155,7 +169,9 @@ type ValidatorBackend struct{}
 
 func (ValidatorBackend) Name() string { return "validator" }
 
-func (ValidatorBackend) Replay(c Case) Result {
+func (v ValidatorBackend) Replay(c Case) Result { return v.replayIn(c, nil) }
+
+func (ValidatorBackend) replayIn(c Case, t *traces) Result {
 	m := c.S.M
 	sends := 0
 	for _, ev := range c.S.Events {
@@ -174,28 +190,16 @@ func (ValidatorBackend) Replay(c Case) Result {
 			d.Recv(ev.Peer, ev.Time+m.O+m.L, ev.Item, ev.Proc)
 		}
 	}
-	// Ordered once, in the comparison order: Validate runs faster on a
-	// sorted trace, and the Checker's own sortTrace then finds it in order.
-	sortTrace(d)
-	vs := schedule.Validate(d)
-	vs = append(vs, schedule.CheckAvailability(d, c.Origins)...)
-	return Result{
-		Backend:    "validator",
-		Violations: vs,
-		Trace:      d,
-		Finish:     finishOf(d, c.Origins),
+	d.Sort()
+	res := Result{Backend: "validator", Trace: d}
+	if t == nil {
+		// On its own the validator needs only the strict discipline.
+		av := schedule.Availability(d, c.Origins)
+		res.Violations = append(schedule.Validate(d), av.Check(d)...)
+		res.Finish = av.Latest()
+		return res
 	}
-}
-
-// finishOf recomputes a run's finish time from its executed trace: each
-// (proc, item) availability is the earliest of its origin time there and
-// reception time + o over the trace's recv events; the finish is the latest
-// availability. This is the same quantity the simulator reports as
-// Report.Finish, derived independently so the two can be cross-checked.
-func finishOf(tr *schedule.Schedule, origins map[int]schedule.Origin) logp.Time {
-	var mx logp.Time
-	for _, a := range schedule.Availability(tr, origins).Recs {
-		mx = max(mx, a.Time)
-	}
-	return mx
+	vs, _, unavail := t.checks(d)
+	res.Violations, res.Finish = append(vs, unavail...), t.finish(d)
+	return res
 }

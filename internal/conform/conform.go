@@ -1,14 +1,11 @@
 package conform
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"logpopt/internal/logp"
 	"logpopt/internal/obs"
-	"logpopt/internal/obs/causal"
 	"logpopt/internal/par"
 	"logpopt/internal/runtime"
 	"logpopt/internal/schedule"
@@ -19,9 +16,10 @@ import (
 // backend takes to replay one (the histogram exposes which implementation
 // dominates a slow conformance sweep).
 var (
-	mCases       = obs.Default.Counter("conform.cases")
-	mDivergences = obs.Default.Counter("conform.divergences")
-	mAnalyses    = obs.Default.Counter("conform.analyses") // causal.Analyze calls made by Check
+	mCases          = obs.Default.Counter("conform.cases")
+	mDivergences    = obs.Default.Counter("conform.divergences")
+	mAnalyses       = obs.Default.Counter("conform.analyses")       // causal.Analyze calls made by Check
+	mAvailabilities = obs.Default.Counter("conform.availabilities") // availability tables built, one per distinct trace of a Check
 )
 
 // Checker replays cases on all five backends and diffs the results. One
@@ -74,13 +72,12 @@ func (ck *Checker) SetTracer(tr *obs.Tracer) {
 	}
 }
 
-// replay runs one backend, records its wall time in the per-backend
-// histogram and sorts the returned trace with sortTrace.
-func (ck *Checker) replay(b Backend, c Case) Result {
+// replay runs one backend on the Check's traces and records its wall time
+// in the per-backend histogram.
+func (ck *Checker) replay(b backend, c Case, t *traces) Result {
 	start := time.Now()
-	r := b.Replay(c)
+	r := b.replayIn(c, t)
 	ck.replayUS[r.Backend].Observe(time.Since(start).Microseconds())
-	sortTrace(r.Trace)
 	return r
 }
 
@@ -110,18 +107,19 @@ func (ck *Checker) replay(b Backend, c Case) Result {
 // The replays and the expensive checks run as a par.Graph on up to
 // par.Limit() workers: the simulator chain (strict, then buffered, on the
 // shared engine), the runtime chain likewise, the validator, the deferred
-// validation of the buffered trace, the finish recomputation, and the
-// critical-path analyses. The analyses form one chain, so at most one is in
-// flight (each holds a DAG of the case's size), and a mode's pair starts
-// once both of its traces are clean. The analysis is deterministic in the
-// machine and the event multiset, so the chain analyzes each distinct
-// sorted trace once and hands its signature to every later trace equal to
-// it: a case clean in both modes, whose four executed traces agree, costs
-// one analysis. The finish recomputation likewise runs once when the strict
-// and buffered simulator traces are equal. The diffs are then assembled on
-// the caller's goroutine in a fixed order, so they are the same at every
-// width. A panicking stage re-panics here as a *par.StagePanic once every
-// other stage has finished.
+// validation of the buffered trace (after the validator), the finish
+// recomputation, and the critical-path analyses. Every backend returns its trace in the event
+// order, and what the checks derive from a trace — its availability table,
+// its validations and its critical path — depends only on the machine and
+// the events, so Check derives each part once per distinct trace (see
+// traces): a case clean in both modes, whose five traces agree, builds one
+// availability table, validates once for both disciplines and runs one
+// analysis. The analyses form one chain, so at most one is in flight (each
+// holds a DAG of the case's size), and a mode's pair starts once both of
+// its traces are clean. The diffs are then assembled on the caller's
+// goroutine in a fixed order, so they are the same at every width. A
+// panicking stage re-panics here as a *par.StagePanic once every other
+// stage has finished.
 func (ck *Checker) Check(c Case) (diffs []string) {
 	mCases.Inc()
 	defer func() {
@@ -132,44 +130,32 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 	var (
 		simS, rtS, val, simB, rtB Result
 		deferred                  []schedule.Violation
-		fin                       [2]logp.Time // finishOf(simS), finishOf(simB)
+		fin                       [2]logp.Time // finishes of simS's and simB's traces
 		sigS, sigB                [2]string    // critical paths: sim, runtime
 	)
+	t := newTraces(c.Origins)
 	var g par.Graph
-	sS := g.Add("sim-strict", func() { simS = ck.replay(ck.simStrict, c) })
-	rS := g.Add("runtime-strict", func() { rtS = ck.replay(ck.rtStrict, c) })
-	g.Add("validator", func() { val = ck.replay(ck.validator, c) })
-	sB := g.Add("sim-buffered", func() { simB = ck.replay(ck.simBuf, c) }, sS)
-	rB := g.Add("runtime-buffered", func() { rtB = ck.replay(ck.rtBuf, c) }, rS)
+	sS := g.Add("sim-strict", func() { simS = ck.replay(ck.simStrict, c, t) })
+	rS := g.Add("runtime-strict", func() { rtS = ck.replay(ck.rtStrict, c, t) })
+	v := g.Add("validator", func() { val = ck.replay(ck.validator, c, t) })
+	sB := g.Add("sim-buffered", func() { simB = ck.replay(ck.simBuf, c, t) }, sS)
+	rB := g.Add("runtime-buffered", func() { rtB = ck.replay(ck.rtBuf, c, t) }, rS)
+	// On a clean case the validator's derived trace is the buffered
+	// simulator trace, and the validator has already validated it under
+	// both disciplines: run after it, so that the lookup never holds a
+	// worker waiting for that pass.
 	g.Add("deferred-validation", func() {
 		if simB.Clean() {
-			deferred = schedule.ValidateDeferred(simB.Trace)
-			deferred = append(deferred, schedule.CheckAvailability(simB.Trace, c.Origins)...)
+			_, ds, unavail := t.checks(simB.Trace)
+			deferred = append(ds, unavail...)
 		}
-	}, sB)
+	}, sB, v)
 	// A mode's critical paths are compared only when both of its traces
-	// are clean, so only then are they computed. The chain's stages run
-	// one at a time, so they share analyzed without a lock.
-	type analysis struct {
-		tr  *schedule.Schedule
-		sig string
-	}
-	var analyzed []analysis
-	signature := func(tr *schedule.Schedule) string {
-		for _, a := range analyzed {
-			if sameTrace(a.tr, tr) {
-				return a.sig
-			}
-		}
-		mAnalyses.Inc()
-		sig := causal.Analyze(tr, c.Origins).Signature()
-		analyzed = append(analyzed, analysis{tr, sig})
-		return sig
-	}
+	// are clean, so only then are they computed.
 	analyze := func(sig *string, r, sim, rt *Result) func() {
 		return func() {
 			if sim.Clean() && rt.Clean() {
-				*sig = signature(r.Trace)
+				*sig = t.signature(r.Trace)
 			}
 		}
 	}
@@ -178,11 +164,7 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 	a = g.Add("critical-path/sim-buffered", analyze(&sigB[0], &simB, &simB, &rtB), a, sB, rB)
 	g.Add("critical-path/runtime-buffered", analyze(&sigB[1], &rtB, &simB, &rtB), a)
 	g.Add("finish", func() {
-		fin[0] = finishOf(simS.Trace, c.Origins)
-		fin[1] = fin[0]
-		if !sameTrace(simS.Trace, simB.Trace) {
-			fin[1] = finishOf(simB.Trace, c.Origins)
-		}
+		fin[0], fin[1] = t.finish(simS.Trace), t.finish(simB.Trace)
 	}, sS, sB)
 	g.Run()
 
@@ -315,7 +297,7 @@ func statsDiff(a, b schedule.Stats, queues bool) string {
 	return ""
 }
 
-// traceDiff compares two executed schedules, both sorted by sortTrace,
+// traceDiff compares two traces, both in the event order,
 // event by event and describes the first difference ("" when equal).
 func traceDiff(a, b *schedule.Schedule) string {
 	ae, be := a.Events, b.Events
@@ -329,34 +311,4 @@ func traceDiff(a, b *schedule.Schedule) string {
 		return fmt.Sprintf("%d events vs %d", len(ae), len(be))
 	}
 	return ""
-}
-
-// sameTrace reports whether two sorted traces have the same machine and the
-// same events, which is all causal.Analyze and finishOf read of them.
-func sameTrace(a, b *schedule.Schedule) bool {
-	return a.M == b.M && slices.Equal(a.Events, b.Events)
-}
-
-// sortTrace sorts a backend's executed trace in place by every field, so
-// that comparisons never depend on the producers' tie-breaking. Backends
-// return traces their caller owns.
-func sortTrace(s *schedule.Schedule) {
-	slices.SortFunc(s.Events, func(a, b schedule.Event) int {
-		if c := cmp.Compare(a.Time, b.Time); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Op, b.Op); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Item, b.Item); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Peer, b.Peer); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Dur, b.Dur)
-	})
 }

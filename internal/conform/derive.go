@@ -1,0 +1,109 @@
+package conform
+
+import (
+	"slices"
+	"sync"
+
+	"logpopt/internal/logp"
+	"logpopt/internal/obs/causal"
+	"logpopt/internal/schedule"
+)
+
+// traces derives, for one case, each part the checks read of a distinct
+// sorted trace once: its availability table under the case's origins, its
+// strict, deferred and availability checks, and its critical-path
+// signature. A stage finds its trace's entry by content (sameTrace), so
+// equal traces from different backends share one entry; the first stage to
+// ask for a part computes it from the entry's own trace, and a concurrent
+// asker waits for that result. A Check uses one traces and drops it when it
+// returns; a backend replayed on its own derives afresh.
+type traces struct {
+	origins map[int]schedule.Origin
+	mu      sync.Mutex
+	all     []*derived
+}
+
+// derived is one distinct trace and what has been derived from it.
+type derived struct {
+	tr *schedule.Schedule // every part is computed from this trace
+
+	tableOnce sync.Once
+	table     schedule.AvailTable
+
+	checkOnce                 sync.Once
+	strict, deferred, unavail []schedule.Violation
+
+	sigOnce sync.Once
+	sig     string
+}
+
+func newTraces(origins map[int]schedule.Origin) *traces {
+	return &traces{origins: origins}
+}
+
+// orNew returns t, or a fresh traces for c when t is nil.
+func (t *traces) orNew(c Case) *traces {
+	if t == nil {
+		return newTraces(c.Origins)
+	}
+	return t
+}
+
+// of returns the entry of s's trace, adding one if no earlier trace equals
+// it.
+func (t *traces) of(s *schedule.Schedule) *derived {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, d := range t.all {
+		if sameTrace(d.tr, s) {
+			return d
+		}
+	}
+	d := &derived{tr: s}
+	t.all = append(t.all, d)
+	return d
+}
+
+func (t *traces) availability(d *derived) *schedule.AvailTable {
+	d.tableOnce.Do(func() {
+		mAvailabilities.Inc()
+		d.table = schedule.Availability(d.tr, t.origins)
+	})
+	return &d.table
+}
+
+// finish recomputes a run's finish time from its executed trace: each
+// (proc, item) availability is the earliest of its origin time there and
+// reception time + o over the trace's recv events; the finish is the latest
+// availability. This is the same quantity the simulator reports as
+// Report.Finish, derived independently so the two can be cross-checked.
+func (t *traces) finish(s *schedule.Schedule) logp.Time {
+	return t.availability(t.of(s)).Latest()
+}
+
+// checks returns the violations of Validate, ValidateDeferred and
+// CheckAvailability on s. The slices are the caller's to append to.
+func (t *traces) checks(s *schedule.Schedule) (strict, deferred, unavail []schedule.Violation) {
+	d := t.of(s)
+	d.checkOnce.Do(func() {
+		d.strict, d.deferred = schedule.ValidateBoth(d.tr)
+		d.unavail = t.availability(d).Check(d.tr)
+	})
+	return slices.Clip(d.strict), slices.Clip(d.deferred), slices.Clip(d.unavail)
+}
+
+// signature returns the critical-path signature of s.
+func (t *traces) signature(s *schedule.Schedule) string {
+	d := t.of(s)
+	d.sigOnce.Do(func() {
+		mAnalyses.Inc()
+		d.sig = causal.Analyze(d.tr, t.origins).Signature()
+	})
+	return d.sig
+}
+
+// sameTrace reports whether two sorted traces have the same machine and the
+// same events, which is all that the parts derived from a trace read.
+func sameTrace(a, b *schedule.Schedule) bool {
+	return a.M == b.M && slices.Equal(a.Events, b.Events)
+}

@@ -39,6 +39,11 @@ func oracleFinishOf(tr *schedule.Schedule, origins map[int]schedule.Origin) logp
 	return mx
 }
 
+// finishOf is traces.finish for one trace on its own.
+func finishOf(tr *schedule.Schedule, origins map[int]schedule.Origin) logp.Time {
+	return newTraces(origins).finish(tr)
+}
+
 // TestFinishOfOracle compares finishOf with its oracle on the paper cases
 // and the generated corpus, raw and as strict and buffered executions.
 func TestFinishOfOracle(t *testing.T) {

@@ -252,12 +252,23 @@ func (b *Builder) checkP(p int) {
 // tables themselves saturate, counts as 1<<62, so a larger cap never gives a
 // smaller answer. It reads the sparse label points, never a per-time table.
 func (b *Builder) Count(t logp.Time, maxCount int64) int64 {
+	n, _ := b.count(t, maxCount, true)
+	return n
+}
+
+// CountHeld is Count when the tables already hold the answer. When Count
+// would have to admit more label points, it grows nothing and ok is false.
+func (b *Builder) CountHeld(t logp.Time, maxCount int64) (n int64, ok bool) {
+	return b.count(t, maxCount, false)
+}
+
+func (b *Builder) count(t logp.Time, maxCount int64, grow bool) (int64, bool) {
 	if maxCount <= 0 {
 		maxCount = 1 << 40
 	}
 	maxCount = min(maxCount, satCap)
 	if t < 0 {
-		return 0
+		return 0, true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -266,6 +277,9 @@ func (b *Builder) Count(t logp.Time, maxCount int64) int64 {
 		if b.frontier[0] > t {
 			break
 		}
+		if !grow {
+			return 0, false
+		}
 		b.admit(b.frontier.pop())
 	}
 	i := sort.Search(len(b.pts), func(i int) bool { return b.pts[i].label > t })
@@ -273,10 +287,7 @@ func (b *Builder) Count(t logp.Time, maxCount int64) int64 {
 	if i > 0 {
 		n = b.pts[i-1].n
 	}
-	if n > maxCount {
-		n = maxCount
-	}
-	return n
+	return min(n, maxCount), true
 }
 
 // BTime returns the optimal broadcast time B(p): the label of the p-th

@@ -97,6 +97,31 @@ func TestCountSaturatesAtCap(t *testing.T) {
 	}
 }
 
+// TestCountHeld: CountHeld answers what Count answers once the tables hold
+// it, and before that reports false without growing them.
+func TestCountHeld(t *testing.T) {
+	for _, m := range shapes {
+		b := MustBuilder(m)
+		for tau := logp.Time(-1); tau <= 40; tau++ {
+			before := len(b.pts)
+			n, ok := b.CountHeld(tau, 1<<20)
+			if len(b.pts) != before {
+				t.Fatalf("%v: CountHeld(%d) grew the tables", m, tau)
+			}
+			want := b.Count(tau, 1<<20)
+			if ok && n != want {
+				t.Fatalf("%v: CountHeld(%d) = %d, Count = %d", m, tau, n, want)
+			}
+			if n, ok := b.CountHeld(tau, 1<<20); !ok || n != want {
+				t.Fatalf("%v: after Count, CountHeld(%d) = %d, %v; want %d", m, tau, n, ok, want)
+			}
+		}
+		if _, ok := b.CountHeld(1<<20, 0); ok {
+			t.Errorf("%v: CountHeld(2^20) held before anything counted that far", m)
+		}
+	}
+}
+
 // TestNodeMatchesTree checks the O(log P) per-rank answers against the
 // materialized tree: label, parent, child position, send time, children.
 func TestNodeMatchesTree(t *testing.T) {

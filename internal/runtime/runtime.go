@@ -215,6 +215,7 @@ type Runtime struct {
 	ready      []int32               // processors to run this instant, ascending
 	queued     int                   // total messages sitting in per-processor queues
 	trace      schedule.Schedule
+	sorter     schedule.EventSorter // Trace's scratch
 	violations []schedule.Violation
 
 	// chunks is the fixed partition of [0, P) into chunkSize ranges; each
@@ -792,10 +793,12 @@ func (rt *Runtime) Pending() bool {
 	return rt.inflight.len() > 0 || rt.queued > 0
 }
 
-// Trace returns the executed communication schedule.
+// Trace returns a copy of the executed communication schedule in the event
+// order (schedule.CompareEvents). It sorts with the runtime's scratch, so it
+// must not run concurrently with other calls on the runtime.
 func (rt *Runtime) Trace() *schedule.Schedule {
-	s := &schedule.Schedule{M: rt.m, Events: append([]schedule.Event(nil), rt.trace.Events...)}
-	s.Sort()
+	s := &schedule.Schedule{M: rt.m, Events: slices.Clone(rt.trace.Events)}
+	rt.sorter.Sort(s.Events)
 	return s
 }
 

@@ -1,9 +1,6 @@
 package schedule
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // Groups is a compressed-sparse-row partition of records by processor: Recs
 // holds every record, grouped by ascending processor and in input order
@@ -24,41 +21,11 @@ type Groups[T any] struct {
 // processor is dense; memory is O(n) whatever P or the processor values are.
 func GroupByProc[T any](P int, recs []T, proc func(*T) int) Groups[T] {
 	n := len(recs)
-	dense := max(min(P, n), 0)
-	count := make([]int, dense+1)
-	var over []int32 // positions of overflow records
-	for i := range recs {
-		if p := proc(&recs[i]); p >= 0 && p < dense {
-			count[p+1]++
-		} else {
-			over = append(over, int32(i))
-		}
-	}
-	slices.SortFunc(over, func(a, b int32) int {
-		if c := cmp.Compare(proc(&recs[a]), proc(&recs[b])); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	neg, _ := slices.BinarySearchFunc(over, 0, func(i int32, t int) int { return cmp.Compare(proc(&recs[i]), t) })
-
+	order := make([]int32, n)
+	procOrder(order, make([]int32, max(min(P, n), 0)+1), func(i int) int { return proc(&recs[i]) })
 	g := Groups[T]{Recs: make([]T, n)}
-	for i, pos := range over[:neg] {
+	for i, pos := range order {
 		g.Recs[i] = recs[pos]
-	}
-	count[0] = neg
-	for p := 1; p <= dense; p++ {
-		count[p] += count[p-1]
-	}
-	for i := range recs {
-		if p := proc(&recs[i]); p >= 0 && p < dense {
-			g.Recs[count[p]] = recs[i]
-			count[p]++
-		}
-	}
-	hi := n - (len(over) - neg)
-	for i, pos := range over[neg:] {
-		g.Recs[hi+i] = recs[pos]
 	}
 
 	groups := 0

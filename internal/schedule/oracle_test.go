@@ -301,8 +301,10 @@ func oracleCheckAvailability(s *Schedule, origins map[int]Origin) []Violation {
 // SameAsOracle reports the first way Validate, ValidateDeferred or
 // CheckAvailability differ from the oracle on s: as sorted Kind+Msg lists,
 // and for the deferred message matching also in its channel-sorted order.
-// It is exported for the external-package sweeps.
+// ValidateBoth must return Validate's and ValidateDeferred's lists in their
+// order. It is exported for the external-package sweeps.
 func SameAsOracle(s *Schedule, origins map[int]Origin) error {
+	strict, deferred := ValidateBoth(s)
 	for _, c := range []struct {
 		name      string
 		got, want []Violation
@@ -312,6 +314,8 @@ func SameAsOracle(s *Schedule, origins map[int]Origin) error {
 		{"ValidateDeferred", ValidateDeferred(s), oracleValidate(s, true), false},
 		{"matchMessagesDeferred", matchMessagesDeferred(s), oracleMatchMessagesDeferred(s), true},
 		{"CheckAvailability", CheckAvailability(s, origins), oracleCheckAvailability(s, origins), false},
+		{"ValidateBoth (strict)", strict, Validate(s), true},
+		{"ValidateBoth (deferred)", deferred, ValidateDeferred(s), true},
 	} {
 		got, want := violationKeys(c.got, !c.ordered), violationKeys(c.want, !c.ordered)
 		if !slices.Equal(got, want) {

@@ -13,9 +13,7 @@
 package schedule
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"logpopt/internal/logp"
@@ -85,21 +83,8 @@ func (s *Schedule) Compute(proc int, at logp.Time, dur logp.Time, tag int) {
 	s.Append(Event{Proc: proc, Time: at, Op: OpCompute, Item: tag, Peer: -1, Dur: dur})
 }
 
-// Sort orders events by (time, proc, op, item) for stable output.
-func (s *Schedule) Sort() {
-	slices.SortFunc(s.Events, func(a, b Event) int {
-		if c := cmp.Compare(a.Time, b.Time); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Op, b.Op); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Item, b.Item)
-	})
-}
+// Sort orders the events by CompareEvents, the one event order.
+func (s *Schedule) Sort() { SortEvents(s.Events) }
 
 // Makespan returns the completion time of the schedule: the maximum over
 // events of the time at which the event's effect is complete. A recv

@@ -42,7 +42,8 @@ const (
 // check item availability or broadcast completeness; see CheckAvailability
 // and CheckBroadcastComplete.
 func Validate(s *Schedule) []Violation {
-	return validate(s, false)
+	vs, _ := validate(s, true, false)
+	return vs
 }
 
 // ValidateDeferred is Validate under the buffered-reception discipline:
@@ -51,19 +52,27 @@ func Validate(s *Schedule) []Violation {
 // This is the model of Section 3.5 (Theorem 3.8), in which arrivals wait in
 // the receiver's input buffer until the processor receives them.
 func ValidateDeferred(s *Schedule) []Violation {
-	return validate(s, true)
+	_, ds := validate(s, false, true)
+	return ds
 }
 
-func validate(s *Schedule, deferRecv bool) []Violation {
-	out := checkEvents(s)
-	if deferRecv {
-		out = append(out, matchMessagesDeferred(s)...)
-	} else {
-		out = append(out, matchMessages(s)...)
+// ValidateBoth returns Validate(s) and ValidateDeferred(s). The two share
+// their per-event, port and capacity passes, which run once; each
+// discipline then matches messages on its own channel index.
+func ValidateBoth(s *Schedule) (strict, deferred []Violation) {
+	return validate(s, true, true)
+}
+
+func validate(s *Schedule, strict, deferred bool) (vs, ds []Violation) {
+	events := checkEvents(s)
+	rest := append(checkPorts(s), checkCapacity(s)...)
+	if strict {
+		vs = slices.Concat(events, matchMessages(s), rest)
 	}
-	out = append(out, checkPorts(s)...)
-	out = append(out, checkCapacity(s)...)
-	return out
+	if deferred {
+		ds = slices.Concat(events, matchMessagesDeferred(s), rest)
+	}
+	return vs, ds
 }
 
 // checkEvents is the per-event pass: times, processor and peer ranges, op
@@ -345,13 +354,19 @@ func checkCapacity(s *Schedule) []Violation {
 // receives becomes available o cycles after the recv event. Each send of an
 // item at time s from proc p requires availability at p no later than s.
 func CheckAvailability(s *Schedule, origins map[int]Origin) []Violation {
-	var out []Violation
 	av := Availability(s, origins)
+	return av.Check(s)
+}
+
+// Check returns CheckAvailability's violations for s, given t, the
+// availability table of s.
+func (t *AvailTable) Check(s *Schedule) []Violation {
+	var out []Violation
 	for _, e := range s.Events {
 		if e.Op != OpSend {
 			continue
 		}
-		a, ok := av.Lookup(e.Proc, e.Item)
+		a, ok := t.Lookup(e.Proc, e.Item)
 		if !ok {
 			out = append(out, Violation{VAvail, fmt.Sprintf(
 				"proc %d sends item %d at %d but never has it", e.Proc, e.Item, e.Time)})
@@ -416,6 +431,16 @@ func Availability(s *Schedule, origins map[int]Origin) AvailTable {
 	g.start[g.Len()] = w
 	g.Recs = g.Recs[:w]
 	return AvailTable{g}
+}
+
+// Latest returns the latest availability in the table (0 when empty): the
+// time the last item lands, the finish time of a run.
+func (t *AvailTable) Latest() logp.Time {
+	var mx logp.Time
+	for _, a := range t.Recs {
+		mx = max(mx, a.Time)
+	}
+	return mx
 }
 
 // Lookup returns the availability of item at proc, by binary search, and

@@ -298,18 +298,18 @@ func (c *Cache) fill(k Key) (res *Result, err error) {
 	return c.solve(k)
 }
 
-// solve answers the key and serializes it once. Broadcast, reduce and scan
-// stream from the counting tables (Stream); every other op is compiled and
-// its events encoded. Either way AppendSeqJSON sizes the bytes exactly, so
-// the entry's footprint is the len(JSON) the byte budget charges, with no
-// spare capacity.
+// solve answers the key and serializes it once. Broadcast, reduce, scan and
+// binomial stream from the counting tables (Stream); every other op is
+// compiled and its events encoded. Either way AppendSeqJSON sizes the bytes
+// exactly, so the entry's footprint is the len(JSON) the byte budget
+// charges, with no spare capacity.
 func (c *Cache) solve(k Key) (*Result, error) {
 	start := time.Now()
 	m := k.Machine()
 	res := &Result{Key: k}
 	seq, bound, ok := Stream(m, k.Op)
 	if ok {
-		res.Bound = bound
+		res.Bound, res.Baseline = bound, BaselineOp(k.Op)
 	} else {
 		comp, err := Compile(m, k.Op, k.K, k.Deadline, logtime.Tree)
 		if err != nil {

@@ -70,6 +70,22 @@ func TreeOp(op string) bool {
 	return false
 }
 
+// baselines builds the tree of each broadcast baseline op.
+var baselines = map[string]func(logp.Machine, int) *core.Tree{
+	"linear":   baseline.LinearTree,
+	"flat":     baseline.FlatTree,
+	"binary":   baseline.BinaryTree,
+	"binomial": baseline.BinomialTree,
+}
+
+// BaselineOp reports whether op is one of the broadcast baselines, whose
+// bound is the optimal tree's B(P) rather than a closed form of their own
+// (Compiled.Baseline).
+func BaselineOp(op string) bool {
+	_, ok := baselines[op]
+	return ok
+}
+
 // Compiled is one answered schedule question: the schedule, the operation's
 // closed-form lower bound (-1 when none is known), and whether the bound
 // came from the optimal broadcast tree rather than the op's own closed form
@@ -91,6 +107,15 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 	if KOp(op) && k < 1 {
 		return nil, fmt.Errorf("op %s: k must be at least 1, got %d", op, k)
 	}
+	if tree, ok := baselines[op]; ok {
+		s, err := baseline.Schedule(tree(m, m.P), 0)
+		if err != nil {
+			return nil, err
+		}
+		// B(P) is the optimal tree's height under every builder, so the
+		// bound needs no tree.
+		return &Compiled{S: s, Bound: logtime.B(m, m.P), Baseline: true}, nil
+	}
 	c := &Compiled{Bound: -1}
 	var err error
 	switch op {
@@ -101,26 +126,6 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 			return nil, err
 		}
 		c.Bound = tr.MaxLabel()
-	case "linear", "flat", "binary", "binomial":
-		var tr *core.Tree
-		switch op {
-		case "linear":
-			tr = baseline.LinearTree(m, m.P)
-		case "flat":
-			tr = baseline.FlatTree(m, m.P)
-		case "binary":
-			tr = baseline.BinaryTree(m, m.P)
-		case "binomial":
-			tr = baseline.BinomialTree(m, m.P)
-		}
-		c.S, err = baseline.Schedule(tr, 0)
-		if err != nil {
-			return nil, err
-		}
-		// B(P) is the optimal tree's height under every builder, so the
-		// bound needs no tree.
-		c.Bound = logtime.B(m, m.P)
-		c.Baseline = true
 	case "alltoall":
 		c.S = alltoall.Schedule(m, k)
 		c.Bound = alltoall.LowerBound(m, k)
@@ -176,16 +181,20 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 }
 
 // Stream returns op's schedule on m as an event sequence when that schedule
-// is a fixed expansion of the optimal tree's edges — broadcast, reduce and
-// scan — together with its bound B(P). The sequence walks the counting
-// tables (logtime.Seq) and encodes to exactly the bytes of Compile's
-// schedule, without building the tree or the events. ok is false for every
-// other op, which only Compile answers.
+// is a fixed expansion of a logtime tree's edges — broadcast, reduce and
+// scan on m's optimal tree, and the binomial baseline, which is the
+// broadcast of the stretched machine baseline.BinomialMachine(m) — together
+// with its bound B(P) (the optimal tree's height on m, as Compile reports).
+// The sequence walks the counting tables (logtime.Seq) and encodes, under
+// m's header, to exactly the bytes of Compile's schedule, without building
+// the tree or the events. ok is false for every other op, which only
+// Compile answers.
 func Stream(m logp.Machine, op string) (seq schedule.Seq, bound logp.Time, ok bool) {
-	var c logtime.Collective
+	walk, c := m, logtime.Broadcast
 	switch op {
 	case "broadcast":
-		c = logtime.Broadcast
+	case "binomial":
+		walk = baseline.BinomialMachine(m)
 	case "reduce":
 		c = logtime.Reduce
 	case "scan":
@@ -193,7 +202,7 @@ func Stream(m logp.Machine, op string) (seq schedule.Seq, bound logp.Time, ok bo
 	default:
 		return nil, 0, false
 	}
-	return logtime.Seq(m, c), logtime.B(m, m.P), true
+	return logtime.Seq(walk, c), logtime.B(m, m.P), true
 }
 
 // ContinuousInstance solves the continuous-broadcast instance behind

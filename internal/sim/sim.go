@@ -18,7 +18,6 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -182,6 +181,7 @@ type Engine struct {
 	executed   schedule.Schedule
 	violations []schedule.Violation
 	sendBuf    []schedule.Event // Replay scratch, reused across runs
+	sorter     schedule.EventSorter
 	ends       slab.Lists[logp.Time]
 	// buffered lists the processors with non-empty buffers (Buffered mode),
 	// so a drain visits them instead of all P.
@@ -546,10 +546,12 @@ func (e *Engine) Violations() []schedule.Violation {
 }
 
 // Executed returns a copy of the executed schedule (all sends and the recvs
-// as they actually happened).
+// as they actually happened), in the event order (schedule.CompareEvents).
+// It sorts with the engine's scratch, so it must not run concurrently with
+// other calls on the engine.
 func (e *Engine) Executed() *schedule.Schedule {
-	s := &schedule.Schedule{M: e.M, Events: append([]schedule.Event(nil), e.executed.Events...)}
-	s.Sort()
+	s := &schedule.Schedule{M: e.M, Events: slices.Clone(e.executed.Events)}
+	e.sorter.Sort(s.Events)
 	return s
 }
 
@@ -610,9 +612,9 @@ func Run(s *schedule.Schedule, mode Mode, origins map[int]schedule.Origin) (*Eng
 
 // Replay replays the send events of s on the engine, which must have been
 // freshly created (New) or recycled (Reset) for s.M. See Run for semantics.
-// Sends are ordered by a full deterministic key — time, then sender, then
-// item, then destination — so the replay never depends on the input event
-// ordering.
+// Sends run in the event order (schedule.CompareEvents) — time, then
+// sender, then item, destination and duration — so the replay never depends
+// on the input event ordering.
 func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) Report {
 	if e.TS != nil {
 		e.registerProbes()
@@ -653,18 +655,7 @@ func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) R
 			horizon = ev.Time
 		}
 	}
-	slices.SortFunc(sends, func(a, b schedule.Event) int {
-		if c := cmp.Compare(a.Time, b.Time); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Item, b.Item); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Peer, b.Peer)
-	})
+	e.sorter.Sort(sends)
 	e.sendBuf = sends
 	horizon += s.M.O + s.M.L + 1
 	// Safety net against a stuck clock. Buffered drains need up to

@@ -128,12 +128,17 @@ var (
 // Reachable returns P(t; L,o,g), the maximum number of processors reachable
 // in t steps (Definition 2.2, Theorem 2.2), saturating at maxCount (<= 0
 // selects 1<<40). It is read off the counting tables behind
-// OptimalBroadcastTree, in time and space independent of t. Those tables
-// are shared per machine shape for the life of the process, so the label
-// points a large maxCount adds stay allocated after the call (O(L) points
-// on postal machines at the default cap).
+// OptimalBroadcastTree, in time independent of t. Those tables are shared
+// per machine shape for the life of the process, so Reachable reads them
+// only when they already hold the answer; otherwise it counts on a private
+// builder that is freed on return, so a large maxCount never grows what the
+// process keeps (counting to the default cap takes O(L) label points on
+// postal machines).
 func Reachable(m Machine, t Time, maxCount int64) int64 {
-	return logtime.For(m).Count(t, maxCount)
+	if n, ok := logtime.For(m).CountHeld(t, maxCount); ok {
+		return n
+	}
+	return logtime.MustBuilder(m).Count(t, maxCount)
 }
 
 // Per-rank queries against the search-free construction behind the
