@@ -110,7 +110,8 @@ servd-smoke:
 # oracle), the schedule JSON encoder (against its encoding/json oracle), the
 # event order's counting sort (against a comparison sort), the streamed tree
 # schedules (against the materialized tree's schedules), the
-# conformance harness and the causal analyzer (against its map-based oracle).
+# conformance harness, the causal analyzer (against its map-based oracle)
+# and the checks that share one trace index (against the standalone calls).
 fuzz:
 	$(GO) test -fuzz=FuzzValidate -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzValidatorConsistency -fuzztime=30s ./internal/schedule/
@@ -120,6 +121,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzConform -fuzztime=30s ./internal/conform/
 	$(GO) test -fuzz=FuzzCausal -fuzztime=30s ./internal/obs/causal/
 	$(GO) test -fuzz=FuzzAnalyzeOracle -fuzztime=30s ./internal/obs/causal/
+	$(GO) test -fuzz=FuzzIndexedChecks -fuzztime=30s ./internal/obs/causal/
 
 # Differential conformance: replay paper constructors and 500 random seeds on
 # the simulator (strict/buffered), the goroutine runtime (strict/buffered),

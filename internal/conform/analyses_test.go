@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"logpopt/internal/obs"
 	"logpopt/internal/obs/causal"
 	"logpopt/internal/schedule"
 )
@@ -38,19 +39,41 @@ func TestAnalyzeIgnoresEventOrder(t *testing.T) {
 // analysis per paper or scale case that is clean in both modes: its four
 // executed traces agree, so the first signature serves all of them.
 func TestCleanCaseAnalyzesOnce(t *testing.T) {
+	oncePerCleanCase(t, mAnalyses, "analyses")
+}
+
+// TestCleanCaseDerivesOnce requires Check to build one availability table
+// per paper or scale case that is clean in both modes: its five traces
+// agree, so every finish recomputation, both availability checks and the
+// critical-path analysis read the first table.
+func TestCleanCaseDerivesOnce(t *testing.T) {
+	oncePerCleanCase(t, mAvailabilities, "availability tables")
+}
+
+// TestCleanCaseIndexesOnce requires Check to build one trace index per
+// paper or scale case that is clean in both modes: the availability table,
+// both validations and the critical-path analysis all read it.
+func TestCleanCaseIndexesOnce(t *testing.T) {
+	oncePerCleanCase(t, mIndexes, "indexes")
+}
+
+// oncePerCleanCase requires counter to rise by exactly one in each Check of
+// a paper or scale case that is clean in both modes.
+func oncePerCleanCase(t *testing.T, counter *obs.Counter, what string) {
+	t.Helper()
 	ck := NewChecker()
 	clean := 0
 	for _, c := range append(PaperCases(), ScaleCases(64, 1024)...) {
-		before := mAnalyses.Value()
+		before := counter.Value()
 		diffs := ck.Check(c)
-		n := mAnalyses.Value() - before
+		n := counter.Value() - before
 		if len(diffs) > 0 || !ck.simStrict.Replay(c).Clean() || !ck.simBuf.Replay(c).Clean() {
-			t.Logf("%s: not clean in both modes, %d analyses", c.Name, n)
+			t.Logf("%s: not clean in both modes, %d %s", c.Name, n, what)
 			continue
 		}
 		clean++
 		if n != 1 {
-			t.Errorf("%s: clean case ran %d analyses, want 1", c.Name, n)
+			t.Errorf("%s: clean case made %d %s, want 1", c.Name, n, what)
 		}
 	}
 	if clean < 16 {
@@ -58,27 +81,25 @@ func TestCleanCaseAnalyzesOnce(t *testing.T) {
 	}
 }
 
-// TestCleanCaseDerivesOnce requires Check to build one availability table
-// per paper or scale case that is clean in both modes: its five traces
-// agree, so every finish recomputation and both availability checks read
-// the first table.
-func TestCleanCaseDerivesOnce(t *testing.T) {
+// TestCheckSortsSendsOnce requires Check to put a case's sends in the event
+// order once for both simulator replays: on the scale cases, whose sends
+// come in tree order, a replay on its own sorts them, and neither of
+// Check's replays does.
+func TestCheckSortsSendsOnce(t *testing.T) {
+	sorts := obs.Default.Counter("sim.send_sorts")
 	ck := NewChecker()
-	clean := 0
-	for _, c := range append(PaperCases(), ScaleCases(64, 1024)...) {
-		before := mAvailabilities.Value()
-		diffs := ck.Check(c)
-		n := mAvailabilities.Value() - before
-		if len(diffs) > 0 || !ck.simStrict.Replay(c).Clean() || !ck.simBuf.Replay(c).Clean() {
-			t.Logf("%s: not clean in both modes, %d tables", c.Name, n)
-			continue
+	for _, c := range ScaleCases(64, 1024) {
+		before := sorts.Value()
+		ck.simStrict.Replay(c)
+		if n := sorts.Value() - before; n != 1 {
+			t.Fatalf("%s: a replay on its own sorted its sends %d times, want 1", c.Name, n)
 		}
-		clean++
-		if n != 1 {
-			t.Errorf("%s: clean case built %d availability tables, want 1", c.Name, n)
+		before = sorts.Value()
+		if diffs := ck.Check(c); len(diffs) > 0 {
+			t.Fatalf("%s: %s", c.Name, diffs[0])
 		}
-	}
-	if clean < 16 {
-		t.Fatalf("only %d clean cases: the count went untested", clean)
+		if n := sorts.Value() - before; n != 0 {
+			t.Errorf("%s: Check's simulator replays sorted the sends %d times, want 0", c.Name, n)
+		}
 	}
 }

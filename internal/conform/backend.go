@@ -74,8 +74,14 @@ func (b *SimBackend) Name() string {
 	return "sim-strict"
 }
 
-// replayIn is Replay: the simulator derives nothing from its trace.
-func (b *SimBackend) replayIn(c Case, _ *traces) Result { return b.Replay(c) }
+// replayIn is Replay on the case's sends in the event order, which t sorts
+// once for both of a Check's simulator replays.
+func (b *SimBackend) replayIn(c Case, t *traces) Result {
+	if t != nil {
+		c.S = t.sends(c.S)
+	}
+	return b.Replay(c)
+}
 
 func (b *SimBackend) Replay(c Case) Result {
 	if b.eng == nil {
@@ -194,8 +200,9 @@ func (ValidatorBackend) replayIn(c Case, t *traces) Result {
 	res := Result{Backend: "validator", Trace: d}
 	if t == nil {
 		// On its own the validator needs only the strict discipline.
-		av := schedule.Availability(d, c.Origins)
-		res.Violations = append(schedule.Validate(d), av.Check(d)...)
+		x := schedule.NewIndex(d)
+		av := x.Availability(c.Origins)
+		res.Violations = append(x.Validate(), av.Check(x)...)
 		res.Finish = av.Latest()
 		return res
 	}

@@ -18,7 +18,8 @@ import (
 var (
 	mCases          = obs.Default.Counter("conform.cases")
 	mDivergences    = obs.Default.Counter("conform.divergences")
-	mAnalyses       = obs.Default.Counter("conform.analyses")       // causal.Analyze calls made by Check
+	mAnalyses       = obs.Default.Counter("conform.analyses")       // critical-path analyses made by Check
+	mIndexes        = obs.Default.Counter("conform.indexes")        // trace indexes built, one per distinct trace of a Check
 	mAvailabilities = obs.Default.Counter("conform.availabilities") // availability tables built, one per distinct trace of a Check
 )
 
@@ -106,15 +107,16 @@ func (ck *Checker) replay(b backend, c Case, t *traces) Result {
 //
 // The replays and the expensive checks run as a par.Graph on up to
 // par.Limit() workers: the simulator chain (strict, then buffered, on the
-// shared engine), the runtime chain likewise, the validator, the deferred
+// shared engine, both reading the case's sends sorted once), the runtime
+// chain likewise, the validator, the deferred
 // validation of the buffered trace (after the validator), the finish
 // recomputation, and the critical-path analyses. Every backend returns its trace in the event
 // order, and what the checks derive from a trace — its availability table,
 // its validations and its critical path — depends only on the machine and
 // the events, so Check derives each part once per distinct trace (see
 // traces): a case clean in both modes, whose five traces agree, builds one
-// availability table, validates once for both disciplines and runs one
-// analysis. The analyses form one chain, so at most one is in flight (each
+// index and one availability table, validates once for both disciplines
+// and runs one analysis, all reading that index. The analyses form one chain, so at most one is in flight (each
 // holds a DAG of the case's size), and a mode's pair starts once both of
 // its traces are clean. The diffs are then assembled on the caller's
 // goroutine in a fixed order, so they are the same at every width. A

@@ -10,9 +10,10 @@ import (
 )
 
 // traces derives, for one case, each part the checks read of a distinct
-// sorted trace once: its availability table under the case's origins, its
-// strict, deferred and availability checks, and its critical-path
-// signature. A stage finds its trace's entry by content (sameTrace), so
+// sorted trace once: its index (schedule.Index), its availability table
+// under the case's origins, its strict, deferred and availability checks,
+// and its critical-path signature; every later part reads the index and the
+// table. A stage finds its trace's entry by content (sameTrace), so
 // equal traces from different backends share one entry; the first stage to
 // ask for a part computes it from the entry's own trace, and a concurrent
 // asker waits for that result. A Check uses one traces and drops it when it
@@ -21,11 +22,17 @@ type traces struct {
 	origins map[int]schedule.Origin
 	mu      sync.Mutex
 	all     []*derived
+
+	sendsOnce sync.Once
+	sorted    *schedule.Schedule // the case's sends, in the event order
 }
 
 // derived is one distinct trace and what has been derived from it.
 type derived struct {
 	tr *schedule.Schedule // every part is computed from this trace
+
+	indexOnce sync.Once
+	index     *schedule.Index
 
 	tableOnce sync.Once
 	table     schedule.AvailTable
@@ -49,6 +56,27 @@ func (t *traces) orNew(c Case) *traces {
 	return t
 }
 
+// sends returns the sends of the case's schedule s in the event order, the
+// only events a simulator replay reads, sorting them on the first call.
+func (t *traces) sends(s *schedule.Schedule) *schedule.Schedule {
+	t.sendsOnce.Do(func() {
+		n := 0
+		for _, ev := range s.Events {
+			if ev.Op == schedule.OpSend {
+				n++
+			}
+		}
+		t.sorted = &schedule.Schedule{M: s.M, Events: make([]schedule.Event, 0, n)}
+		for _, ev := range s.Events {
+			if ev.Op == schedule.OpSend {
+				t.sorted.Events = append(t.sorted.Events, ev)
+			}
+		}
+		t.sorted.Sort()
+	})
+	return t.sorted
+}
+
 // of returns the entry of s's trace, adding one if no earlier trace equals
 // it.
 func (t *traces) of(s *schedule.Schedule) *derived {
@@ -64,10 +92,18 @@ func (t *traces) of(s *schedule.Schedule) *derived {
 	return d
 }
 
+func (t *traces) index(d *derived) *schedule.Index {
+	d.indexOnce.Do(func() {
+		mIndexes.Inc()
+		d.index = schedule.NewIndex(d.tr)
+	})
+	return d.index
+}
+
 func (t *traces) availability(d *derived) *schedule.AvailTable {
 	d.tableOnce.Do(func() {
 		mAvailabilities.Inc()
-		d.table = schedule.Availability(d.tr, t.origins)
+		d.table = t.index(d).Availability(t.origins)
 	})
 	return &d.table
 }
@@ -86,8 +122,8 @@ func (t *traces) finish(s *schedule.Schedule) logp.Time {
 func (t *traces) checks(s *schedule.Schedule) (strict, deferred, unavail []schedule.Violation) {
 	d := t.of(s)
 	d.checkOnce.Do(func() {
-		d.strict, d.deferred = schedule.ValidateBoth(d.tr)
-		d.unavail = t.availability(d).Check(d.tr)
+		d.strict, d.deferred = t.index(d).ValidateBoth()
+		d.unavail = t.availability(d).Check(t.index(d))
 	})
 	return slices.Clip(d.strict), slices.Clip(d.deferred), slices.Clip(d.unavail)
 }
@@ -97,7 +133,7 @@ func (t *traces) signature(s *schedule.Schedule) string {
 	d := t.of(s)
 	d.sigOnce.Do(func() {
 		mAnalyses.Inc()
-		d.sig = causal.Analyze(d.tr, t.origins).Signature()
+		d.sig = causal.AnalyzeIndex(t.index(d), t.availability(d), t.origins).Signature()
 	})
 	return d.sig
 }

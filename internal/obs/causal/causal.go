@@ -298,60 +298,82 @@ func (n *node) add(from int, kind EdgeKind, bound logp.Time) {
 
 // analyzer holds the DAG under construction.
 type analyzer struct {
-	m      logp.Machine
-	evs    []schedule.Event // the analyzed schedule's events; node i is evs[i]
-	nodes  []node
-	order  []int32                  // node ids in deterministic (time, proc, op, item, peer) order
-	byProc schedule.Groups[nodeRef] // nodes by processor, in causal order
-}
-
-// nodeRef is a node's place in the per-processor and per-channel tables.
-type nodeRef struct {
-	proc, peer, item int
-	op               schedule.Op
-	rank             int32 // position in the causal order
-	id               int32 // node index
-}
-
-// from and to are the endpoints of the message a send or receive belongs to.
-func (r *nodeRef) from() int {
-	if r.op == schedule.OpSend {
-		return r.proc
-	}
-	return r.peer
-}
-
-func (r *nodeRef) to() int {
-	if r.op == schedule.OpSend {
-		return r.peer
-	}
-	return r.proc
+	m     logp.Machine
+	evs   []schedule.Event // the analyzed schedule's events; node i is evs[i]
+	nodes []node
+	order []int32 // node ids in the causal order: the event order, position breaking ties
 }
 
 // Analyze builds the causal DAG of s (with the given item origins) and
 // extracts the critical path, the achieved breakdown, and per-event slack.
 // The input is treated as an executed trace: receive events are taken at
 // face value (buffered receptions later than arrival are legal and show up
-// as wait). Analysis is deterministic in the event multiset — the event
-// order of s is irrelevant — so two backends that executed the same events
-// produce identical reports. Report.Bound is -1 until SetBound is called.
+// as wait). Nodes are taken in the event order (schedule.CompareEvents),
+// input position breaking ties between identical events, so the analysis is
+// deterministic in the event multiset — the event order of s is irrelevant
+// — and two backends that executed the same events produce identical
+// reports. Report.Bound is -1 until SetBound is called.
 func Analyze(s *schedule.Schedule, origins map[int]schedule.Origin) *Report {
-	a := &analyzer{m: s.M, evs: s.Events}
-	a.build(origins)
+	if slices.IsSortedFunc(s.Events, schedule.CompareEvents) {
+		x := schedule.NewIndex(s)
+		av := x.Availability(origins)
+		return analyze(x, &av, origins)
+	}
+	// Analyze the trace in the event order and map the node ids, which are
+	// then positions in that order, back to positions in s.
+	var sorter schedule.EventSorter
+	perm := sorter.Order(s.Events)
+	sorted := &schedule.Schedule{M: s.M, Events: make([]schedule.Event, len(perm))}
+	for r, i := range perm {
+		sorted.Events[r] = s.Events[i]
+	}
+	rep := Analyze(sorted, origins)
+	for i := range rep.Path {
+		rep.Path[i].Index = int(perm[rep.Path[i].Index])
+	}
+	slack := make([]logp.Time, len(perm))
+	for r, i := range perm {
+		slack[i] = rep.OpSlack[r]
+	}
+	rep.OpSlack = slack
+	return rep
+}
+
+// AnalyzeIndex is Analyze of the trace x indexes, given av, the trace's
+// availability table under origins: a caller that already holds both for a
+// trace in the event order builds neither again. A trace in another order
+// is analyzed as Analyze does it, from tables of its own.
+func AnalyzeIndex(x *schedule.Index, av *schedule.AvailTable, origins map[int]schedule.Origin) *Report {
+	if s := x.Schedule(); !slices.IsSortedFunc(s.Events, schedule.CompareEvents) {
+		return Analyze(s, origins)
+	}
+	return analyze(x, av, origins)
+}
+
+// analyze is Analyze of a trace in the event order, whose node ids are its
+// positions.
+func analyze(x *schedule.Index, av *schedule.AvailTable, origins map[int]schedule.Origin) *Report {
+	s := x.Schedule()
+	a := &analyzer{m: s.M, evs: s.Events, order: make([]int32, len(s.Events))}
+	for i := range a.order {
+		a.order[i] = int32(i)
+	}
+	a.build(x, av, origins)
 	rep := &Report{Bound: -1}
-	finNode, finTime := a.finish(s, origins)
+	finNode, finTime := a.finish(x, av, origins)
 	rep.Finish = finTime
 	rep.Path, rep.Achieved = a.walk(finNode, finTime)
 	rep.OpSlack = a.slacks(finTime)
 	return rep
 }
 
-// build creates the nodes in deterministic order and attaches every
-// constraint edge. Edges are found in tables grouped by processor (busy, gap
-// and availability edges) and by sending processor (latency edges), so the
-// whole construction is O(n log n) in the event count, and its memory O(n)
-// whatever the machine's P.
-func (a *analyzer) build(origins map[int]schedule.Origin) {
+// build creates the nodes and attaches every constraint edge. Edges are
+// found in the index's tables, which list each processor's events (busy, gap
+// and availability edges) and each channel's sends and receptions (latency
+// edges) in the causal order, and in av, which gives each send's earliest
+// availability, so the whole construction is O(n log n) in the event count,
+// and its memory O(n) whatever the machine's P.
+func (a *analyzer) build(x *schedule.Index, av *schedule.AvailTable, origins map[int]schedule.Origin) {
 	m := a.m
 	a.nodes = make([]node, len(a.evs))
 	for i := range a.evs {
@@ -362,108 +384,81 @@ func (a *analyzer) build(origins map[int]schedule.Origin) {
 		}
 		a.nodes[i] = node{start: ev.Time, dur: dur}
 	}
-	order := make([]int32, len(a.nodes))
-	for i := range order {
-		order[i] = int32(i)
+	// port is the last send, reception or event of an unknown kind of one
+	// op at the processor whose events are being walked.
+	type port struct {
+		op   schedule.Op
+		last int32
 	}
-	slices.SortFunc(order, func(x, y int32) int {
-		p, q := &a.evs[x], &a.evs[y]
-		if c := cmp.Compare(p.Time, q.Time); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(p.Proc, q.Proc); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(p.Op, q.Op); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(p.Item, q.Item); c != 0 {
-			return c
-		}
-		return cmp.Compare(p.Peer, q.Peer)
-	})
-	a.order = order
-	refs := make([]nodeRef, len(order))
-	for r, id := range order {
-		ev := &a.evs[id]
-		refs[r] = nodeRef{proc: ev.Proc, peer: ev.Peer, item: ev.Item, op: ev.Op, rank: int32(r), id: id}
-	}
-	a.byProc = schedule.GroupByProc(m.P, refs, func(r *nodeRef) int { return r.proc })
-
-	var tmp []nodeRef
-	for g := range a.byProc.Len() {
-		proc, grp := a.byProc.Group(g)
-		// Busy edges: each node follows its processor's previous node.
-		for i := 1; i < len(grp); i++ {
-			pn := &a.nodes[grp[i-1].id]
-			if pn.dur > 0 { // zero-duration events impose no busy constraint
-				kind := KindBusy
-				if a.evs[grp[i-1].id].Op == schedule.OpCompute {
-					kind = KindCompute
+	var ports []port
+	var recvs []int32
+	at := 0 // the walk's cursor in av
+	byProc := x.ByProc()
+	for g := range byProc.Len() {
+		proc, ids := byProc.Group(g)
+		ports, recvs = ports[:0], recvs[:0]
+		for i, id := range ids {
+			ev := &a.evs[id]
+			// Busy edges: each node follows its processor's previous node.
+			if i > 0 {
+				prev := ids[i-1]
+				if pn := &a.nodes[prev]; pn.dur > 0 { // zero-duration events impose no busy constraint
+					kind := KindBusy
+					if a.evs[prev].Op == schedule.OpCompute {
+						kind = KindCompute
+					}
+					a.nodes[id].add(int(prev), kind, pn.end())
 				}
-				a.nodes[grp[i].id].add(int(grp[i-1].id), kind, pn.end())
 			}
-		}
-
-		// Gap edges: each send or receive follows its port's previous one.
-		tmp = append(tmp[:0], grp...)
-		slices.SortFunc(tmp, func(x, y nodeRef) int {
-			if c := cmp.Compare(x.op, y.op); c != 0 {
-				return c
+			// Gap edges: each send or receive follows its port's previous one.
+			if ev.Op == schedule.OpCompute {
+				continue
 			}
-			return cmp.Compare(x.rank, y.rank)
-		})
-		for i := 1; i < len(tmp); i++ {
-			if tmp[i].op == tmp[i-1].op && tmp[i].op != schedule.OpCompute {
-				prev := int(tmp[i-1].id)
-				a.nodes[tmp[i].id].add(prev, KindGap, a.nodes[prev].start+m.G)
+			if ev.Op == schedule.OpRecv {
+				recvs = append(recvs, id)
 			}
+			k := slices.IndexFunc(ports, func(p port) bool { return p.op == ev.Op })
+			if k < 0 {
+				ports = append(ports, port{ev.Op, id})
+				continue
+			}
+			prev := int(ports[k].last)
+			a.nodes[id].add(prev, KindGap, a.nodes[prev].start+m.G)
+			ports[k].last = id
 		}
 
 		// Availability edges: each send needs its item; the provider is
 		// whatever made it available earliest at the sender — the item's
-		// origin there, or the sender's first reception of it.
-		slices.SortFunc(tmp, func(x, y nodeRef) int {
-			if c := cmp.Compare(x.item, y.item); c != 0 {
+		// origin there, or the sender's first reception of it. av holds
+		// that earliest time, so the origins are consulted only when a
+		// reception makes the item available at the same instant.
+		byItem := func(x, y int32) int {
+			if c := cmp.Compare(a.evs[x].Item, a.evs[y].Item); c != 0 {
 				return c
 			}
-			if c := cmp.Compare(x.op, y.op); c != 0 {
-				return c
-			}
-			return cmp.Compare(x.rank, y.rank)
-		})
-		for rest := tmp; len(rest) > 0; {
-			n := 1
-			for n < len(rest) && rest[n].item == rest[0].item {
-				n++
-			}
-			run := rest[:n]
-			rest = rest[n:]
-			lo := 0
-			for lo < n && run[lo].op < schedule.OpSend {
-				lo++
-			}
-			hi := lo
-			for hi < n && run[hi].op == schedule.OpSend {
-				hi++
-			}
-			if lo == hi {
+			return cmp.Compare(x, y)
+		}
+		if !slices.IsSortedFunc(recvs, byItem) {
+			slices.SortFunc(recvs, byItem)
+		}
+		avails := av.Next(&at, proc)
+		for _, id := range ids {
+			ev := &a.evs[id]
+			if ev.Op != schedule.OpSend {
 				continue
 			}
-			provider, kind, at := -1, EdgeKind(-1), logp.Time(0)
-			if og, ok := origins[run[0].item]; ok && og.Proc == proc {
-				provider, kind, at = -1, KindOrigin, og.Time
+			k, ok := slices.BinarySearchFunc(avails, ev.Item, func(x schedule.Avail, item int) int { return cmp.Compare(x.Item, item) })
+			if !ok {
+				continue // neither an origin nor a reception
 			}
-			if hi < n && run[hi].op == schedule.OpRecv { // earliest reception = earliest availability
-				if avail := a.nodes[run[hi].id].end(); kind < 0 || avail < at {
-					provider, kind, at = int(run[hi].id), KindAvail, avail
-				}
-			}
-			if kind < 0 {
-				continue
-			}
-			for _, r := range run[lo:hi] {
-				a.nodes[r.id].add(provider, kind, at)
+			t := avails[k].Time
+			j, _ := slices.BinarySearchFunc(recvs, ev.Item, func(r int32, item int) int { return cmp.Compare(a.evs[r].Item, item) })
+			if j == len(recvs) || a.evs[recvs[j]].Item != ev.Item || t < a.nodes[recvs[j]].end() {
+				a.nodes[id].add(-1, KindOrigin, t)
+			} else if og, ok := origins[ev.Item]; ok && og.Proc == proc && og.Time == t {
+				a.nodes[id].add(-1, KindOrigin, t) // an origin wins a tie with a reception
+			} else {
+				a.nodes[id].add(int(recvs[j]), KindAvail, t)
 			}
 		}
 	}
@@ -472,56 +467,28 @@ func (a *analyzer) build(origins map[int]schedule.Origin) {
 	// identity whose arrival is at or before the reception (buffered
 	// receptions may start late), preferring the latest such arrival; an
 	// exact-arrival strict trace matches one-to-one.
-	msgs := slices.DeleteFunc(refs, func(r nodeRef) bool { // byProc holds its own copy
-		return r.op != schedule.OpSend && r.op != schedule.OpRecv
-	})
-	byFrom := schedule.GroupByProc(m.P, msgs, (*nodeRef).from)
-	byFrom.SortEach(func(x, y nodeRef) int {
-		if c := cmp.Compare(x.to(), y.to()); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.item, y.item); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.op, y.op); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.rank, y.rank)
-	})
 	var pick sendPicker
 	var arrivals []logp.Time
-	for g := range byFrom.Len() {
-		_, ch := byFrom.Group(g)
-		for len(ch) > 0 {
-			n, split := 1, 0
-			for n < len(ch) && ch[n].to() == ch[0].to() && ch[n].item == ch[0].item {
-				n++
-			}
-			for split < n && ch[split].op == schedule.OpSend {
-				split++
-			}
-			sends, recvs := ch[:split], ch[split:n]
-			ch = ch[n:]
-			arrivals = arrivals[:0]
-			for _, sr := range sends {
-				arrivals = append(arrivals, a.nodes[sr.id].start+m.O+m.L)
-			}
-			pick.reset(arrivals)
-			for _, r := range recvs {
-				rn := &a.nodes[r.id]
-				best := pick.latest(rn.start)
-				if best < 0 { // violating trace: fall back to the earliest unused send
-					best = pick.earliest()
-				}
-				if best < 0 {
-					continue
-				}
-				pick.claim(best)
-				sid := int(sends[best].id)
-				rn.add(sid, KindLatency, a.nodes[sid].start+m.O+m.L)
-			}
+	x.EachChannel(func(_, _, _ int, sends, recvs []int32) {
+		arrivals = arrivals[:0]
+		for _, id := range sends {
+			arrivals = append(arrivals, a.nodes[id].start+m.O+m.L)
 		}
-	}
+		pick.reset(arrivals)
+		for _, r := range recvs {
+			rn := &a.nodes[r]
+			best := pick.latest(rn.start)
+			if best < 0 { // violating trace: fall back to the earliest unused send
+				best = pick.earliest()
+			}
+			if best < 0 {
+				continue
+			}
+			pick.claim(best)
+			sid := int(sends[best])
+			rn.add(sid, KindLatency, a.nodes[sid].start+m.O+m.L)
+		}
+	})
 }
 
 // sendPicker answers the latency matcher's two queries over one channel's
@@ -608,25 +575,24 @@ func (p *sendPicker) claim(i int) {
 }
 
 // finish determines the run's completion time — the latest item availability
-// across all (processor, item) pairs, or the end of the last compute if that
-// is later — and the node that realizes it (-1 when an origin injection or
-// an empty schedule realizes it). Among equally late pairs the least
-// (processor, item) wins, and within a pair an origin beats receptions and
-// an earlier reception in causal order beats a later one.
-func (a *analyzer) finish(s *schedule.Schedule, origins map[int]schedule.Origin) (int, logp.Time) {
-	av := schedule.Availability(s, origins)
+// across all (processor, item) pairs of av, or the end of the last compute
+// if that is later — and the node that realizes it (-1 when an origin
+// injection or an empty schedule realizes it). Among equally late pairs the
+// least (processor, item) wins, and within a pair an origin beats receptions
+// and an earlier reception in causal order beats a later one.
+func (a *analyzer) finish(x *schedule.Index, av *schedule.AvailTable, origins map[int]schedule.Origin) (int, logp.Time) {
 	var best schedule.Avail
 	havePI := false
-	for _, x := range av.Recs { // ascending (proc, item): the first maximum wins ties
-		if !havePI || x.Time > best.Time {
-			best, havePI = x, true
+	for _, r := range av.Recs { // ascending (proc, item): the first maximum wins ties
+		if !havePI || r.Time > best.Time {
+			best, havePI = r, true
 		}
 	}
 	bestNode, bestT := -1, best.Time
 	if og, ok := origins[best.Item]; havePI && (!ok || og.Proc != best.Proc || og.Time != best.Time) {
-		for _, r := range a.byProc.Find(best.Proc) {
-			if r.op == schedule.OpRecv && r.item == best.Item && a.nodes[r.id].end() == bestT {
-				bestNode = int(r.id)
+		for _, id := range x.ByProc().Find(best.Proc) {
+			if ev := &a.evs[id]; ev.Op == schedule.OpRecv && ev.Item == best.Item && a.nodes[id].end() == bestT {
+				bestNode = int(id)
 				break
 			}
 		}
@@ -677,11 +643,17 @@ func (a *analyzer) walk(finNode int, finTime logp.Time) ([]Step, Breakdown) {
 		bd.Overhead += fin.dur // the final reception's own overhead
 	}
 	var rev []Step
+	onPath := make([]bool, len(a.nodes))
 	id := finNode
 	for {
 		n := &a.nodes[id]
+		onPath[id] = true
 		c, ok := a.binding(id)
-		if !ok {
+		// A binding constraint from an event already on the path closes a
+		// cycle, which only a violating trace has (a send whose item a
+		// reception after it provides, say): the walk ends there, as at a
+		// root.
+		if !ok || (c.from >= 0 && onPath[c.from]) {
 			rev = append(rev, Step{Event: a.evs[id], Index: id, Kind: KindStart, Slack: n.start})
 			bd.Wait += n.start
 			break
@@ -723,23 +695,7 @@ func (a *analyzer) slacks(finTime logp.Time) []logp.Time {
 	for id := range a.nodes {
 		latest[id] = finTime - a.nodes[id].dur
 	}
-	// Process in reverse causal order: descending start; among equal starts
-	// sends first, so an o=0 availability edge (recv -> send at the same
-	// instant) sees its successor's final value.
-	order := make([]int32, len(a.nodes))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(x, y int32) int {
-		if c := cmp.Compare(a.nodes[y].start, a.nodes[x].start); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.evs[x].Op, a.evs[y].Op); c != 0 {
-			return c
-		}
-		return cmp.Compare(x, y)
-	})
-	for _, id := range order {
+	relax := func(id int32) {
 		for _, c := range a.nodes[id].constraints() {
 			if c.from < 0 {
 				continue
@@ -751,6 +707,24 @@ func (a *analyzer) slacks(finTime logp.Time) []logp.Time {
 				latest[c.from] = lim
 			}
 		}
+	}
+	// Process in reverse causal order, read off the causal order one start
+	// time at a time: descending start, and within one start the sends
+	// first, so an o=0 availability edge (recv -> send at the same instant)
+	// sees its successor's final value.
+	for hi := len(a.order); hi > 0; {
+		t, lo := a.nodes[a.order[hi-1]].start, hi-1
+		for lo > 0 && a.nodes[a.order[lo-1]].start == t {
+			lo--
+		}
+		for _, sends := range []bool{true, false} {
+			for i := hi - 1; i >= lo; i-- {
+				if id := a.order[i]; (a.evs[id].Op == schedule.OpSend) == sends {
+					relax(id)
+				}
+			}
+		}
+		hi = lo
 	}
 	out := make([]logp.Time, len(a.nodes))
 	for id := range a.nodes {

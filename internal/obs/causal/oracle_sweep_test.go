@@ -3,7 +3,9 @@ package causal_test
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"logpopt/internal/baseline"
@@ -58,13 +60,13 @@ func TestAnalyzeOracleHub(t *testing.T) {
 	}
 }
 
-// TestAnalyzeTies compares Analyze with its oracle where many events tie on
-// the causal order's whole key and differ only in duration, many sends
-// share one channel, and an item's origin and first reception make it
-// available at the same instant, so the order's tie-breaking, the send
-// matching and the provider choice all show in the report. Events of
-// unknown kinds ride along.
-func TestAnalyzeTies(t *testing.T) {
+// tiesCase is a schedule where many events tie on (time, proc, op, item,
+// peer) and differ only in duration or not at all, many sends share one
+// channel, and an item's origin and first reception make it available at
+// the same instant, so the causal order's tie-breaking, the send matching
+// and the provider choice all show in the report. Events of unknown kinds
+// ride along.
+func tiesCase() (*schedule.Schedule, map[int]schedule.Origin) {
 	m := logp.MustNew(4, 5, 1, 2)
 	s := &schedule.Schedule{M: m}
 	for i := range 40 {
@@ -86,6 +88,80 @@ func TestAnalyzeTies(t *testing.T) {
 	s.Recv(0, 13, 2, 3)
 	s.Append(schedule.Event{Proc: 3, Time: 1, Op: schedule.Op(-1), Item: 2, Peer: 0})
 	origins := map[int]schedule.Origin{0: {Proc: 0}, 1: {Proc: 2, Time: 7}, 2: {Proc: 1}} // ... by origin too
+	return s, origins
+}
+
+// TestAnalyzeTies compares Analyze with its oracle on tiesCase, as given and
+// in the event order.
+func TestAnalyzeTies(t *testing.T) {
+	s, origins := tiesCase()
+	if err := causal.SameAsOracle(s, origins); err != nil {
+		t.Fatal(err)
+	}
+	s.Sort()
+	if err := causal.SameAsOracle(s, origins); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAnalyzeShuffleInvariant analyzes many shuffles of tiesCase: each must
+// report the same finish, the same path events with the same kinds and
+// slacks, and the same slack for every event. Identical events are matched
+// up in position order, which is the analyzer's tie rule: the k-th copy of
+// an event in a shuffle carries the slack of its k-th copy in the original.
+func TestAnalyzeShuffleInvariant(t *testing.T) {
+	s, origins := tiesCase()
+	want := causal.Analyze(s, origins)
+	rng := rand.New(rand.NewPCG(7, 8))
+	for range 200 {
+		sh := &schedule.Schedule{M: s.M, Events: slices.Clone(s.Events)}
+		rng.Shuffle(len(sh.Events), func(i, j int) { sh.Events[i], sh.Events[j] = sh.Events[j], sh.Events[i] })
+		got := causal.Analyze(sh, origins)
+		if got.Finish != want.Finish || len(got.Path) != len(want.Path) {
+			t.Fatalf("finish %d with %d steps, want %d with %d", got.Finish, len(got.Path), want.Finish, len(want.Path))
+		}
+		for i, st := range got.Path {
+			w := want.Path[i]
+			if st.Event != w.Event || st.Kind != w.Kind || st.Slack != w.Slack || sh.Events[st.Index] != st.Event {
+				t.Fatalf("path step %d: %+v, want %+v", i, st, w)
+			}
+		}
+		if g, w := slackByEvent(sh, got.OpSlack), slackByEvent(s, want.OpSlack); !slices.Equal(g, w) {
+			t.Fatalf("per-event slack %v, want %v", g, w)
+		}
+	}
+}
+
+// slackByEvent lists slack in the event order, position breaking ties.
+func slackByEvent(s *schedule.Schedule, slack []logp.Time) []logp.Time {
+	var sorter schedule.EventSorter
+	out := make([]logp.Time, 0, len(slack))
+	for _, i := range sorter.Order(s.Events) {
+		out = append(out, slack[i])
+	}
+	return out
+}
+
+// TestAnalyzeCycle analyzes a violating trace whose constraints form a
+// cycle: proc 3 sends item 0 at 4 and receives it at 9, so the reception's
+// availability binds the send, and the send's overhead binds the
+// reception. The critical path must end at the send, where it would
+// revisit the reception, and its breakdown must still sum to the finish.
+func TestAnalyzeCycle(t *testing.T) {
+	m := logp.Machine{P: 4, L: 2, O: 1, G: 2}
+	s := &schedule.Schedule{M: m}
+	s.Send(3, 4, 0, -1)
+	s.Recv(3, 9, 0, 0)
+	s.Compute(3, 225, 1, 5)
+	s.Compute(3, 225, 2, 5)
+	origins := map[int]schedule.Origin{0: {Proc: 0}}
+	rep := causal.Analyze(s, origins)
+	if rep.Finish != 227 || rep.Achieved.Total() != rep.Finish {
+		t.Fatalf("finish %d, breakdown %s", rep.Finish, rep.Achieved)
+	}
+	if len(rep.Path) != 4 || rep.Path[0].Kind != causal.KindStart || rep.Path[0].Event.Op != schedule.OpSend {
+		t.Fatalf("path %s, want the send as its root", rep)
+	}
 	if err := causal.SameAsOracle(s, origins); err != nil {
 		t.Fatal(err)
 	}

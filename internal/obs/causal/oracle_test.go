@@ -11,8 +11,10 @@ import (
 
 // The map-based DAG construction and finish search that the
 // processor-grouped ones replaced, kept as the test oracle (edited only to
-// fit the current node layout): FuzzAnalyzeOracle and the table tests
-// require Analyze to equal oracleAnalyze field for field.
+// fit the current node layout, and to take nodes in the causal order that
+// Analyze documents: the event order, position breaking ties):
+// FuzzAnalyzeOracle and the table tests require Analyze to equal
+// oracleAnalyze field for field.
 
 // oracleAnalyze is Analyze with build and finish replaced by their
 // map-based oracles.
@@ -39,25 +41,14 @@ func (a *analyzer) oracleBuild(origins map[int]schedule.Origin) {
 		}
 		a.nodes = append(a.nodes, node{start: ev.Time, dur: dur})
 	}
+	// The causal order: the event order, position breaking ties between
+	// identical events.
 	order := make([]int, len(a.nodes))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool {
-		p, q := &a.evs[order[x]], &a.evs[order[y]]
-		if p.Time != q.Time {
-			return p.Time < q.Time
-		}
-		if p.Proc != q.Proc {
-			return p.Proc < q.Proc
-		}
-		if p.Op != q.Op {
-			return p.Op < q.Op
-		}
-		if p.Item != q.Item {
-			return p.Item < q.Item
-		}
-		return p.Peer < q.Peer
+	sort.SliceStable(order, func(x, y int) bool {
+		return schedule.CompareEvents(a.evs[order[x]], a.evs[order[y]]) < 0
 	})
 	a.order = make([]int32, len(order))
 	for i, id := range order {

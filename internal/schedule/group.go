@@ -63,6 +63,19 @@ func (g *Groups[T]) Find(p int) []T {
 	return nil
 }
 
+// Next returns the records of processor p (nil when it has none) to a walk
+// that asks for processors in ascending order, by advancing the walk's
+// cursor *at (0 at the start) instead of searching.
+func (g *Groups[T]) Next(at *int, p int) []T {
+	for *at < len(g.procs) && g.procs[*at] < p {
+		*at++
+	}
+	if *at < len(g.procs) && g.procs[*at] == p {
+		return g.Recs[g.start[*at]:g.start[*at+1]]
+	}
+	return nil
+}
+
 // SortEach sorts every group by cmp. Groups are sorted independently, so the
 // total cost is O(n log n) even when one processor holds most records.
 func (g *Groups[T]) SortEach(cmp func(a, b T) int) {

@@ -73,6 +73,62 @@ func (s *EventSorter) Sort(evs []Event) {
 	if slices.IsSortedFunc(evs, CompareEvents) {
 		return
 	}
+	s.byTimeProc(evs)
+	permute(evs, s.next)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && evs[hi].Time == evs[lo].Time && evs[hi].Proc == evs[lo].Proc {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(evs[lo:hi], CompareEvents)
+		}
+		lo = hi
+	}
+}
+
+// Order returns the positions of evs in the event order, position breaking
+// ties between identical events: the permutation a stable sort by
+// CompareEvents would apply. It counts as Sort does and leaves evs as they
+// are.
+func (s *EventSorter) Order(evs []Event) []int32 {
+	n := len(evs)
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	if slices.IsSortedFunc(evs, CompareEvents) {
+		return ids
+	}
+	byEvent := func(a, b int32) int {
+		if c := CompareEvents(evs[a], evs[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	if n <= smallSort {
+		slices.SortFunc(ids, byEvent)
+		return ids
+	}
+	s.byTimeProc(evs)
+	copy(ids, s.next[:n])
+	for lo := 0; lo < n; {
+		e, hi := &evs[ids[lo]], lo+1
+		for hi < n && evs[ids[hi]].Time == e.Time && evs[ids[hi]].Proc == e.Proc {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(ids[lo:hi], byEvent)
+		}
+		lo = hi
+	}
+	return ids
+}
+
+// byTimeProc sets s.next to the positions of evs stably sorted by (time,
+// processor): a stable counting pass by processor, then one by time rank.
+func (s *EventSorter) byTimeProc(evs []Event) {
+	n := len(evs)
 	s.rank, s.order, s.next = slab.Grow(s.rank, n), slab.Grow(s.order, n), slab.Grow(s.next, n)
 	ranks := s.rankTimes(evs)
 
@@ -97,18 +153,6 @@ func (s *EventSorter) Sort(evs []Event) {
 		r := s.rank[i]
 		s.next[s.count[r]] = i
 		s.count[r]++
-	}
-	permute(evs, s.next)
-
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && evs[hi].Time == evs[lo].Time && evs[hi].Proc == evs[lo].Proc {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortFunc(evs[lo:hi], CompareEvents)
-		}
-		lo = hi
 	}
 }
 

@@ -16,7 +16,8 @@ func sortedByCompare(evs []Event) []Event {
 	return want
 }
 
-// checkSort sorts a copy of evs with s and requires the reference's result.
+// checkSort sorts a copy of evs with s and requires the reference's result,
+// and requires s.Order(evs) to be the reference's stable permutation.
 func checkSort(t *testing.T, s *EventSorter, evs []Event) {
 	t.Helper()
 	got := slices.Clone(evs)
@@ -27,10 +28,19 @@ func checkSort(t *testing.T, s *EventSorter, evs []Event) {
 			t.Fatalf("%d events: position %d is %+v, want %+v", len(evs), i, got[i], want[i])
 		}
 	}
+	wantIDs := make([]int32, len(evs))
+	for i := range wantIDs {
+		wantIDs[i] = int32(i)
+	}
+	slices.SortStableFunc(wantIDs, func(a, b int32) int { return CompareEvents(evs[a], evs[b]) })
+	if ids := s.Order(evs); !slices.Equal(ids, wantIDs) {
+		t.Fatalf("%d events: Order %v, want %v", len(evs), ids, wantIDs)
+	}
 }
 
 // FuzzSortEvents requires EventSorter.Sort to equal slices.SortFunc with
-// CompareEvents on arbitrary traces. Bytes decode into a pattern of events
+// CompareEvents, and EventSorter.Order to equal slices.SortStableFunc's
+// permutation, on arbitrary traces. Bytes decode into a pattern of events
 // repeated a few times with a per-copy time shift, so traces pass the
 // small-trace cutoff, carry duplicates, and have times that descend between
 // copies. A scale byte puts processors near zero, negatives included;

@@ -41,10 +41,7 @@ const (
 // in Section 3.5's modified model) use ValidateDeferred. Validate does not
 // check item availability or broadcast completeness; see CheckAvailability
 // and CheckBroadcastComplete.
-func Validate(s *Schedule) []Violation {
-	vs, _ := validate(s, true, false)
-	return vs
-}
+func Validate(s *Schedule) []Violation { return NewIndex(s).Validate() }
 
 // ValidateDeferred is Validate under the buffered-reception discipline:
 // every reception must begin at or after its message's arrival, and each
@@ -52,25 +49,32 @@ func Validate(s *Schedule) []Violation {
 // This is the model of Section 3.5 (Theorem 3.8), in which arrivals wait in
 // the receiver's input buffer until the processor receives them.
 func ValidateDeferred(s *Schedule) []Violation {
-	_, ds := validate(s, false, true)
+	_, ds := NewIndex(s).validate(false, true)
 	return ds
 }
 
 // ValidateBoth returns Validate(s) and ValidateDeferred(s). The two share
-// their per-event, port and capacity passes, which run once; each
-// discipline then matches messages on its own channel index.
-func ValidateBoth(s *Schedule) (strict, deferred []Violation) {
-	return validate(s, true, true)
+// their per-event, port and capacity passes and one walk over the channels.
+func ValidateBoth(s *Schedule) (strict, deferred []Violation) { return NewIndex(s).ValidateBoth() }
+
+// Validate is Validate of the indexed trace.
+func (x *Index) Validate() []Violation {
+	vs, _ := x.validate(true, false)
+	return vs
 }
 
-func validate(s *Schedule, strict, deferred bool) (vs, ds []Violation) {
-	events := checkEvents(s)
-	rest := append(checkPorts(s), checkCapacity(s)...)
+// ValidateBoth is ValidateBoth of the indexed trace.
+func (x *Index) ValidateBoth() (strict, deferred []Violation) { return x.validate(true, true) }
+
+func (x *Index) validate(strict, deferred bool) (vs, ds []Violation) {
+	events := checkEvents(x.s)
+	sm, dm := x.matchMessages(strict, deferred)
+	rest := append(x.checkPorts(), x.checkCapacity()...)
 	if strict {
-		vs = slices.Concat(events, matchMessages(s), rest)
+		vs = slices.Concat(events, sm, rest)
 	}
 	if deferred {
-		ds = slices.Concat(events, matchMessagesDeferred(s), rest)
+		ds = slices.Concat(events, dm, rest)
 	}
 	return vs, ds
 }
@@ -109,126 +113,80 @@ func checkEvents(s *Schedule) []Violation {
 	return out
 }
 
-// endpoint is one side of a message on the channel (from, to, item): a send
-// or a reception at time t.
-type endpoint struct {
-	from, to, item int
-	op             Op
-	t              logp.Time
-}
-
-// channels groups every send and reception by sending processor, each group
-// sorted by (to, item, op, t): a channel's sends, then its receptions, both
-// in time order. Send times are shifted by sendShift.
-func channels(s *Schedule, sendShift logp.Time) Groups[endpoint] {
-	eps := make([]endpoint, 0, len(s.Events))
-	for _, e := range s.Events {
-		switch e.Op {
-		case OpSend:
-			eps = append(eps, endpoint{e.Proc, e.Peer, e.Item, OpSend, e.Time + sendShift})
-		case OpRecv:
-			eps = append(eps, endpoint{e.Peer, e.Proc, e.Item, OpRecv, e.Time})
-		}
-	}
-	g := GroupByProc(s.M.P, eps, func(ep *endpoint) int { return ep.from })
-	g.SortEach(func(a, b endpoint) int {
-		if c := cmp.Compare(a.to, b.to); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.item, b.item); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.op, b.op); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.t, b.t)
-	})
-	return g
-}
-
-// eachChannel calls fn once per channel of g, in (from, to, item) order, with
-// the channel's sends and receptions.
-func eachChannel(g *Groups[endpoint], fn func(from, to, item int, sends, recvs []endpoint)) {
-	for i := range g.Len() {
-		from, eps := g.Group(i)
-		for len(eps) > 0 {
-			to, item := eps[0].to, eps[0].item
-			n := 1
-			for n < len(eps) && eps[n].to == to && eps[n].item == item {
-				n++
-			}
-			split := 0
-			for split < n && eps[split].op == OpSend {
-				split++
-			}
-			fn(from, to, item, eps[:split], eps[split:n])
-			eps = eps[n:]
-		}
-	}
-}
-
-// matchMessages requires every send to meet exactly as many receptions as
-// there are sends of the same message, at its arrival time send + o + L. A
-// merge walk over each channel's arrival-sorted sends and time-sorted
-// receptions counts both sides of every arrival instant.
-func matchMessages(s *Schedule) []Violation {
-	var out []Violation
-	m := s.M
-	g := channels(s, m.O+m.L)
-	eachChannel(&g, func(from, to, item int, ss, rr []endpoint) {
-		for len(ss) > 0 || len(rr) > 0 {
-			var at logp.Time
-			if len(rr) == 0 || (len(ss) > 0 && ss[0].t <= rr[0].t) {
-				at = ss[0].t
-			} else {
-				at = rr[0].t
-			}
-			n, r := 0, 0
-			for n < len(ss) && ss[n].t == at {
-				n++
-			}
-			for r < len(rr) && rr[r].t == at {
-				r++
-			}
-			ss, rr = ss[n:], rr[r:]
-			switch {
-			case n > 0 && r != n:
-				out = append(out, Violation{VUnmatched, fmt.Sprintf(
-					"%d send(s) of item %d from %d to %d arriving at %d, but %d recv(s)",
-					n, item, from, to, at, r)})
-			case n == 0:
-				out = append(out, Violation{VUnmatched, fmt.Sprintf(
-					"%d recv(s) of item %d at %d from %d at time %d with no matching send at %d",
-					r, item, to, from, at, at-m.O-m.L)})
+// matchMessages walks the channels once and matches each one's sends and
+// receptions under the strict discipline (into sm) and the deferred one
+// (into dm), as asked.
+//
+// Strict: every send must meet exactly as many receptions as there are
+// sends of the same message, at its arrival time send + o + L. A merge walk
+// over the channel's sorted arrivals and sorted reception times counts both
+// sides of every arrival instant.
+//
+// Deferred: each reception must start at or after its message's arrival.
+// Sends and receptions are matched in time order (FIFO per channel).
+func (x *Index) matchMessages(strict, deferred bool) (sm, dm []Violation) {
+	m := x.s.M
+	var arrive, sent, recv []logp.Time
+	x.EachChannel(func(from, to, item int, sends, recvs []int32) {
+		recv = x.times(recv, recvs, 0)
+		if strict {
+			// Arrivals wrap past the int64 limit on huge-L machines, so
+			// they are sorted as values rather than taken in send order.
+			arrive = x.times(arrive, sends, m.O+m.L)
+			ss, rr := arrive, recv
+			for len(ss) > 0 || len(rr) > 0 {
+				var at logp.Time
+				if len(rr) == 0 || (len(ss) > 0 && ss[0] <= rr[0]) {
+					at = ss[0]
+				} else {
+					at = rr[0]
+				}
+				n, r := 0, 0
+				for n < len(ss) && ss[n] == at {
+					n++
+				}
+				for r < len(rr) && rr[r] == at {
+					r++
+				}
+				ss, rr = ss[n:], rr[r:]
+				switch {
+				case n > 0 && r != n:
+					sm = append(sm, Violation{VUnmatched, fmt.Sprintf(
+						"%d send(s) of item %d from %d to %d arriving at %d, but %d recv(s)",
+						n, item, from, to, at, r)})
+				case n == 0:
+					sm = append(sm, Violation{VUnmatched, fmt.Sprintf(
+						"%d recv(s) of item %d at %d from %d at time %d with no matching send at %d",
+						r, item, to, from, at, at-m.O-m.L)})
+				}
 			}
 		}
-	})
-	return out
-}
-
-// matchMessagesDeferred matches sends to recvs per (from, to, item) channel,
-// requiring each recv to start at or after its message's arrival. Sends and
-// recvs on a channel are matched in time order (FIFO per channel).
-func matchMessagesDeferred(s *Schedule) []Violation {
-	var out []Violation
-	m := s.M
-	g := channels(s, 0)
-	eachChannel(&g, func(from, to, item int, ss, rr []endpoint) {
-		if len(ss) != len(rr) {
-			out = append(out, Violation{VUnmatched, fmt.Sprintf(
-				"item %d from %d to %d: %d sends but %d recvs",
-				item, from, to, len(ss), len(rr))})
+		if !deferred {
 			return
 		}
-		for i := range ss {
-			if arr := ss[i].t + m.O + m.L; rr[i].t < arr {
-				out = append(out, Violation{VLatency, fmt.Sprintf(
+		if len(sends) != len(recvs) {
+			dm = append(dm, Violation{VUnmatched, fmt.Sprintf(
+				"item %d from %d to %d: %d sends but %d recvs",
+				item, from, to, len(sends), len(recvs))})
+			return
+		}
+		sent = x.times(sent, sends, 0)
+		for i := range sent {
+			if arr := sent[i] + m.O + m.L; recv[i] < arr {
+				dm = append(dm, Violation{VLatency, fmt.Sprintf(
 					"item %d from %d to %d: recv at %d before arrival %d",
-					item, from, to, rr[i].t, arr)})
+					item, from, to, recv[i], arr)})
 			}
 		}
 	})
-	return out
+	return sm, dm
+}
+
+// matchMessagesDeferred returns the deferred discipline's channel
+// violations of s.
+func matchMessagesDeferred(s *Schedule) []Violation {
+	_, dm := NewIndex(s).matchMessages(false, true)
+	return dm
 }
 
 // busyIval is a closed-open busy interval at a processor.
@@ -240,24 +198,20 @@ type busyIval struct {
 
 // checkPorts checks each in-range processor's send and receive spacing (gap
 // g) and that its busy intervals (overheads and computes) never overlap.
-func checkPorts(s *Schedule) []Violation {
+func (x *Index) checkPorts() []Violation {
 	var out []Violation
-	m := s.M
-	var ids []int32
-	for i, e := range s.Events {
-		if e.Proc >= 0 && e.Proc < m.P {
-			ids = append(ids, int32(i))
-		}
-	}
-	g := GroupByProc(m.P, ids, func(i *int32) int { return s.Events[*i].Proc })
+	m := x.s.M
 	var ts []logp.Time
 	var ivs []busyIval
-	for i := range g.Len() {
-		proc, pe := g.Group(i)
+	for i := range x.procs.Len() {
+		proc, pe := x.procs.Group(i)
+		if proc < 0 || proc >= m.P {
+			continue
+		}
 		for _, op := range []Op{OpSend, OpRecv} {
 			ts = ts[:0]
 			for _, id := range pe {
-				if e := &s.Events[id]; e.Op == op {
+				if e := &x.s.Events[id]; e.Op == op {
 					ts = append(ts, e.Time)
 				}
 			}
@@ -272,7 +226,7 @@ func checkPorts(s *Schedule) []Violation {
 		}
 		ivs = ivs[:0]
 		for _, id := range pe {
-			switch e := &s.Events[id]; e.Op {
+			switch e := &x.s.Events[id]; e.Op {
 			case OpSend, OpRecv:
 				if m.O > 0 {
 					ivs = append(ivs, busyIval{e.Time, e.Time + m.O, e.Op, e.Item})
@@ -302,35 +256,28 @@ func checkPorts(s *Schedule) []Violation {
 // A message sent at s occupies (s+o, s+o+L]; the maximum overlap is a merge
 // walk over a processor's sorted starts and ends that takes the ends at an
 // instant before its starts.
-func checkCapacity(s *Schedule) []Violation {
+func (x *Index) checkCapacity() []Violation {
 	var out []Violation
-	m := s.M
+	m := x.s.M
 	capacity := m.Capacity()
 	var sends []int32
-	for i, e := range s.Events {
-		if e.Op == OpSend {
-			sends = append(sends, int32(i))
-		}
-	}
 	var starts, ends []logp.Time
 	for _, dir := range []struct {
 		name string
-		proc func(*int32) int
-	}{
-		{"from", func(i *int32) int { return s.Events[*i].Proc }},
-		{"to", func(i *int32) int { return s.Events[*i].Peer }},
-	} {
-		g := GroupByProc(m.P, sends, dir.proc)
-		for i := range g.Len() {
-			p, ids := g.Group(i)
-			starts, ends = starts[:0], ends[:0]
+		g    *Groups[int32]
+	}{{"from", &x.procs}, {"to", &x.into}} {
+		for i := range dir.g.Len() {
+			p, ids := dir.g.Group(i)
+			sends = sends[:0]
 			for _, id := range ids {
-				t := s.Events[id].Time
-				starts = append(starts, t+m.O)
-				ends = append(ends, t+m.O+m.L)
+				if x.s.Events[id].Op == OpSend {
+					sends = append(sends, id)
+				}
 			}
-			slices.Sort(starts)
-			slices.Sort(ends)
+			if len(sends) == 0 {
+				continue
+			}
+			starts, ends = x.times(starts, sends, m.O), x.times(ends, sends, m.O+m.L)
 			mx, done := 0, 0
 			for j, t := range starts {
 				for done < len(ends) && ends[done] <= t {
@@ -354,31 +301,50 @@ func checkCapacity(s *Schedule) []Violation {
 // receives becomes available o cycles after the recv event. Each send of an
 // item at time s from proc p requires availability at p no later than s.
 func CheckAvailability(s *Schedule, origins map[int]Origin) []Violation {
-	av := Availability(s, origins)
-	return av.Check(s)
+	x := NewIndex(s)
+	av := x.Availability(origins)
+	return av.Check(x)
 }
 
-// Check returns CheckAvailability's violations for s, given t, the
-// availability table of s.
-func (t *AvailTable) Check(s *Schedule) []Violation {
-	var out []Violation
-	for _, e := range s.Events {
-		if e.Op != OpSend {
-			continue
-		}
-		a, ok := t.Lookup(e.Proc, e.Item)
-		if !ok {
-			out = append(out, Violation{VAvail, fmt.Sprintf(
-				"proc %d sends item %d at %d but never has it", e.Proc, e.Item, e.Time)})
-			continue
-		}
-		if e.Time < a {
-			out = append(out, Violation{VAvail, fmt.Sprintf(
-				"proc %d sends item %d at %d but it is available only at %d",
-				e.Proc, e.Item, e.Time, a)})
+// Check returns CheckAvailability's violations for the trace x indexes,
+// given t, the trace's availability table. It walks x's processor groups
+// beside t's, and reports in the trace's order.
+func (t *AvailTable) Check(x *Index) []Violation {
+	type found struct {
+		id int32
+		v  Violation
+	}
+	var out []found
+	at := 0
+	for g := range x.procs.Len() {
+		proc, ids := x.procs.Group(g)
+		as := t.Next(&at, proc)
+		for _, id := range ids {
+			e := &x.s.Events[id]
+			if e.Op != OpSend {
+				continue
+			}
+			k, ok := slices.BinarySearchFunc(as, e.Item, func(a Avail, item int) int { return cmp.Compare(a.Item, item) })
+			switch {
+			case !ok:
+				out = append(out, found{id, Violation{VAvail, fmt.Sprintf(
+					"proc %d sends item %d at %d but never has it", e.Proc, e.Item, e.Time)}})
+			case e.Time < as[k].Time:
+				out = append(out, found{id, Violation{VAvail, fmt.Sprintf(
+					"proc %d sends item %d at %d but it is available only at %d",
+					e.Proc, e.Item, e.Time, as[k].Time)}})
+			}
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	slices.SortFunc(out, func(a, b found) int { return cmp.Compare(a.id, b.id) })
+	vs := make([]Violation, len(out))
+	for i, f := range out {
+		vs[i] = f.v
+	}
+	return vs
 }
 
 // Avail is the earliest time an item is available at a processor: its origin
@@ -394,43 +360,69 @@ type AvailTable struct{ Groups[Avail] }
 
 // Availability computes the availability table of s under origins.
 func Availability(s *Schedule, origins map[int]Origin) AvailTable {
-	recvs := 0
-	for _, e := range s.Events {
-		if e.Op == OpRecv {
-			recvs++
-		}
-	}
-	all := make([]Avail, 0, len(origins)+recvs)
+	return NewIndex(s).Availability(origins)
+}
+
+// Availability computes the availability table of the indexed trace under
+// origins. The origins are put in processor order by the same counting pass
+// as the index's tables, then merged with the index's processor groups.
+func (x *Index) Availability(origins map[int]Origin) AvailTable {
+	ogs := make([]Avail, 0, len(origins))
 	for item, og := range origins {
-		all = append(all, Avail{og.Proc, item, og.Time})
+		ogs = append(ogs, Avail{og.Proc, item, og.Time})
 	}
-	for _, e := range s.Events {
-		if e.Op == OpRecv {
-			all = append(all, Avail{e.Proc, e.Item, e.Time + s.M.O})
+	byProc := make([]int32, len(ogs))
+	procOrder(byProc, make([]int32, max(min(x.s.M.P, len(ogs)), 0)+1), func(i int) int { return ogs[i].Proc })
+
+	var t AvailTable
+	t.Recs = make([]Avail, 0, len(ogs)+x.recvs())
+	for g, o := 0, 0; g < x.procs.Len() || o < len(byProc); {
+		var p int
+		switch {
+		case o == len(byProc):
+			p = x.procs.procs[g]
+		case g == x.procs.Len():
+			p = ogs[byProc[o]].Proc
+		default:
+			p = min(x.procs.procs[g], ogs[byProc[o]].Proc)
 		}
-	}
-	g := GroupByProc(s.M.P, all, func(a *Avail) int { return a.Proc })
-	g.SortEach(func(a, b Avail) int {
-		if c := cmp.Compare(a.Item, b.Item); c != 0 {
-			return c
+		lo := len(t.Recs)
+		for ; o < len(byProc) && ogs[byProc[o]].Proc == p; o++ {
+			t.Recs = append(t.Recs, ogs[byProc[o]])
 		}
-		return cmp.Compare(a.Time, b.Time)
-	})
-	// Keep the first record of each (processor, item) run: its minimum.
-	w := 0
-	for i := range g.Len() {
-		lo, hi := g.start[i], g.start[i+1]
-		g.start[i] = w
-		for j := lo; j < hi; j++ {
-			if j == lo || g.Recs[j].Item != g.Recs[w-1].Item {
-				g.Recs[w] = g.Recs[j]
+		if g < x.procs.Len() && x.procs.procs[g] == p {
+			_, ids := x.procs.Group(g)
+			for _, id := range ids {
+				if e := &x.s.Events[id]; e.Op == OpRecv {
+					t.Recs = append(t.Recs, Avail{p, e.Item, e.Time + x.s.M.O})
+				}
+			}
+			g++
+		}
+		if len(t.Recs) == lo {
+			continue
+		}
+		run := t.Recs[lo:]
+		slices.SortFunc(run, func(a, b Avail) int {
+			if c := cmp.Compare(a.Item, b.Item); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Time, b.Time)
+		})
+		// Keep the first record of each item: its minimum.
+		w := 1
+		for j := 1; j < len(run); j++ {
+			if run[j].Item != run[w-1].Item {
+				run[w] = run[j]
 				w++
 			}
 		}
+		t.Recs = t.Recs[:lo+w]
+		t.procs = append(t.procs, p)
+		t.start = append(t.start, lo)
 	}
-	g.start[g.Len()] = w
-	g.Recs = g.Recs[:w]
-	return AvailTable{g}
+	t.start = append(t.start, len(t.Recs))
+	return t
 }
 
 // Latest returns the latest availability in the table (0 when empty): the

@@ -38,6 +38,7 @@ var (
 	mRecvs      = obs.Default.Counter("sim.recvs")
 	mCapChecks  = obs.Default.Counter("sim.capacity.checks")
 	mViolations = obs.Default.Counter("sim.violations")
+	mSendSorts  = obs.Default.Counter("sim.send_sorts") // replays whose sends were out of the event order
 	// Port-wait distribution: cycles a message sat in a Buffered-mode input
 	// buffer between arrival and reception. Observed only for positive waits
 	// — strict-mode receptions and immediate drains stay off the histogram's
@@ -655,7 +656,10 @@ func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) R
 			horizon = ev.Time
 		}
 	}
-	e.sorter.Sort(sends)
+	if !slices.IsSortedFunc(sends, schedule.CompareEvents) {
+		mSendSorts.Inc()
+		e.sorter.Sort(sends)
+	}
 	e.sendBuf = sends
 	horizon += s.M.O + s.M.L + 1
 	// Safety net against a stuck clock. Buffered drains need up to
