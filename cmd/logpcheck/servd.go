@@ -19,9 +19,10 @@ import (
 // boots the daemon binary on an ephemeral port, waits for /readyz, fires N
 // concurrent identical cold requests and asserts the singleflight
 // collapsed them into exactly one solver run, checks that two large keys
-// sharing a cache shard both stay cached, checks the RED series made it to
-// /metrics, and shuts the process down with SIGTERM expecting a
-// clean exit.
+// that together fit the cache budget both stay cached, that a POST and a
+// GET leaving out o and l get the same key, checks the RED series made it
+// to /metrics, and shuts the process down with SIGTERM expecting a clean
+// exit.
 //
 // With -sched pointing at a built logpsched, it also diffs the CLI and the
 // service byte-for-byte: `logpsched -render json` solving locally must
@@ -131,10 +132,9 @@ func smoke(bin, sched string, n int, stdout, stderr io.Writer) error {
 		return fmt.Errorf("/debug/cache reports %d misses, want 3 (two warmups + one smoke solve)", cache.Totals.Misses)
 	}
 
-	// The byte budget is one budget for the whole cache: broadcast
-	// P=100000 (11.75 MB) and reduce P=99974 (12.3 MB) share shard 15 of
-	// the default 16, and together fit the default 256 MiB, so fetched in
-	// alternation both must hit on the second round.
+	// Broadcast P=100000 (11.75 MB) and reduce P=99974 (12.3 MB) together
+	// fit the default 256 MiB budget, so fetched in alternation both must
+	// hit on the second round.
 	pair := []string{"op=broadcast&p=100000", "op=reduce&p=99974"}
 	for round := range 2 {
 		for _, q := range pair {
@@ -149,7 +149,26 @@ func smoke(bin, sched string, n int, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	fmt.Fprintln(stdout, "servd smoke: two large keys sharing a shard both hit on refetch")
+	fmt.Fprintln(stdout, "servd smoke: two large keys within the budget both hit on refetch")
+
+	// A request that leaves out o and l takes the same defaults as a POST
+	// body and as a query string.
+	var got, want struct {
+		Key string `json:"key"`
+	}
+	if err := getJSON(base+"/v1/schedule?schedule=false&op=broadcast&p=64", &want); err != nil {
+		return err
+	}
+	resp, err := http.Post(base+"/v1/schedule?schedule=false", "application/json", strings.NewReader(`{"op":"broadcast","p":64}`))
+	if err != nil {
+		return err
+	}
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || got.Key != want.Key {
+		return fmt.Errorf("POST without o or l: status %d, key %q, err %v; want the GET key %q", resp.StatusCode, got.Key, err, want.Key)
+	}
+	fmt.Fprintln(stdout, "servd smoke: POST and GET without o or l share one key")
 
 	// The RED series for the schedule endpoint must be on /metrics.
 	metrics, err := getBody(base + "/metrics")

@@ -14,7 +14,7 @@ import (
 func remoteServer(t *testing.T) string {
 	t.Helper()
 	reg := obs.NewRegistry()
-	a := sched.NewAPI(sched.Options{Cache: sched.NewCache(2, 0, reg), Registry: reg})
+	a := sched.NewAPI(sched.Options{Cache: sched.NewCache(0, reg), Registry: reg})
 	a.SetReady(true)
 	srv := httptest.NewServer(a.Handler())
 	t.Cleanup(srv.Close)

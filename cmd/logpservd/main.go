@@ -1,6 +1,6 @@
 // Command logpservd is the always-on scheduling service: the library's
 // optimal-schedule constructors behind an observable HTTP/JSON API. It
-// answers /v1/schedule from a sharded, memory-bounded cache with singleflight
+// answers /v1/schedule from a memory-bounded LRU cache with singleflight
 // coalescing (N concurrent identical cold requests run the solver exactly
 // once), fans /v1/batch sweeps through the shared worker pool, and explains
 // any answer's critical path at /v1/explain — while exposing everything an
@@ -13,7 +13,7 @@
 //
 //	logpservd                                  # serve on 127.0.0.1:8080
 //	logpservd -addr :0 -addrfile servd.addr    # ephemeral port, address to file
-//	logpservd -shards 32 -cache-bytes 1073741824
+//	logpservd -cache-bytes 1073741824
 //	logpservd -trace servd-trace.json -tracesample 16
 //	logpservd -slow 250ms
 //
@@ -67,17 +67,13 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "listen `address` (:0 picks a free port)")
 		addrFile   = fs.String("addrfile", "", "write the bound address to `file` once listening (for scripts using -addr :0)")
-		shards     = fs.Int("shards", 16, "schedule-cache shards (lock domains; the byte budget is not split across them)")
-		cacheBytes = fs.Int64("cache-bytes", 256<<20, "schedule-cache budget in bytes of serialized schedules, shared by all shards: past it the least-recently-used entry is evicted; an answer larger than the budget is served but not cached (0 = unbounded)")
+		cacheBytes = fs.Int64("cache-bytes", 256<<20, "schedule-cache budget in bytes of serialized schedules: past it the least-recently-used entry is evicted; an answer larger than the budget is served but not cached (0 = unbounded)")
 		slow       = fs.Duration("slow", 500*time.Millisecond, "log requests at or above this duration as warnings (0 disables)")
 		traceOut   = fs.String("trace", "", cliutil.TraceUsage)
 		sample     = fs.Int64("tracesample", 1, "with -trace: keep request spans for a seeded 1-in-N sample of requests; counter graphs thin by the same factor. 1 keeps everything")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
 	}
 	if *cacheBytes < 0 {
 		return fmt.Errorf("-cache-bytes must be non-negative, got %d", *cacheBytes)
@@ -103,7 +99,7 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
 	api := sched.NewAPI(sched.Options{
-		Cache:    sched.NewCache(*shards, *cacheBytes, obs.Default),
+		Cache:    sched.NewCache(*cacheBytes, obs.Default),
 		Registry: obs.Default,
 		Tracer:   tracer,
 		Log:      logger,
@@ -140,8 +136,7 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 			return cliutil.WriteError("bound address", *addrFile, err)
 		}
 	}
-	logger.Info("listening", "addr", bound, "shards", *shards,
-		"cache_bytes", *cacheBytes)
+	logger.Info("listening", "addr", bound, "cache_bytes", *cacheBytes)
 
 	// Warm the solve path before declaring readiness; the warmup answers
 	// also seed the cache.

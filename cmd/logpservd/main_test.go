@@ -116,7 +116,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	if code, body := fetch(t, base+"/debug/cache"); code != http.StatusOK ||
-		!strings.Contains(body, `"shards"`) {
+		!strings.Contains(body, `"totals"`) {
 		t.Fatalf("/debug/cache = %d %q", code, clipBody(body))
 	}
 
@@ -174,7 +174,6 @@ func TestDaemonFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-shards", "0"}, "-shards"},
 		{[]string{"-cache-bytes", "-1"}, "-cache-bytes"},
 		{[]string{"-tracesample", "0"}, "-tracesample"},
 		{[]string{"-constructor", "logtime"}, "flag provided but not defined: -constructor"},

@@ -22,7 +22,7 @@ import (
 func BenchmarkServdScheduleLoad(b *testing.B) {
 	reg := obs.NewRegistry()
 	api := sched.NewAPI(sched.Options{
-		Cache:    sched.NewCache(16, 256<<20, reg),
+		Cache:    sched.NewCache(256<<20, reg),
 		Registry: reg,
 	})
 	api.SetReady(true)
@@ -75,7 +75,7 @@ func BenchmarkServdScheduleLoad(b *testing.B) {
 func BenchmarkServdBatchSweep(b *testing.B) {
 	reg := obs.NewRegistry()
 	api := sched.NewAPI(sched.Options{
-		Cache:    sched.NewCache(16, 256<<20, reg),
+		Cache:    sched.NewCache(256<<20, reg),
 		Registry: reg,
 	})
 	api.SetReady(true)

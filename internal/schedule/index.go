@@ -21,25 +21,22 @@ type Index struct {
 	procs Groups[int32] // every event, by processor
 	chans Groups[int32] // every send and reception, by sending processor, then by (receiver, item, op)
 	into  Groups[int32] // every send, by destination
+	nrecv int           // receptions in the trace
 }
 
 // NewIndex builds the index of s. Its tables size by the event count,
 // whatever P or the processor values (see GroupByProc).
 func NewIndex(s *Schedule) *Index {
+	x := procIndex(s)
 	evs := s.Events
-	nsend, nrecv := 0, 0
+	nsend := 0
 	for i := range evs {
-		switch evs[i].Op {
-		case OpSend:
+		if evs[i].Op == OpSend {
 			nsend++
-		case OpRecv:
-			nrecv++
 		}
 	}
-	all := make([]int32, len(evs))
-	msgs, sends := make([]int32, 0, nsend+nrecv), make([]int32, 0, nsend)
+	msgs, sends := make([]int32, 0, nsend+x.nrecv), make([]int32, 0, nsend)
 	for i := range evs {
-		all[i] = int32(i)
 		switch evs[i].Op {
 		case OpSend:
 			sends = append(sends, int32(i))
@@ -48,8 +45,6 @@ func NewIndex(s *Schedule) *Index {
 			msgs = append(msgs, int32(i))
 		}
 	}
-	x := &Index{s: s}
-	x.procs = GroupByProc(s.M.P, all, func(id *int32) int { return evs[*id].Proc })
 	x.chans = GroupByProc(s.M.P, msgs, func(id *int32) int { return evs[*id].from() })
 	x.chans.SortEach(func(a, b int32) int {
 		p, q := &evs[a], &evs[b]
@@ -65,6 +60,24 @@ func NewIndex(s *Schedule) *Index {
 		return cmp.Compare(a, b)
 	})
 	x.into = GroupByProc(s.M.P, sends, func(id *int32) int { return evs[*id].Peer })
+	return x
+}
+
+// procIndex builds only the processor groups of s's index, all that
+// Availability and AvailTable.Check read. Its channel tables are empty, so
+// it is for the standalone Availability and CheckAvailability alone: the
+// validator and the analyzer get NewIndex's.
+func procIndex(s *Schedule) *Index {
+	evs := s.Events
+	all := make([]int32, len(evs))
+	x := &Index{s: s}
+	for i := range evs {
+		all[i] = int32(i)
+		if evs[i].Op == OpRecv {
+			x.nrecv++
+		}
+	}
+	x.procs = GroupByProc(s.M.P, all, func(id *int32) int { return evs[*id].Proc })
 	return x
 }
 
@@ -114,9 +127,6 @@ func (x *Index) EachChannel(fn func(from, to, item int, sends, recvs []int32)) {
 		}
 	}
 }
-
-// recvs returns the number of receptions in the trace.
-func (x *Index) recvs() int { return len(x.chans.Recs) - len(x.into.Recs) }
 
 // times returns ts[:0] with the times of the events ids, plus shift,
 // appended in ascending order.

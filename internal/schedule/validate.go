@@ -301,7 +301,7 @@ func (x *Index) checkCapacity() []Violation {
 // receives becomes available o cycles after the recv event. Each send of an
 // item at time s from proc p requires availability at p no later than s.
 func CheckAvailability(s *Schedule, origins map[int]Origin) []Violation {
-	x := NewIndex(s)
+	x := procIndex(s)
 	av := x.Availability(origins)
 	return av.Check(x)
 }
@@ -360,7 +360,7 @@ type AvailTable struct{ Groups[Avail] }
 
 // Availability computes the availability table of s under origins.
 func Availability(s *Schedule, origins map[int]Origin) AvailTable {
-	return NewIndex(s).Availability(origins)
+	return procIndex(s).Availability(origins)
 }
 
 // Availability computes the availability table of the indexed trace under
@@ -374,8 +374,11 @@ func (x *Index) Availability(origins map[int]Origin) AvailTable {
 	byProc := make([]int32, len(ogs))
 	procOrder(byProc, make([]int32, max(min(x.s.M.P, len(ogs)), 0)+1), func(i int) int { return ogs[i].Proc })
 
+	// Every processor with an event usually has a group; origins elsewhere
+	// grow the tables past that.
 	var t AvailTable
-	t.Recs = make([]Avail, 0, len(ogs)+x.recvs())
+	t.Recs = make([]Avail, 0, len(ogs)+x.nrecv)
+	t.procs, t.start = make([]int, 0, x.procs.Len()), make([]int, 0, x.procs.Len()+1)
 	for g, o := 0, 0; g < x.procs.Len() || o < len(byProc); {
 		var p int
 		switch {

@@ -25,7 +25,7 @@ const maxBatch = 4096
 // Options configures an API.
 type Options struct {
 	// Cache answers /v1/schedule and /v1/batch; nil builds a default
-	// 16-shard cache with one 256 MiB budget over Registry.
+	// cache with a 256 MiB budget over Registry.
 	Cache *Cache
 	// Registry receives the servd.* metrics; nil uses obs.Default.
 	Registry *obs.Registry
@@ -64,7 +64,7 @@ func NewAPI(opts Options) *API {
 	}
 	cache := opts.Cache
 	if cache == nil {
-		cache = NewCache(16, 256<<20, reg)
+		cache = NewCache(256<<20, reg)
 	}
 	log := opts.Log
 	if log == nil {
@@ -116,7 +116,7 @@ func (a *API) Routes() []Route {
 		{"/healthz", "liveness: 200 while the process serves", a.wrap("healthz", a.handleHealthz)},
 		{"/readyz", "readiness: 200 after warmup, 503 before", a.wrap("readyz", a.handleReadyz)},
 		{"/debug/inflight", "in-flight requests with ages (JSON)", a.wrap("inflight", a.handleInflight)},
-		{"/debug/cache", "schedule-cache shards: size, hit/miss/coalesce/eviction counts (JSON)", a.wrap("cache", a.handleCache)},
+		{"/debug/cache", "schedule cache: size, bytes, hit/miss/coalesce/eviction counts (JSON)", a.wrap("cache", a.handleCache)},
 	}
 }
 
@@ -192,23 +192,12 @@ func envelope(res *Result, out Outcome, withSchedule bool) Envelope {
 }
 
 // parseRequest reads one Request from the query string (GET) or a JSON body
-// (POST).
+// (POST); absent fields take the defaults either way.
 func (a *API) parseRequest(r *http.Request) (Request, error) {
 	if r.Method == http.MethodPost {
 		var req Request
-		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20)).Decode(&req); err != nil {
 			return Request{}, fmt.Errorf("decoding request body: %w", err)
-		}
-		if req.L == 0 {
-			req.L = 6
-		}
-		if req.G == 0 {
-			req.G = 4
-		}
-		if req.K == 0 {
-			req.K = 1
 		}
 		return req, nil
 	}
@@ -216,21 +205,21 @@ func (a *API) parseRequest(r *http.Request) (Request, error) {
 }
 
 // resolve canonicalizes and answers one request through the cache,
-// annotating ri along the way.
-func (a *API) resolve(req Request, ri *reqInfo) (*Result, Outcome, error) {
+// annotating info, when it is not nil, along the way.
+func (a *API) resolve(req Request, info *inflightInfo) (*Result, Outcome, error) {
 	key, err := Canonicalize(req, "")
 	if err != nil {
-		if req.Op != "" && KnownOp(req.Op) && ri != nil {
-			ri.setOp(req.Op)
+		if req.Op != "" && KnownOp(req.Op) && info != nil {
+			info.setOp(req.Op)
 		}
 		return nil, "", err
 	}
-	if ri != nil {
-		ri.setInFlightKey(key)
+	if info != nil {
+		info.setKey(key)
 	}
 	res, out, err := a.cache.Get(key)
-	if ri != nil {
-		ri.setKey(key, out)
+	if info != nil {
+		info.setOutcome(out)
 	}
 	return res, out, err
 }
@@ -245,13 +234,13 @@ func resolveStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-func (a *API) handleSchedule(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
+func (a *API) handleSchedule(w http.ResponseWriter, r *http.Request, info *inflightInfo) {
 	req, err := a.parseRequest(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, out, err := a.resolve(req, ri)
+	res, out, err := a.resolve(req, info)
 	if err != nil {
 		httpError(w, resolveStatus(err), "%v", err)
 		return
@@ -281,8 +270,8 @@ type Batch struct {
 	IncludeSchedules bool      `json:"include_schedules,omitempty"`
 }
 
-// Sweep expands to the cross product of its axes. Empty axes take the
-// single CLI default (L=6, o=2, g=4, k=1); P is required.
+// Sweep expands to the cross product of its axes. An empty axis takes the
+// request default alone (L=6, o=2, g=4, k=1, no deadline); P is required.
 type Sweep struct {
 	Op          string      `json:"op"`
 	Constructor string      `json:"constructor,omitempty"`
@@ -299,22 +288,8 @@ func (s *Sweep) expand() ([]Request, error) {
 	if len(s.P) == 0 {
 		return nil, fmt.Errorf("sweep: p axis is required")
 	}
-	ls, os, gs, ks, ts := s.L, s.O, s.G, s.K, s.Deadline
-	if len(ls) == 0 {
-		ls = []logp.Time{6}
-	}
-	if len(os) == 0 {
-		os = []logp.Time{2}
-	}
-	if len(gs) == 0 {
-		gs = []logp.Time{4}
-	}
-	if len(ks) == 0 {
-		ks = []int{1}
-	}
-	if len(ts) == 0 {
-		ts = []logp.Time{0}
-	}
+	ls, os, gs := axis(s.L, defaults.L), axis(s.O, defaults.O), axis(s.G, defaults.G)
+	ks, ts := axis(s.K, defaults.K), axis(s.Deadline, defaults.Deadline)
 	var out []Request
 	for _, p := range s.P {
 		for _, l := range ls {
@@ -338,6 +313,14 @@ func (s *Sweep) expand() ([]Request, error) {
 	return out, nil
 }
 
+// axis returns vs, or def alone when vs is empty.
+func axis[T any](vs []T, def T) []T {
+	if len(vs) == 0 {
+		return []T{def}
+	}
+	return vs
+}
+
 // BatchResponse is the /v1/batch reply.
 type BatchResponse struct {
 	Count   int        `json:"count"`
@@ -345,7 +328,7 @@ type BatchResponse struct {
 	Results []Envelope `json:"results"`
 }
 
-func (a *API) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
+func (a *API) handleBatch(w http.ResponseWriter, r *http.Request, info *inflightInfo) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a JSON batch body to /v1/batch")
 		return
@@ -386,7 +369,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 	if op == "" {
 		op = "broadcast"
 	}
-	ri.setOp(op)
+	info.setOp(op)
 
 	// Fan the batch out through the shared worker pool; the cache coalesces
 	// duplicate keys inside the batch, so a sweep that repeats a machine
@@ -438,13 +421,13 @@ func toBreakdownJSON(b causal.Breakdown) breakdownJSON {
 	}
 }
 
-func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
+func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, info *inflightInfo) {
 	req, err := a.parseRequest(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, out, err := a.resolve(req, ri)
+	res, out, err := a.resolve(req, info)
 	if err != nil {
 		httpError(w, resolveStatus(err), "%v", err)
 		return
@@ -489,12 +472,12 @@ func (a *API) handleExplain(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 	}
 }
 
-func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *reqInfo) {
+func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *inflightInfo) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
-func (a *API) handleReadyz(w http.ResponseWriter, _ *http.Request, _ *reqInfo) {
+func (a *API) handleReadyz(w http.ResponseWriter, _ *http.Request, _ *inflightInfo) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if !a.ready.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -504,7 +487,7 @@ func (a *API) handleReadyz(w http.ResponseWriter, _ *http.Request, _ *reqInfo) {
 	fmt.Fprintln(w, "ready")
 }
 
-func (a *API) handleInflight(w http.ResponseWriter, _ *http.Request, _ *reqInfo) {
+func (a *API) handleInflight(w http.ResponseWriter, _ *http.Request, _ *inflightInfo) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct { //nolint:errcheck // client disconnects only
 		Inflight []inflightInfo `json:"inflight"`
@@ -513,24 +496,17 @@ func (a *API) handleInflight(w http.ResponseWriter, _ *http.Request, _ *reqInfo)
 
 // cacheDebug is the /debug/cache document.
 type cacheDebug struct {
-	Shards        []ShardStats `json:"shards"`
-	Totals        ShardStats   `json:"totals"`
-	MaxBytes      int64        `json:"max_bytes"`
-	UptimeSeconds float64      `json:"uptime_seconds"`
+	Totals        ShardStats `json:"totals"`
+	MaxBytes      int64      `json:"max_bytes"`
+	UptimeSeconds float64    `json:"uptime_seconds"`
 }
 
-func (a *API) handleCache(w http.ResponseWriter, _ *http.Request, _ *reqInfo) {
-	stats := a.cache.Stats()
-	var totals ShardStats
-	for _, s := range stats {
-		totals.Add(s)
-	}
+func (a *API) handleCache(w http.ResponseWriter, _ *http.Request, _ *inflightInfo) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(cacheDebug{ //nolint:errcheck // client disconnects only
-		Shards:        stats,
-		Totals:        totals,
+		Totals:        a.cache.Stats(),
 		MaxBytes:      a.cache.maxBytes,
 		UptimeSeconds: time.Since(a.started).Seconds(),
 	})

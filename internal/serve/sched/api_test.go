@@ -20,7 +20,7 @@ func newTestAPI(t *testing.T) (*API, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	a := NewAPI(Options{
-		Cache:    NewCache(4, 0, reg),
+		Cache:    NewCache(0, reg),
 		Registry: reg,
 	})
 	a.SetReady(true)
@@ -272,7 +272,7 @@ func TestExplainEndpoint(t *testing.T) {
 
 func TestHealthAndReady(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := NewAPI(Options{Cache: NewCache(1, 0, reg), Registry: reg})
+	a := NewAPI(Options{Cache: NewCache(0, reg), Registry: reg})
 	h := a.Handler()
 
 	rec, _ := get(t, h, "/healthz")
@@ -311,11 +311,71 @@ func TestDebugCacheEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &dbg); err != nil {
 		t.Fatal(err)
 	}
-	if len(dbg.Shards) != a.cache.Shards() {
-		t.Fatalf("%d shard rows, want %d", len(dbg.Shards), a.cache.Shards())
-	}
 	if dbg.Totals.Misses != 2 || dbg.Totals.Hits != 2 || dbg.Totals.Size != 2 {
 		t.Fatalf("totals = %+v, want 2 misses, 2 hits, 2 entries", dbg.Totals)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if len(fields) != 3 || fields["totals"] == nil || fields["max_bytes"] == nil || fields["uptime_seconds"] == nil {
+		t.Fatalf("/debug/cache = %s, want exactly totals, max_bytes and uptime_seconds", body)
+	}
+}
+
+// TestRequestDefaultsOneKey: a request that leaves out o and l gets the
+// same defaults whether it arrives as a query string, a POST body, a batch
+// element or a sweep, and an explicit zero is checked, not defaulted.
+func TestRequestDefaultsOneKey(t *testing.T) {
+	a, _ := newTestAPI(t)
+	h := a.Handler()
+	const want = "broadcast/logtime/P8/L6/o2/g4"
+	var keys []string
+	var env Envelope
+	_, body := get(t, h, "/v1/schedule?op=broadcast&p=8&schedule=false")
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("GET: %v: %s", err, body)
+	}
+	keys = append(keys, env.Key)
+	env = Envelope{}
+	_, body = post(t, h, "/v1/schedule?schedule=false", `{"op":"broadcast","p":8}`)
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("POST: %v: %s", err, body)
+	}
+	keys = append(keys, env.Key)
+	for _, batch := range []string{
+		`{"requests":[{"op":"broadcast","p":8}]}`,
+		`{"sweep":{"op":"broadcast","p":[8]}}`,
+	} {
+		var resp BatchResponse
+		_, body = post(t, h, "/v1/batch", batch)
+		if err := json.Unmarshal(body, &resp); err != nil || resp.Count != 1 {
+			t.Fatalf("%s: %v: %s", batch, err, body)
+		}
+		if resp.Results[0].Error != "" {
+			t.Fatalf("%s: %s", batch, resp.Results[0].Error)
+		}
+		keys = append(keys, resp.Results[0].Key)
+	}
+	for i, k := range keys {
+		if k != want {
+			t.Errorf("path %d (GET, POST, batch element, sweep): key %q, want %q", i, k, want)
+		}
+	}
+
+	for _, tc := range []struct{ body, want string }{
+		{`{"op":"broadcast","p":8,"l":0}`, "l must be at least 1"},
+		{`{"op":"kitem","p":8,"k":0}`, "k must be at least 1"},
+		{`{"op":"broadcast","p":8,"x":1}`, "unknown field"},
+	} {
+		rec, body := post(t, h, "/v1/schedule", tc.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("POST %s: status %d, body %q; want 400 with %q", tc.body, rec.Code, body, tc.want)
+		}
+	}
+	_, body = post(t, h, "/v1/batch", `{"requests":[{"op":"broadcast","p":8,"x":1}]}`)
+	if !strings.Contains(string(body), "unknown field") {
+		t.Errorf("batch element with an unknown field: %s", body)
 	}
 }
 
@@ -327,11 +387,10 @@ func TestDebugInflightEndpoint(t *testing.T) {
 	// entry we pre-insert and never complete, so the handler coalesces and
 	// blocks until released.
 	k := testKey(t, Request{Op: "broadcast", P: 77, L: 6, O: 2, G: 4, K: 1})
-	sh := a.cache.shards[k.Shard(a.cache.Shards())]
 	blocked := &entry{ready: make(chan struct{})}
-	sh.mu.Lock()
-	sh.entries[k] = blocked
-	sh.mu.Unlock()
+	a.cache.mu.Lock()
+	a.cache.entries[k] = blocked
+	a.cache.mu.Unlock()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -434,7 +493,7 @@ func TestTraceSpansPerRequest(t *testing.T) {
 	reg := obs.NewRegistry()
 	var sink bytes.Buffer
 	tr := obs.NewTracer()
-	a := NewAPI(Options{Cache: NewCache(1, 0, reg), Registry: reg, Tracer: tr})
+	a := NewAPI(Options{Cache: NewCache(0, reg), Registry: reg, Tracer: tr})
 	a.SetReady(true)
 	h := a.Handler()
 

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"logpopt/internal/logp"
@@ -54,25 +53,10 @@ type entry struct {
 	err   error
 	elem  *list.Element // LRU position once ready; nil while in flight
 	bytes int64
-	stamp uint64 // cache-wide recency: the clock at insert or at the last hit
 }
 
-// shard is one lock domain of the cache: a map of entries plus an LRU list
-// of the ready ones, newest at the front. Stamps are taken under the shard's
-// lock as entries move to the front, so they fall from front to back and the
-// back is the shard's oldest entry.
-type shard struct {
-	mu        sync.Mutex
-	entries   map[Key]*entry
-	lru       list.List // of *entry
-	bytes     int64
-	hits      int64
-	misses    int64
-	coalesced int64
-	evictions int64
-}
-
-// ShardStats is one shard's row of /debug/cache.
+// ShardStats is the cache's counters: the totals row of /debug/cache.
+// perfbench decodes that row into this type, so it keeps its name.
 type ShardStats struct {
 	Size      int   `json:"size"`
 	Bytes     int64 `json:"bytes"`
@@ -82,54 +66,38 @@ type ShardStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// Add folds o into s (for the /debug/cache totals row).
-func (s *ShardStats) Add(o ShardStats) {
-	s.Size += o.Size
-	s.Bytes += o.Bytes
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Coalesced += o.Coalesced
-	s.Evictions += o.Evictions
-}
-
-// Cache is the sharded, memory-bounded schedule cache. Shards are lock
-// domains: each holds its own lock, entry map and LRU list, and a key's
-// shard is fixed by its canonical hash, so a hit takes one shard's lock and
-// a thundering herd on one key contends on exactly one shard and computes
-// the answer exactly once. The byte budget is one budget for the whole
-// cache: when an insert pushes the total past it, evict drops the
-// least-recently-used entry of any shard, by a cache-wide recency stamp,
-// until the total fits.
+// Cache is the memory-bounded schedule cache: one lock over one map of
+// entries and one LRU list of the ready ones, newest at the front. A key is
+// solved outside the lock, exactly once however many requests race for it.
+// When an insert pushes the charged bytes past the budget, the entries at
+// the back of the list are dropped, under the insert's lock, until the
+// total fits.
 type Cache struct {
-	shards   []*shard
 	maxBytes int64 // budget for the whole cache; 0 = unbounded
 
-	clock   atomic.Uint64 // source of recency stamps
-	bytes   atomic.Int64  // bytes charged by ready entries, all shards
-	size    atomic.Int64  // slots, ready and in flight, all shards
-	evictMu sync.Mutex    // one evictor at a time; taken before, never under, a shard lock
+	mu      sync.Mutex
+	entries map[Key]*entry // ready and in flight
+	lru     list.List      // of *entry, ready only
+	stats   ShardStats     // Size is len(entries) and is filled in by Stats
 
-	// Registry mirrors of the per-shard counters, so /metrics sees cache
-	// behavior without /debug/cache's lock sweep.
+	// Registry mirrors of the counters, so /metrics sees cache behavior
+	// without taking the lock.
 	mHits, mMisses, mCoalesced, mEvictions, mSolveErrors *obs.Counter
 	mBytes, mEntries                                     *obs.Gauge
 	hSolve                                               *obs.Histogram
 }
 
-// NewCache builds a cache with n shards (n < 1 means 1) holding at most
-// maxBytes of serialized schedules across all shards (0 = unbounded). An
-// answer larger than maxBytes on its own is served but never cached. reg
-// receives the mirrored servd.cache.* metrics; nil uses obs.Default.
-func NewCache(n int, maxBytes int64, reg *obs.Registry) *Cache {
-	if n < 1 {
-		n = 1
-	}
+// NewCache builds a cache holding at most maxBytes of serialized schedules
+// (0 = unbounded). An answer larger than maxBytes on its own is served but
+// never cached. reg receives the mirrored servd.cache.* metrics; nil uses
+// obs.Default.
+func NewCache(maxBytes int64, reg *obs.Registry) *Cache {
 	if reg == nil {
 		reg = obs.Default
 	}
-	c := &Cache{
-		shards:       make([]*shard, n),
+	return &Cache{
 		maxBytes:     maxBytes,
+		entries:      make(map[Key]*entry),
 		mHits:        reg.Counter("servd.cache.hits"),
 		mMisses:      reg.Counter("servd.cache.misses"),
 		mCoalesced:   reg.Counter("servd.cache.coalesced"),
@@ -139,14 +107,7 @@ func NewCache(n int, maxBytes int64, reg *obs.Registry) *Cache {
 		mEntries:     reg.Gauge("servd.cache.entries"),
 		hSolve:       reg.Histogram("servd.cache.solve.us"),
 	}
-	for i := range c.shards {
-		c.shards[i] = &shard{entries: make(map[Key]*entry)}
-	}
-	return c
 }
-
-// Shards returns the shard count.
-func (c *Cache) Shards() int { return len(c.shards) }
 
 // SolvePanic is the error a waiter gets when the solve for its key
 // panicked: the fault is the server's, not the request's.
@@ -167,123 +128,68 @@ func (e *SolvePanic) Error() string {
 // whole budget: this request and its waiters get it, and the slot is
 // dropped without evicting anything else.
 func (c *Cache) Get(k Key) (*Result, Outcome, error) {
-	sh := c.shards[k.Shard(len(c.shards))]
-	sh.mu.Lock()
-	if e, ok := sh.entries[k]; ok {
+	c.mu.Lock()
+	if e, ok := c.entries[k]; ok {
 		select {
 		case <-e.ready:
 			// Ready: a plain hit. Failed and oversized solves leave the map
 			// before ready closes, so a ready entry holds a result.
-			sh.hits++
-			e.stamp = c.clock.Add(1)
-			sh.lru.MoveToFront(e.elem)
-			sh.mu.Unlock()
+			c.stats.Hits++
+			c.lru.MoveToFront(e.elem)
+			c.mu.Unlock()
 			c.mHits.Inc()
 			return e.res, Hit, nil
 		default:
 			// In flight: coalesce onto the solver already running.
-			sh.coalesced++
-			sh.mu.Unlock()
+			c.stats.Coalesced++
+			c.mu.Unlock()
 			c.mCoalesced.Inc()
 			<-e.ready
-			if e.err != nil {
-				return nil, Coalesced, e.err
-			}
-			return e.res, Coalesced, nil
+			return e.res, Coalesced, e.err
 		}
 	}
 	e := &entry{key: k, ready: make(chan struct{})}
-	sh.entries[k] = e
-	sh.misses++
-	sh.mu.Unlock()
-	c.size.Add(1)
+	c.entries[k] = e
+	c.stats.Misses++
+	c.mu.Unlock()
 	c.mMisses.Inc()
 
 	res, err := c.fill(k)
-	charge := int64(0)
+	e.res, e.err = res, err
 	if err == nil {
-		charge = int64(len(res.JSON)) + 64
+		e.bytes = int64(len(res.JSON)) + 64
 	}
-	cached := err == nil && (c.maxBytes <= 0 || charge <= c.maxBytes)
-	sh.mu.Lock()
-	if cached {
-		e.res, e.bytes = res, charge
-		e.stamp = c.clock.Add(1)
-		e.elem = sh.lru.PushFront(e)
-		sh.bytes += charge
-		c.bytes.Add(charge)
+	c.mu.Lock()
+	if err == nil && (c.maxBytes <= 0 || e.bytes <= c.maxBytes) {
+		e.elem = c.lru.PushFront(e)
+		c.stats.Bytes += e.bytes
+		c.evict()
 	} else {
 		// Drop the slot so the next request retries (or re-solves the
-		// oversized answer), then wake the coalesced waiters.
-		delete(sh.entries, k)
-		e.res, e.err = res, err
-		c.size.Add(-1)
+		// oversized answer).
+		delete(c.entries, k)
 	}
-	sh.mu.Unlock()
+	c.mEntries.Set(int64(len(c.entries)))
+	c.mBytes.Set(c.stats.Bytes)
+	c.mu.Unlock()
 	close(e.ready)
-	if cached {
-		c.evict(e)
-	}
-	c.publishGauges()
 	if err != nil {
 		c.mSolveErrors.Inc()
-		return nil, Miss, err
 	}
-	return res, Miss, nil
+	return res, Miss, err
 }
 
-// evict drops least-recently-used ready entries, across all shards, until
-// the cache's charged bytes fit its budget; keep (the entry its caller just
-// inserted) is never dropped. Each round scans the shards for the one whose
-// oldest entry has the oldest stamp, then rechecks that entry under the
-// shard's lock before dropping it: a hit in between restamps it, and the
-// round scans again. Lock order is evictMu, then one shard lock at a time;
-// the caller holds no shard lock. In-flight entries are not in the LRU
-// lists and therefore survive.
-func (c *Cache) evict(keep *entry) {
-	if c.maxBytes <= 0 || c.bytes.Load() <= c.maxBytes {
-		return
+// evict drops entries from the back of the LRU list, least recently used
+// first, until the charged bytes fit the budget. The front entry, the one
+// its caller just inserted, is never dropped. Caller holds c.mu.
+func (c *Cache) evict() {
+	for c.maxBytes > 0 && c.stats.Bytes > c.maxBytes && c.lru.Len() > 1 {
+		v := c.lru.Remove(c.lru.Back()).(*entry)
+		delete(c.entries, v.key)
+		c.stats.Bytes -= v.bytes
+		c.stats.Evictions++
+		c.mEvictions.Inc()
 	}
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
-	for c.bytes.Load() > c.maxBytes {
-		var victim *shard
-		var oldest uint64
-		for _, sh := range c.shards {
-			sh.mu.Lock()
-			if v := sh.oldest(keep); v != nil && (victim == nil || v.stamp < oldest) {
-				victim, oldest = sh, v.stamp
-			}
-			sh.mu.Unlock()
-		}
-		if victim == nil {
-			return // nothing but keep is droppable
-		}
-		victim.mu.Lock()
-		if v := victim.oldest(keep); v != nil && v.stamp == oldest {
-			victim.lru.Remove(v.elem)
-			delete(victim.entries, v.key)
-			victim.bytes -= v.bytes
-			victim.evictions++
-			c.bytes.Add(-v.bytes)
-			c.size.Add(-1)
-			c.mEvictions.Inc()
-		}
-		victim.mu.Unlock()
-	}
-}
-
-// oldest returns the shard's least-recently-used ready entry other than
-// keep, or nil. Caller holds sh.mu.
-func (sh *shard) oldest(keep *entry) *entry {
-	el := sh.lru.Back()
-	if el != nil && el.Value.(*entry) == keep {
-		el = el.Prev()
-	}
-	if el == nil {
-		return nil
-	}
-	return el.Value.(*entry)
 }
 
 // fill runs solve for the request leading k's slot, turning a panic into a
@@ -326,26 +232,11 @@ func (c *Cache) solve(k Key) (*Result, error) {
 	return res, nil
 }
 
-// publishGauges refreshes the registry's view of cache occupancy.
-func (c *Cache) publishGauges() {
-	c.mEntries.Set(c.size.Load())
-	c.mBytes.Set(c.bytes.Load())
-}
-
-// Stats snapshots every shard for /debug/cache.
-func (c *Cache) Stats() []ShardStats {
-	out := make([]ShardStats, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		out[i] = ShardStats{
-			Size:      len(sh.entries),
-			Bytes:     sh.bytes,
-			Hits:      sh.hits,
-			Misses:    sh.misses,
-			Coalesced: sh.coalesced,
-			Evictions: sh.evictions,
-		}
-		sh.mu.Unlock()
-	}
-	return out
+// Stats snapshots the cache's counters for /debug/cache.
+func (c *Cache) Stats() ShardStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.stats
+	st.Size = len(c.entries)
+	return st
 }

@@ -33,7 +33,7 @@ func testKey(t *testing.T, req Request) Key {
 func TestCacheCoalescing(t *testing.T) {
 	const n = 32
 	reg := obs.NewRegistry()
-	c := NewCache(4, 0, reg)
+	c := NewCache(0, reg)
 	k := testKey(t, Request{Op: "broadcast", P: 512, L: 6, O: 2, G: 4, K: 1})
 
 	// Gate every goroutine on a barrier so the requests are genuinely
@@ -74,9 +74,9 @@ func TestCacheCoalescing(t *testing.T) {
 		t.Fatalf("%d distinct JSON payloads for one key, want 1", len(results))
 	}
 
-	total := totals(c)
+	total := c.Stats()
 	if total.Misses != 1 {
-		t.Fatalf("shard stats misses = %d, want 1", total.Misses)
+		t.Fatalf("cache stats misses = %d, want 1", total.Misses)
 	}
 	if total.Hits+total.Coalesced != n-1 {
 		t.Fatalf("hits+coalesced = %d, want %d", total.Hits+total.Coalesced, n-1)
@@ -87,7 +87,7 @@ func TestCacheCoalescing(t *testing.T) {
 }
 
 func TestCacheHitServesSameBytes(t *testing.T) {
-	c := NewCache(2, 0, obs.NewRegistry())
+	c := NewCache(0, obs.NewRegistry())
 	k := testKey(t, Request{Op: "broadcast", P: 8, L: 6, O: 2, G: 4, K: 1})
 	first, out, err := c.Get(k)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestCacheHitServesSameBytes(t *testing.T) {
 // byte budget (len(JSON)+64 per entry) charges what the entry really pins,
 // and the body is exactly what WriteJSON streams for the compiled schedule.
 func TestCacheEntriesExactSize(t *testing.T) {
-	c := NewCache(1, 0, obs.NewRegistry())
+	c := NewCache(0, obs.NewRegistry())
 	var charged int64
 	for _, op := range []string{"broadcast", "reduce", "scan", "binomial"} {
 		for _, p := range []int{1, 300, 3000} {
@@ -145,7 +145,7 @@ func TestCacheEntriesExactSize(t *testing.T) {
 			charged += int64(len(res.JSON)) + 64
 		}
 	}
-	if got := c.Stats()[0].Bytes; got != charged {
+	if got := c.Stats().Bytes; got != charged {
 		t.Fatalf("cache charges %d bytes, want %d", got, charged)
 	}
 }
@@ -155,7 +155,7 @@ func TestCacheEntriesExactSize(t *testing.T) {
 // ~11 MB body, so a live-heap growth under 1.25 × len(JSON) across the
 // solve proves the entry retains no event slice.
 func TestCachedResultHoldsOnlyJSON(t *testing.T) {
-	c := NewCache(1, 0, obs.NewRegistry())
+	c := NewCache(0, obs.NewRegistry())
 	k := testKey(t, Request{Op: "broadcast", P: 100000, L: 6, O: 2, G: 4, K: 1})
 	logtime.B(k.Machine(), k.P) // grow the shared counting tables outside the measurement
 	var before, after runtime.MemStats
@@ -180,7 +180,7 @@ func TestCachedResultHoldsOnlyJSON(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	// A budget that holds only a few small schedules.
-	c := NewCache(1, 2048, reg)
+	c := NewCache(2048, reg)
 	keys := make([]Key, 0, 12)
 	for p := 2; p < 14; p++ {
 		keys = append(keys, testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1}))
@@ -190,7 +190,7 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	total := totals(c)
+	total := c.Stats()
 	if total.Evictions == 0 {
 		t.Fatalf("no evictions after inserting %d entries into a 2 KiB cache (bytes=%d)", len(keys), total.Bytes)
 	}
@@ -211,7 +211,7 @@ func TestCacheEviction(t *testing.T) {
 // the next identical request retries (and fails again, freshly).
 func TestCacheErrorNotCached(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewCache(1, 0, reg)
+	c := NewCache(0, reg)
 	// kitem with k=2, P=1 in the postal model: capacity C(L)=1 < k, so the
 	// solver reports infeasibility.
 	k := Key{Op: "kitem", P: 1, L: 1, O: 0, G: 1, K: 5}
@@ -229,7 +229,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if out != Miss {
 		t.Fatalf("second failed request outcome = %q, want miss (errors must not cache)", out)
 	}
-	total := totals(c)
+	total := c.Stats()
 	if total.Size != 0 {
 		t.Fatalf("cache holds %d entries after only failed solves, want 0", total.Size)
 	}
@@ -242,7 +242,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 // the one tree builder, so the second spelling is a cache hit on the first
 // one's entry, not a second solve.
 func TestCacheConstructorRespected(t *testing.T) {
-	c := NewCache(1, 0, obs.NewRegistry())
+	c := NewCache(0, obs.NewRegistry())
 	ks := testKey(t, Request{Op: "broadcast", P: 600, L: 6, O: 2, G: 4, K: 1, Constructor: "search"})
 	kl := testKey(t, Request{Op: "broadcast", P: 600, L: 6, O: 2, G: 4, K: 1, Constructor: "logtime"})
 	if ks != kl {
@@ -257,7 +257,7 @@ func TestCacheConstructorRespected(t *testing.T) {
 }
 
 func TestSolveErrorMentionsOp(t *testing.T) {
-	c := NewCache(1, 0, obs.NewRegistry())
+	c := NewCache(0, obs.NewRegistry())
 	k := Key{Op: "nosuch", P: 4, L: 6, O: 2, G: 4}
 	_, _, err := c.Get(k)
 	if err == nil || !strings.Contains(err.Error(), "unknown op") {
@@ -291,7 +291,7 @@ func TestSolvePanicAnswers500(t *testing.T) {
 			t.Fatalf("request %d took %v", i, d)
 		}
 	}
-	total := totals(a.cache)
+	total := a.cache.Stats()
 	if total.Size != 0 || total.Misses != 2 {
 		t.Fatalf("cache after two panicking solves: %+v, want no entry and 2 misses", total)
 	}
@@ -313,20 +313,11 @@ func TestSolvePanicAnswers500(t *testing.T) {
 // per-entry overhead.
 func charged(t *testing.T, k Key) int64 {
 	t.Helper()
-	res, _, err := NewCache(1, 0, obs.NewRegistry()).Get(k)
+	res, _, err := NewCache(0, obs.NewRegistry()).Get(k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return int64(len(res.JSON)) + 64
-}
-
-// totals sums c's per-shard rows, as /debug/cache's totals row does.
-func totals(c *Cache) ShardStats {
-	var total ShardStats
-	for _, s := range c.Stats() {
-		total.Add(s)
-	}
-	return total
 }
 
 // wantOutcome fetches k and fails unless the cache answers with want.
@@ -341,14 +332,14 @@ func wantOutcome(t *testing.T, c *Cache, k Key, want Outcome) {
 // reaches the request that solved it and every request coalesced onto it,
 // but the cache keeps no slot for it and evicts nothing to make room.
 func TestCacheOversizedServedNotCached(t *testing.T) {
-	c := NewCache(1, 2048, obs.NewRegistry())
+	c := NewCache(2048, obs.NewRegistry())
 	var small []Key
 	for p := 2; p < 6; p++ {
 		k := testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1})
 		wantOutcome(t, c, k, Miss)
 		small = append(small, k)
 	}
-	before := totals(c)
+	before := c.Stats()
 	big := testKey(t, Request{Op: "broadcast", P: 3000, L: 6, O: 2, G: 4, K: 1})
 	comp, err := Compile(big.Machine(), big.Op, 1, 0, logtime.Tree)
 	if err != nil {
@@ -374,57 +365,41 @@ func TestCacheOversizedServedNotCached(t *testing.T) {
 		wantOutcome(t, c, k, Hit)
 	}
 	wantOutcome(t, c, big, Miss)
-	after := totals(c)
+	after := c.Stats()
 	if after.Size != len(small) || after.Bytes != before.Bytes || after.Evictions != 0 {
 		t.Fatalf("cache after oversized answers: %+v, want the %d small entries (%d bytes) and no eviction",
 			after, len(small), before.Bytes)
 	}
 }
 
-// TestCacheBudgetIsCacheWide: two keys that share a shard, each larger than
-// the budget's per-shard share but together within the budget, both stay.
+// TestCacheBudgetIsCacheWide: two keys that together fill the budget
+// exactly both stay.
 func TestCacheBudgetIsCacheWide(t *testing.T) {
-	const shards = 16
 	first := testKey(t, Request{Op: "broadcast", P: 1000, L: 6, O: 2, G: 4, K: 1})
-	second := first
-	for p := 1001; second == first; p++ {
-		if k := testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1}); k.Shard(shards) == first.Shard(shards) {
-			second = k
-		}
-	}
+	second := testKey(t, Request{Op: "broadcast", P: 1001, L: 6, O: 2, G: 4, K: 1})
 	budget := charged(t, first) + charged(t, second)
-	if min(charged(t, first), charged(t, second)) <= budget/shards {
-		t.Fatalf("keys of %d and %d bytes fit a %d-byte shard share", charged(t, first), charged(t, second), budget/shards)
-	}
-	c := NewCache(shards, budget, obs.NewRegistry())
+	c := NewCache(budget, obs.NewRegistry())
 	wantOutcome(t, c, first, Miss)
 	wantOutcome(t, c, second, Miss)
 	wantOutcome(t, c, first, Hit)
 	wantOutcome(t, c, second, Hit)
-	if got := totals(c); got.Evictions != 0 || got.Bytes != budget {
+	if got := c.Stats(); got.Evictions != 0 || got.Bytes != budget {
 		t.Fatalf("cache %+v, want both entries (%d bytes) and no eviction", got, budget)
 	}
 }
 
 // TestCacheEvictsCacheWideLRU: eviction drops the least-recently-used entry
-// of the whole cache, whichever shard holds it. Four keys sit in four
-// shards; after a hit on the first, inserting the fourth must drop the
-// second.
+// of the whole cache. With three keys filling the budget, after a hit on
+// the first, inserting the fourth must drop the second.
 func TestCacheEvictsCacheWideLRU(t *testing.T) {
-	const shards = 4
 	var keys []Key
-	used := map[int]bool{}
-	for p := 100; len(keys) < shards; p++ {
-		k := testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1})
-		if !used[k.Shard(shards)] {
-			used[k.Shard(shards)] = true
-			keys = append(keys, k)
-		}
+	for p := 100; p < 104; p++ {
+		keys = append(keys, testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1}))
 	}
 	// The victim must be the largest, so that dropping it alone makes room.
 	slices.SortFunc(keys, func(a, b Key) int { return cmp.Compare(charged(t, a), charged(t, b)) })
 	first, third, fourth, second := keys[0], keys[1], keys[2], keys[3]
-	c := NewCache(shards, charged(t, first)+charged(t, second)+charged(t, third), obs.NewRegistry())
+	c := NewCache(charged(t, first)+charged(t, second)+charged(t, third), obs.NewRegistry())
 	for _, k := range []Key{first, second, third} {
 		wantOutcome(t, c, k, Miss)
 	}
@@ -433,14 +408,14 @@ func TestCacheEvictsCacheWideLRU(t *testing.T) {
 	for _, k := range []Key{first, third, fourth} {
 		wantOutcome(t, c, k, Hit)
 	}
-	if got := totals(c); got.Evictions != 1 {
+	if got := c.Stats(); got.Evictions != 1 {
 		t.Fatalf("%d evictions, want 1", got.Evictions)
 	}
 	wantOutcome(t, c, second, Miss)
 }
 
-// TestCacheConcurrentStress races Gets over many keys on every shard of a
-// cache far smaller than the keys' bodies, some of them larger than the
+// TestCacheConcurrentStress races Gets over many keys on a cache far
+// smaller than the keys' bodies, some of them larger than the
 // whole budget. Once the Gets return, the cache must fit its budget, its
 // ledger must account for every lookup, and no goroutine may be left behind. Run it under -race.
 func TestCacheConcurrentStress(t *testing.T) {
@@ -450,7 +425,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 		budget  = 64 << 10
 	)
 	base := runtime.NumGoroutine()
-	c := NewCache(8, budget, obs.NewRegistry())
+	c := NewCache(budget, obs.NewRegistry())
 	var keys []Key
 	for p := 2; p < 120; p += 3 {
 		keys = append(keys, testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1}))
@@ -483,7 +458,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("concurrent Gets did not finish within 60s: deadlock")
 	}
-	total := totals(c)
+	total := c.Stats()
 	if total.Bytes > budget {
 		t.Errorf("cache holds %d bytes, budget %d", total.Bytes, budget)
 	}
@@ -501,4 +476,29 @@ func TestCacheConcurrentStress(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after the stress, %d before", n, base)
 	}
+}
+
+// BenchmarkCacheHitParallel times parallel cache hits on 16 warm keys: the
+// cost of the hit path's lock, lookup and LRU move, with no HTTP around it.
+func BenchmarkCacheHitParallel(b *testing.B) {
+	c := NewCache(0, obs.NewRegistry())
+	var keys []Key
+	for p := 2; p < 18; p++ {
+		k, err := Canonicalize(Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1}, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := c.Get(k); err != nil {
+			b.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, out, _ := c.Get(keys[i%len(keys)]); out != Hit {
+				b.Fatalf("outcome %q, want hit", out)
+			}
+		}
+	})
 }

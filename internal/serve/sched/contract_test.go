@@ -83,7 +83,7 @@ func TestWireContract(t *testing.T) {
 
 // TestKeySpellingStable: keys at P >= 512 resolved to "logtime" before the
 // search constructor was retired too, so their canonical spelling, and with
-// it shard placement and archived run-store keys, must not move.
+// it archived run-store keys, must not move.
 func TestKeySpellingStable(t *testing.T) {
 	cases := []struct {
 		req  Request

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,9 +11,8 @@ import (
 )
 
 // Request is one schedule question as it arrives from a client, either as
-// /v1/schedule query parameters or as an element of a /v1/batch body.
-// Unset numeric fields take the same defaults as cmd/logpsched's flags
-// (L=6, o=2, g=4, k=1); P is required.
+// /v1/schedule query parameters, a POST body or an element of a /v1/batch
+// body. Absent fields take the values in defaults; P is required.
 type Request struct {
 	Op          string    `json:"op"`
 	Constructor string    `json:"constructor,omitempty"` // "", "auto", "search", "logtime": all mean logtime
@@ -21,6 +22,27 @@ type Request struct {
 	G           logp.Time `json:"g"`
 	K           int       `json:"k,omitempty"`
 	Deadline    logp.Time `json:"t,omitempty"`
+}
+
+// defaults holds the value of every Request field a client leaves out, on
+// every path: the query string, a POST body, a batch element and a sweep's
+// empty axes. They match cmd/logpsched's flags. An empty op is broadcast
+// (Canonicalize).
+var defaults = Request{L: 6, O: 2, G: 4, K: 1}
+
+// UnmarshalJSON decodes a JSON request over the defaults, so an absent
+// field takes its default and an explicit one, zero included, is kept for
+// Canonicalize to check. Unknown fields are an error.
+func (r *Request) UnmarshalJSON(b []byte) error {
+	type fields Request // without this method
+	f := fields(defaults)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
+		return err
+	}
+	*r = Request(f)
+	return nil
 }
 
 // Key is the canonical cache identity of a request: machine parameters the
@@ -36,7 +58,7 @@ type Key struct {
 	Deadline    logp.Time
 }
 
-// String renders the key in its canonical, shard-hashable spelling.
+// String renders the key in its canonical spelling.
 func (k Key) String() string {
 	var b strings.Builder
 	b.WriteString(k.Op)
@@ -132,9 +154,9 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
-// Shard maps the key onto one of n cache shards. The canonical string is
-// hashed, so equivalent requests (which canonicalize to equal keys) always
-// land on the same shard.
+// Shard maps the key onto one of n buckets by a hash of its canonical
+// string, so equal keys share a bucket. The cache does not use it;
+// perfbench orders its hot requests by it.
 func (k Key) Shard(n int) int {
 	if n <= 1 {
 		return 0
@@ -151,15 +173,11 @@ func parseTime(s string) (logp.Time, error) {
 	return logp.Time(v), nil
 }
 
-// ParseQuery builds a Request from /v1/schedule-style query parameters,
-// applying the CLI defaults for machine parameters that are absent.
+// ParseQuery builds a Request from /v1/schedule-style query parameters;
+// absent parameters take the defaults.
 func ParseQuery(get func(string) string) (Request, error) {
-	req := Request{
-		Op:          get("op"),
-		Constructor: get("constructor"),
-		L:           6, O: 2, G: 4,
-		K: 1,
-	}
+	req := defaults
+	req.Op, req.Constructor = get("op"), get("constructor")
 	fields := []struct {
 		name string
 		set  func(logp.Time)

@@ -17,7 +17,12 @@ import (
 // bases.
 const TracePID = 5
 
-// inflightInfo is one live request, as listed by /debug/inflight.
+// inflightInfo is one live request: its row of /debug/inflight and the
+// annotation slot its handler fills in as it learns what the request is
+// (op, canonical key, cache outcome). The annotations are written under the
+// API's in-flight lock, so /debug/inflight can say what each live request
+// is computing, and the middleware reads them back to label metrics, spans
+// and logs.
 type inflightInfo struct {
 	ID        int64  `json:"id"`
 	Endpoint  string `json:"endpoint"`
@@ -27,54 +32,36 @@ type inflightInfo struct {
 	Key       string `json:"key,omitempty"`
 	AgeMicros int64  `json:"age_us"`
 
-	start time.Time
-}
-
-// reqInfo is the per-request annotation slot handlers fill in as they learn
-// what the request is (op, canonical key, cache outcome). Annotations are
-// written through to the in-flight table under the API's lock, so
-// /debug/inflight can say what each live request is computing, and read
-// back by the middleware to label metrics, spans, and logs.
-type reqInfo struct {
 	a       *API
-	id      int64
-	op      string
-	key     string
+	start   time.Time
 	outcome Outcome
 }
 
-func (ri *reqInfo) setOp(op string) {
-	ri.a.inflightMu.Lock()
-	ri.op = op
-	if info, ok := ri.a.inflight[ri.id]; ok {
-		info.Op = op
-	}
-	ri.a.inflightMu.Unlock()
+func (info *inflightInfo) setOp(op string) {
+	info.a.inflightMu.Lock()
+	info.Op = op
+	info.a.inflightMu.Unlock()
 }
 
-func (ri *reqInfo) setKey(k Key, o Outcome) {
-	ri.a.inflightMu.Lock()
-	ri.op, ri.key, ri.outcome = k.Op, k.String(), o
-	if info, ok := ri.a.inflight[ri.id]; ok {
-		info.Op, info.Key = k.Op, k.String()
-	}
-	ri.a.inflightMu.Unlock()
+// setKey publishes the key before the (possibly long) solve starts, so
+// /debug/inflight shows what a stuck request was computing.
+func (info *inflightInfo) setKey(k Key) {
+	s := k.String()
+	info.a.inflightMu.Lock()
+	info.Op, info.Key = k.Op, s
+	info.a.inflightMu.Unlock()
 }
 
-// setInFlightKey publishes the key before the (possibly long) solve starts,
-// so /debug/inflight shows what a stuck request was computing.
-func (ri *reqInfo) setInFlightKey(k Key) {
-	ri.a.inflightMu.Lock()
-	if info, ok := ri.a.inflight[ri.id]; ok {
-		info.Op, info.Key = k.Op, k.String()
-	}
-	ri.a.inflightMu.Unlock()
+func (info *inflightInfo) setOutcome(o Outcome) {
+	info.a.inflightMu.Lock()
+	info.outcome = o
+	info.a.inflightMu.Unlock()
 }
 
-func (ri *reqInfo) snapshot() (op, key string, outcome Outcome) {
-	ri.a.inflightMu.Lock()
-	defer ri.a.inflightMu.Unlock()
-	return ri.op, ri.key, ri.outcome
+func (info *inflightInfo) snapshot() (op, key string, outcome Outcome) {
+	info.a.inflightMu.Lock()
+	defer info.a.inflightMu.Unlock()
+	return info.Op, info.Key, info.outcome
 }
 
 // statusWriter records the status code and body size a handler produced.
@@ -100,8 +87,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// handlerFunc is an API handler with its annotation slot.
-type handlerFunc func(w http.ResponseWriter, r *http.Request, ri *reqInfo)
+// handlerFunc is an API handler with its request's annotation slot.
+type handlerFunc func(w http.ResponseWriter, r *http.Request, info *inflightInfo)
 
 // wrap is the instrumentation stack every endpoint flows through, outermost
 // first: request id assignment, in-flight registration, the handler, then
@@ -113,18 +100,18 @@ func (a *API) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 		id := a.nextID.Add(1)
 		start := time.Now()
 		startTS := a.tracer.Now()
-		ri := &reqInfo{a: a, id: id}
-		a.inflightMu.Lock()
-		a.inflight[id] = &inflightInfo{
+		info := &inflightInfo{
 			ID: id, Endpoint: endpoint, Method: r.Method,
-			Query: r.URL.RawQuery, start: start,
+			Query: r.URL.RawQuery, a: a, start: start,
 		}
+		a.inflightMu.Lock()
+		a.inflight[id] = info
 		n := len(a.inflight)
 		a.inflightMu.Unlock()
 		a.gInflight.Set(int64(n))
 
 		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r, ri)
+		h(sw, r, info)
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
@@ -137,7 +124,7 @@ func (a *API) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 
 		dur := time.Since(start)
 		us := dur.Microseconds()
-		op, key, outcome := ri.snapshot()
+		op, key, outcome := info.snapshot()
 
 		red := func(prefix string) {
 			a.reg.Counter(prefix + ".requests").Inc()
@@ -195,10 +182,10 @@ func (a *API) Inflight() []inflightInfo {
 	now := time.Now()
 	a.inflightMu.Lock()
 	out := make([]inflightInfo, 0, len(a.inflight))
-	for _, ri := range a.inflight {
-		info := *ri
-		info.AgeMicros = now.Sub(ri.start).Microseconds()
-		out = append(out, info)
+	for _, info := range a.inflight {
+		row := *info
+		row.AgeMicros = now.Sub(info.start).Microseconds()
+		out = append(out, row)
 	}
 	a.inflightMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

@@ -1,7 +1,7 @@
 // Package sched is the scheduling service behind cmd/logpservd: the
 // operation compiler shared with cmd/logpsched, a canonical cache key over
-// (op, constructor, P, L, o, g, k, t), a sharded schedule cache under one
-// cache-wide byte budget with singleflight request coalescing, and an
+// (op, constructor, P, L, o, g, k, t), a schedule cache (one lock, one LRU
+// list, one byte budget) with singleflight request coalescing, and an
 // instrumented HTTP/JSON API (/v1/schedule, /v1/batch, /v1/explain) with
 // RED metrics, request-scoped tracing, structured logging, and live
 // introspection endpoints (/healthz, /readyz, /debug/inflight,
