@@ -23,7 +23,7 @@ bench:
 
 # Machine-readable benchmark results (BENCH_3.json): wall time plus the
 # solver/sim effort counters the benchmarks report via b.ReportMetric
-# (nodes/op, prunes/op, memohits/op, events/op, events/sec, peak_rss_bytes,
+# (nodes/op, prunes/op, events/op, events/sec, peak_rss_bytes,
 # req/sec, p99_us land in each entry's "extra"; the encoder's and the tree
 # emitter's MB/s too). The scale sweep (P up to
 # 1e6) runs in a second invocation with a fixed iteration count so the
@@ -32,7 +32,7 @@ bench:
 # allocation counts are scheduler-dependent, and the exact-allocs gate
 # would trip on noise — req/sec and p99_us are their gated metrics.
 bench-json:
-	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|TreeEmit|ReplayCheck|SortEvents' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|TreeEmit|ReplayCheck|SortEvents' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \
@@ -47,7 +47,7 @@ bench-json:
 # The scale metrics gate direction-aware: events/sec on drops, peak RSS on
 # growth, both with generous fractions since they ride on wall time.
 bench-gate:
-	{ $(GO) test -bench='Portfolio|Memoized|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|TreeEmit|ReplayCheck|SortEvents' -benchmem -run=^$$ \
+	{ $(GO) test -bench='Portfolio|^BenchmarkSweep|SimReplay|Construct|ScheduleEncode|TreeEmit|ReplayCheck|SortEvents' -benchmem -run=^$$ \
 		./internal/continuous/ ./internal/bench/ ./internal/sim/ ; \
 	  $(GO) test -bench='Servd' -run=^$$ ./internal/bench/ ; \
 	  $(GO) test -bench='Scale' -benchtime 2x -benchmem -run=^$$ ./internal/bench/ ; } \

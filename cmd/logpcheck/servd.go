@@ -20,9 +20,10 @@ import (
 // concurrent identical cold requests and asserts the singleflight
 // collapsed them into exactly one solver run, checks that two large keys
 // that together fit the cache budget both stay cached, that a POST and a
-// GET leaving out o and l get the same key, checks the RED series made it
-// to /metrics, and shuts the process down with SIGTERM expecting a clean
-// exit.
+// GET leaving out o and l get the same key, that a key whose solve fails
+// answers the same 400 twice, the second time from the cache, checks the
+// RED series made it to /metrics, and shuts the process down with SIGTERM
+// expecting a clean exit.
 //
 // With -sched pointing at a built logpsched, it also diffs the CLI and the
 // service byte-for-byte: `logpsched -render json` solving locally must
@@ -170,6 +171,28 @@ func smoke(bin, sched string, n int, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "servd smoke: POST and GET without o or l share one key")
 
+	// A postal solve that fails (the word search runs out of budget) is
+	// cached like an answer: the repeat gets the same 400 body as a hit.
+	failing := base + "/v1/schedule?op=continuous&p=1000&l=4&k=2"
+	var bodies [2]string
+	var hits [3]int64
+	if hits[0], err = cacheHits(base); err != nil {
+		return err
+	}
+	for i := range bodies {
+		if bodies[i], err = getStatus(failing, http.StatusBadRequest); err != nil {
+			return err
+		}
+		if hits[i+1], err = cacheHits(base); err != nil {
+			return err
+		}
+	}
+	if bodies[0] != bodies[1] || hits[1] != hits[0] || hits[2] != hits[1]+1 {
+		return fmt.Errorf("failing key twice: bodies %q and %q, cache hits %v; want one body and the second request a hit",
+			bodies[0], bodies[1], hits)
+	}
+	fmt.Fprintln(stdout, "servd smoke: a failed solve answers the same 400 twice, the second from the cache")
+
 	// The RED series for the schedule endpoint must be on /metrics.
 	metrics, err := getBody(base + "/metrics")
 	if err != nil {
@@ -248,8 +271,24 @@ func getJSON(url string, out any) error {
 	return json.Unmarshal([]byte(body), out)
 }
 
+// cacheHits reads the cache's hit count from /debug/cache.
+func cacheHits(base string) (int64, error) {
+	var cache struct {
+		Totals struct {
+			Hits int64 `json:"hits"`
+		} `json:"totals"`
+	}
+	err := getJSON(base+"/debug/cache", &cache)
+	return cache.Totals.Hits, err
+}
+
 // getBody GETs url, requiring 200.
 func getBody(url string) (string, error) {
+	return getStatus(url, http.StatusOK)
+}
+
+// getStatus GETs url, requiring the status code want.
+func getStatus(url string, want int) (string, error) {
 	resp, err := http.Get(url)
 	if err != nil {
 		return "", err
@@ -259,8 +298,8 @@ func getBody(url string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, b)
+	if resp.StatusCode != want {
+		return "", fmt.Errorf("GET %s: %d, want %d: %s", url, resp.StatusCode, want, b)
 	}
 	return string(b), nil
 }

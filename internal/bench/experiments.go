@@ -44,7 +44,7 @@ func Theorem22(lMax, tMax int) *Table {
 		}
 	}
 	for _, row := range gridRows(grid, func(pt point) []any {
-		seq := core.SeqFor(pt.l)
+		seq := core.NewSeq(pt.l)
 		m := logp.Postal(2, logp.Time(pt.l))
 		p := logtime.For(m).Count(logp.Time(pt.t), 0)
 		ft := seq.F(pt.t)

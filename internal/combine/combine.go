@@ -39,14 +39,15 @@ import (
 // TimeFor returns the smallest T such that P(T) >= p in the postal model
 // with latency l: the optimal combining-broadcast (and reduction) time.
 func TimeFor(l int, p int) int {
-	return core.SeqFor(l).InvF(int64(p))
+	return core.NewSeq(l).InvF(int64(p))
 }
 
 // Exact reports whether p is exactly P(T) for some T (i.e. p = f_T), the
 // regime in which Theorem 4.1's schedule applies verbatim, and returns that T.
 func Exact(l int, p int) (int, bool) {
-	t := TimeFor(l, p)
-	return t, core.SeqFor(l).F(t) == int64(p)
+	seq := core.NewSeq(l)
+	t := seq.InvF(int64(p))
+	return t, seq.F(t) == int64(p)
 }
 
 // Schedule returns the Theorem 4.1 communication schedule for latency l and

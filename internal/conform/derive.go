@@ -13,15 +13,17 @@ import (
 // sorted trace once: its index (schedule.Index), its availability table
 // under the case's origins, its strict, deferred and availability checks,
 // and its critical-path signature; every later part reads the index and the
-// table. A stage finds its trace's entry by content (sameTrace), so
-// equal traces from different backends share one entry; the first stage to
-// ask for a part computes it from the entry's own trace, and a concurrent
-// asker waits for that result. A Check uses one traces and drops it when it
+// table. A trace is looked up by content (sameTrace) the first time a stage
+// asks for it, so equal traces from different backends share one entry;
+// later stages find it by pointer. The first stage to ask for a part
+// computes it from the entry's own trace, and a concurrent asker waits for
+// that result. A Check uses one traces and drops it when it
 // returns; a backend replayed on its own derives afresh.
 type traces struct {
 	origins map[int]schedule.Origin
 	mu      sync.Mutex
 	all     []*derived
+	seen    map[*schedule.Schedule]*derived // every trace looked up so far
 
 	sendsOnce sync.Once
 	sorted    *schedule.Schedule // the case's sends, in the event order
@@ -45,7 +47,7 @@ type derived struct {
 }
 
 func newTraces(origins map[int]schedule.Origin) *traces {
-	return &traces{origins: origins}
+	return &traces{origins: origins, seen: make(map[*schedule.Schedule]*derived)}
 }
 
 // orNew returns t, or a fresh traces for c when t is nil.
@@ -78,18 +80,20 @@ func (t *traces) sends(s *schedule.Schedule) *schedule.Schedule {
 }
 
 // of returns the entry of s's trace, adding one if no earlier trace equals
-// it.
+// it. Each trace is compared by content once; a repeat finds it by pointer.
 func (t *traces) of(s *schedule.Schedule) *derived {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, d := range t.all {
-		if sameTrace(d.tr, s) {
-			return d
-		}
+	if d, ok := t.seen[s]; ok {
+		return d
 	}
-	d := &derived{tr: s}
-	t.all = append(t.all, d)
-	return d
+	i := slices.IndexFunc(t.all, func(d *derived) bool { return sameTrace(d.tr, s) })
+	if i < 0 {
+		i = len(t.all)
+		t.all = append(t.all, &derived{tr: s})
+	}
+	t.seen[s] = t.all[i]
+	return t.all[i]
 }
 
 func (t *traces) index(d *derived) *schedule.Index {

@@ -24,8 +24,9 @@ func BenchmarkAblationDirectSolve(b *testing.B) {
 }
 
 // BenchmarkAblationInductive solves the much larger L=3, t=20 (P-1=1278)
-// through the strong-solution cache and composition; the point of the
-// induction is that this scales linearly while direct search explodes.
+// by the induction: strong base cases from t=2L-2 up, composed horizon by
+// horizon; the point of the induction is that this scales linearly while
+// direct search explodes.
 func BenchmarkAblationInductive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sol := strongFor(3, 20)

@@ -71,7 +71,7 @@ func NewInstance(l, t int) (*Instance, error) {
 	if t < l {
 		return nil, fmt.Errorf("continuous: t=%d < L=%d (single non-source processor; trivial)", t, l)
 	}
-	p := int(core.SeqFor(l).F(t))
+	p := int(core.NewSeq(l).F(t))
 	tree := logtime.Tree(logp.Postal(p, logp.Time(l)), p)
 	if got := int(tree.MaxLabel()); got != t {
 		return nil, fmt.Errorf("continuous: tree max label %d != t=%d", got, t)
@@ -172,17 +172,18 @@ const solveDirectSeeds = 4
 // does not finish, it falls back to the paper's inductive construction
 // (Section 3.3): strong base cases with the receive-only processor on 'b'
 // and the root word in the canonical family a^{L-2}(ca)^j b^m, composed
-// upward via I(t) = I(t-1) ⊎ I(t-L). Results are memoized package-wide, so
-// repeated solves of the same instance are O(solution size). On success the
-// instance is marked solved and can build schedules. Solve may be called
-// concurrently on different Instance values for the same problem; a single
-// Instance must not be solved from multiple goroutines at once (Solve
-// mutates the receiver's blocks).
+// upward via I(t) = I(t-1) ⊎ I(t-L). Every call searches afresh and keeps
+// nothing once it returns; callers that repeat a solve keep its answer
+// themselves (logpservd's schedule cache does). On success the instance is
+// marked solved and can build schedules. Solve may be called concurrently
+// on different Instance values for the same problem; a single Instance must
+// not be solved from multiple goroutines at once (Solve mutates the
+// receiver's blocks).
 func (inst *Instance) Solve(maxNodes int64) error {
 	if maxNodes <= 0 {
 		maxNodes = 4_000_000
 	}
-	words, recv, err := solveCached(inst, []int64{maxNodes}, solveDirectSeeds, false)
+	words, recv, err := solvePortfolio(inst, []int64{maxNodes}, solveDirectSeeds, false)
 	if err == nil {
 		for bi := range inst.Blocks {
 			b := &inst.Blocks[bi]
@@ -390,7 +391,7 @@ func NewInstanceGeneral(l, p int) (*Instance, error) {
 	if p < 2 {
 		return nil, fmt.Errorf("continuous: need at least 2 non-source processors, got %d", p)
 	}
-	t := core.SeqFor(l).InvF(int64(p))
+	t := core.NewSeq(l).InvF(int64(p))
 	tree := logtime.Tree(logp.Postal(p, logp.Time(l)), p)
 	if got := int(tree.MaxLabel()); got != t {
 		return nil, fmt.Errorf("continuous: tree max label %d != B(p)=%d", got, t)

@@ -53,13 +53,11 @@ func TestSolveDeterministicAcrossParallelism(t *testing.T) {
 
 	want := make(map[inst]string)
 	par.SetLimit(1)
-	resetCaches()
 	for _, c := range cases {
 		want[c] = solveShape(t, c.l, c.t)
 	}
 	for _, lim := range []int{2, 8} {
 		par.SetLimit(lim)
-		resetCaches()
 		for _, c := range cases {
 			if got := solveShape(t, c.l, c.t); got != want[c] {
 				t.Errorf("L=%d t=%d: limit %d solved %s; sequential solved %s",
@@ -69,14 +67,13 @@ func TestSolveDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestSolveConcurrentSameKey hammers the memo cache: many goroutines solve
-// fresh Instance values for the same (L, t) keys at once. Run under -race
-// this validates the cache locking; the assertions validate that every
+// TestSolveConcurrentSameKey: many goroutines solve fresh Instance values
+// for the same (L, t) keys at once. Run under -race this validates that
+// concurrent solves share no state; the assertions validate that every
 // goroutine observes the same solution.
 func TestSolveConcurrentSameKey(t *testing.T) {
 	type inst struct{ l, t int }
 	keys := []inst{{3, 8}, {3, 9}, {4, 10}, {5, 12}}
-	resetCaches()
 	const goroutines = 8
 	results := make([]map[inst]string, goroutines)
 	var wg sync.WaitGroup
@@ -116,16 +113,14 @@ func TestSolveConcurrentSameKey(t *testing.T) {
 	}
 }
 
-// BenchmarkSolverPortfolio measures a cold base-case sweep (3 <= L <= 10,
-// L <= t <= 2L): every iteration clears the memo caches, so the portfolio
-// search itself is timed, not the cache hit. Search-effort counters are
+// BenchmarkSolverPortfolio measures a base-case sweep (3 <= L <= 10,
+// L <= t <= 2L); every solve searches afresh. Search-effort counters are
 // reported per op so regressions in pruning show up alongside wall time.
 func BenchmarkSolverPortfolio(b *testing.B) {
 	nodes0 := mSearchNodes.Value()
 	prunes0 := mSearchPrunes.Value()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		resetCaches()
 		for l := 3; l <= 10; l++ {
 			for horizon := l; horizon <= 2*l; horizon++ {
 				inst, err := NewInstance(l, horizon)
@@ -142,34 +137,11 @@ func BenchmarkSolverPortfolio(b *testing.B) {
 	b.ReportMetric(float64(mSearchPrunes.Value()-prunes0)/float64(b.N), "prunes/op")
 }
 
-// BenchmarkSolverMemoized measures the same sweep served from the package
-// memo cache (the steady state inside table sweeps and schedule builders).
-func BenchmarkSolverMemoized(b *testing.B) {
-	hits0 := mMemoHits.Value()
-	b.ReportAllocs()
-	resetCaches()
-	for i := 0; i < b.N; i++ {
-		for l := 3; l <= 10; l++ {
-			for horizon := l; horizon <= 2*l; horizon++ {
-				inst, err := NewInstance(l, horizon)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := inst.Solve(0); err != nil && !errors.Is(err, ErrNoSolution) {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(mMemoHits.Value()-hits0)/float64(b.N), "memohits/op")
-}
-
 // TestSolveInfeasibleConcurrent checks that ErrNoSolution (an exhaustive
 // infeasibility proof, which aborts the whole portfolio) is reported
 // consistently under concurrency. L=2, t=8 is the paper's Theorem 3.4
 // infeasible point.
 func TestSolveInfeasibleConcurrent(t *testing.T) {
-	resetCaches()
 	const goroutines = 6
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)

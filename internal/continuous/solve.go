@@ -341,7 +341,7 @@ func solveBase(inst *Instance, opts solveOpts) ([]idxWord, int, error) {
 	rootSize := inst.Blocks[rootBi].Size
 	if opts.strong {
 		if l < 2 || counts[1] < 1 {
-			return nil, 0, fmt.Errorf("continuous: no 'b' leaf for a strong solution (L=%d t=%d)", l, t)
+			return nil, 0, fmt.Errorf("continuous: no 'b' leaf for a strong solution (%s)", inst.name())
 		}
 		counts[1]--
 		recvOnly = 1
@@ -391,7 +391,7 @@ func solveBase(inst *Instance, opts solveOpts) ([]idxWord, int, error) {
 		}
 		s.targetConsumed = totalSum - (rootSize - l + 1)
 		if s.targetConsumed < 0 {
-			return nil, 0, fmt.Errorf("continuous: strong sum target infeasible (L=%d t=%d)", l, t)
+			return nil, 0, fmt.Errorf("continuous: strong sum target infeasible (%s)", inst.name())
 		}
 		for _, bi := range order {
 			s.slotsLeft += inst.Blocks[bi].Size - 1
@@ -432,9 +432,9 @@ func solveBase(inst *Instance, opts solveOpts) ([]idxWord, int, error) {
 			return nil, 0, errCanceled
 		}
 		if s.budget <= 0 {
-			return nil, 0, fmt.Errorf("continuous: %w (maxNodes=%d) for L=%d t=%d", ErrBudget, budget, l, t)
+			return nil, 0, fmt.Errorf("continuous: %w (maxNodes=%d) for %s", ErrBudget, budget, inst.name())
 		}
-		return nil, 0, fmt.Errorf("continuous: %w for L=%d t=%d", ErrNoSolution, l, t)
+		return nil, 0, fmt.Errorf("continuous: %w for %s", ErrNoSolution, inst.name())
 	}
 	return s.words, s.recvOnly, nil
 }
@@ -469,6 +469,15 @@ func budgetLadder(base int64) []int64 {
 		ladder = append(ladder, b)
 	}
 	return ladder
+}
+
+// name is how errors name the instance: its latency and horizon, plus the
+// alphabet size where that differs from L (general and pruned trees).
+func (inst *Instance) name() string {
+	if a := inst.alphabet(); a != inst.L {
+		return fmt.Sprintf("L=%d t=%d (%d letters)", inst.L, inst.T, a)
+	}
+	return fmt.Sprintf("L=%d t=%d", inst.L, inst.T)
 }
 
 // solvePortfolio races the base solver across every (budget epoch, seed)
@@ -510,8 +519,8 @@ func solvePortfolio(inst *Instance, budgets []int64, seeds int, strong bool) ([]
 	if winner >= 0 {
 		return res[winner].words, res[winner].recv, nil
 	}
-	return nil, 0, fmt.Errorf("continuous: %w (%d seeds, budgets up to %d) for L=%d t=%d",
-		ErrBudget, seeds, budgets[len(budgets)-1], inst.alphabet(), inst.T)
+	return nil, 0, fmt.Errorf("continuous: %w (%d seeds, budgets up to %d) for %s",
+		ErrBudget, seeds, budgets[len(budgets)-1], inst.name())
 }
 
 // strongSolve computes strong solutions bottom-up from t = 2L-2 to the
@@ -527,6 +536,17 @@ type strongSolver struct {
 
 func newStrongSolver(l int) *strongSolver {
 	return &strongSolver{l: l, cache: make(map[int]*strongSolution), baseBudget: 4_000_000}
+}
+
+// strongFor returns the strong solution for (l, t), or nil. It builds every
+// horizon from 2L-2 up on a solver of its own, so that the composition
+// I(t) = I(t-1) ⊎ I(t-L) finds its sub-solutions; nothing outlives the call.
+func strongFor(l, t int) *strongSolution {
+	ss := newStrongSolver(l)
+	for tt := 2*l - 2; tt <= t; tt++ {
+		ss.solutionFor(tt)
+	}
+	return ss.cache[t]
 }
 
 // solutionFor returns a strong solution for horizon t, or nil.
@@ -555,12 +575,12 @@ func (ss *strongSolver) solutionFor(t int) *strongSolution {
 		}
 	}
 	// Base case by portfolio search: all seed orders race in parallel under
-	// the escalating budget ladder (memoized package-wide, see cache.go).
+	// the escalating budget ladder.
 	inst, err := NewInstance(ss.l, t)
 	if err != nil {
 		return nil
 	}
-	words, recvOnly, serr := solveCached(inst, budgetLadder(ss.baseBudget), portfolioSeeds, true)
+	words, recvOnly, serr := solvePortfolio(inst, budgetLadder(ss.baseBudget), portfolioSeeds, true)
 	if serr != nil {
 		// Either every attempt exhausted its budget or the search space was
 		// exhausted (definitive infeasibility); both mean no strong base.

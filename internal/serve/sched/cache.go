@@ -2,6 +2,7 @@ package sched
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -45,7 +46,8 @@ type Result struct {
 // entry is one cache slot. Until ready is closed the entry is in flight:
 // later requests for the key block on ready instead of solving (the
 // singleflight). In-flight entries are absent from the LRU list, charge no
-// bytes and are never evicted.
+// bytes and are never evicted. A ready entry holds either an answer or the
+// error its solve failed with.
 type entry struct {
 	key   Key
 	ready chan struct{}
@@ -123,7 +125,9 @@ func (e *SolvePanic) Error() string {
 // Get answers k, computing it with solve (exactly once per key however many
 // requests race) and caching the result. The returned Outcome says whether
 // this request hit, missed (and solved), or coalesced onto another
-// request's solve. Failed solves are not cached: every waiter gets the
+// request's solve. A failed solve is cached like an answer, charged
+// len(err.Error())+64 bytes, so a repeat of the key is a hit with the same
+// error; a solve that panicked (*SolvePanic) is not: every waiter gets the
 // error, and the next request retries. Neither is an answer larger than the
 // whole budget: this request and its waiters get it, and the slot is
 // dropped without evicting anything else.
@@ -132,13 +136,13 @@ func (c *Cache) Get(k Key) (*Result, Outcome, error) {
 	if e, ok := c.entries[k]; ok {
 		select {
 		case <-e.ready:
-			// Ready: a plain hit. Failed and oversized solves leave the map
-			// before ready closes, so a ready entry holds a result.
+			// Ready: a plain hit. Panicked and oversized solves leave the
+			// map before ready closes, so a ready entry is in the LRU list.
 			c.stats.Hits++
 			c.lru.MoveToFront(e.elem)
 			c.mu.Unlock()
 			c.mHits.Inc()
-			return e.res, Hit, nil
+			return e.res, Hit, e.err
 		default:
 			// In flight: coalesce onto the solver already running.
 			c.stats.Coalesced++
@@ -156,17 +160,21 @@ func (c *Cache) Get(k Key) (*Result, Outcome, error) {
 
 	res, err := c.fill(k)
 	e.res, e.err = res, err
+	var sp *SolvePanic
+	panicked := errors.As(err, &sp)
 	if err == nil {
 		e.bytes = int64(len(res.JSON)) + 64
+	} else {
+		e.bytes = int64(len(err.Error())) + 64
 	}
 	c.mu.Lock()
-	if err == nil && (c.maxBytes <= 0 || e.bytes <= c.maxBytes) {
+	if !panicked && (c.maxBytes <= 0 || e.bytes <= c.maxBytes) {
 		e.elem = c.lru.PushFront(e)
 		c.stats.Bytes += e.bytes
 		c.evict()
 	} else {
-		// Drop the slot so the next request retries (or re-solves the
-		// oversized answer).
+		// Drop the slot so the next request retries the panicked solve
+		// (or re-solves the oversized answer).
 		delete(c.entries, k)
 	}
 	c.mEntries.Set(int64(len(c.entries)))
@@ -193,8 +201,8 @@ func (c *Cache) evict() {
 }
 
 // fill runs solve for the request leading k's slot, turning a panic into a
-// *SolvePanic, so that Get releases the slot and its waiters as it does for
-// any failed solve instead of leaving the key in flight for good.
+// *SolvePanic, so that Get releases the slot and its waiters instead of
+// leaving the key in flight for good.
 func (c *Cache) fill(k Key) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {

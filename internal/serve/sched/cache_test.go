@@ -207,12 +207,13 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCacheErrorNotCached: a failed solve must not leave a poisoned entry —
-// the next identical request retries (and fails again, freshly).
-func TestCacheErrorNotCached(t *testing.T) {
+// TestCacheKeepsSolveError: a failed solve is an entry. The repeat request
+// is a hit with the same error and runs no solve, and the entry is charged
+// its error text plus the per-entry overhead.
+func TestCacheKeepsSolveError(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewCache(0, reg)
-	// kitem with k=2, P=1 in the postal model: capacity C(L)=1 < k, so the
+	// kitem with k=5, P=1 in the postal model: capacity C(L)=1 < k, so the
 	// solver reports infeasibility.
 	k := Key{Op: "kitem", P: 1, L: 1, O: 0, G: 1, K: 5}
 	_, out, err := c.Get(k)
@@ -222,19 +223,19 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if out != Miss {
 		t.Fatalf("outcome = %q, want miss", out)
 	}
-	_, out, err = c.Get(k)
-	if err == nil {
-		t.Fatal("expected second solve error")
+	res, out, again := c.Get(k)
+	if again == nil || again.Error() != err.Error() || res != nil {
+		t.Fatalf("second request: result %v, err %v; want no result and %q", res, again, err)
 	}
-	if out != Miss {
-		t.Fatalf("second failed request outcome = %q, want miss (errors must not cache)", out)
+	if out != Hit {
+		t.Fatalf("second failed request outcome = %q, want hit (errors are cached)", out)
 	}
 	total := c.Stats()
-	if total.Size != 0 {
-		t.Fatalf("cache holds %d entries after only failed solves, want 0", total.Size)
+	if want := int64(len(err.Error())) + 64; total.Size != 1 || total.Bytes != want || total.Misses != 1 {
+		t.Fatalf("cache after a failed solve and its repeat: %+v, want 1 entry of %d bytes and 1 miss", total, want)
 	}
-	if got := reg.Counter("servd.cache.solve.errors").Value(); got != 2 {
-		t.Fatalf("solve error counter = %d, want 2", got)
+	if got := reg.Counter("servd.cache.solve.errors").Value(); got != 1 {
+		t.Fatalf("solve error counter = %d, want 1", got)
 	}
 }
 
@@ -415,9 +416,10 @@ func TestCacheEvictsCacheWideLRU(t *testing.T) {
 }
 
 // TestCacheConcurrentStress races Gets over many keys on a cache far
-// smaller than the keys' bodies, some of them larger than the
-// whole budget. Once the Gets return, the cache must fit its budget, its
-// ledger must account for every lookup, and no goroutine may be left behind. Run it under -race.
+// smaller than the keys' bodies, some of them larger than the whole budget,
+// and one whose solve fails. Once the Gets return, the cache must fit its
+// budget, its ledger must account for every lookup, and no goroutine may be
+// left behind. Run it under -race.
 func TestCacheConcurrentStress(t *testing.T) {
 	const (
 		workers = 8
@@ -434,6 +436,8 @@ func TestCacheConcurrentStress(t *testing.T) {
 	for _, p := range []int{1500, 2000} { // each body is larger than the budget
 		keys = append(keys, testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1}))
 	}
+	failing := Key{Op: "kitem", P: 1, L: 1, O: 0, G: 1, K: 5}
+	keys = append(keys[:1], append([]Key{failing}, keys[1:]...)...)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -445,7 +449,13 @@ func TestCacheConcurrentStress(t *testing.T) {
 				// Skewed toward the low keys, so hits, misses and
 				// coalesced waits all happen.
 				k := keys[min(rng.IntN(len(keys)), rng.IntN(len(keys)))]
-				if res, _, err := c.Get(k); err != nil || len(res.JSON) == 0 {
+				res, _, err := c.Get(k)
+				if k == failing {
+					if err == nil {
+						t.Errorf("%v: no error", k)
+						return
+					}
+				} else if err != nil || len(res.JSON) == 0 {
 					t.Errorf("%v: err %v", k, err)
 					return
 				}
