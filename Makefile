@@ -59,8 +59,8 @@ bench-gate:
 
 # Scale smoke: the P=1e5 tier of the million-processor benchmarks under the
 # race detector, one iteration each. This is the cheap standing proof that
-# the sharded flight queue and the chunked worker pool stay data-race-free
-# at a size where every shard and every worker is busy.
+# the engines' queues and the chunked worker pool stay data-race-free at a
+# size where every worker is busy.
 bench-scale:
 	$(GO) test -race -bench='Scale.*/P100000$$' -benchtime 1x -benchmem -run=^$$ \
 		./internal/bench/
@@ -110,8 +110,9 @@ servd-smoke:
 # oracle), the schedule JSON encoder (against its encoding/json oracle), the
 # event order's counting sort (against a comparison sort), the streamed tree
 # schedules (against the materialized tree's schedules), the
-# conformance harness, the causal analyzer (against its map-based oracle)
-# and the checks that share one trace index (against the standalone calls).
+# conformance harness, the causal analyzer (against its map-based oracle),
+# the checks that share one trace index (against the standalone calls), and
+# the engines' in-flight and wake queues (against reference heaps).
 fuzz:
 	$(GO) test -fuzz=FuzzValidate -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzValidatorConsistency -fuzztime=30s ./internal/schedule/
@@ -122,6 +123,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzCausal -fuzztime=30s ./internal/obs/causal/
 	$(GO) test -fuzz=FuzzAnalyzeOracle -fuzztime=30s ./internal/obs/causal/
 	$(GO) test -fuzz=FuzzIndexedChecks -fuzztime=30s ./internal/obs/causal/
+	$(GO) test -fuzz=FuzzFlightQueue -fuzztime=10s ./internal/sim/
+	$(GO) test -fuzz=FuzzDueQueue -fuzztime=10s ./internal/runtime/
 
 # Differential conformance: replay paper constructors and 500 random seeds on
 # the simulator (strict/buffered), the goroutine runtime (strict/buffered),

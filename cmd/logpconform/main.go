@@ -17,8 +17,9 @@
 // the agreed schedules through all five backends.
 //
 // -scale adds large-P broadcast and reduction cases at the given processor
-// counts — the sizes where the simulator's sharded flight queue and the
-// runtime's worker pool engage — on top of the paper and random corpora.
+// counts — the sizes where the engines' in-flight and wake queues hold the
+// most and the runtime's worker pool engages — on top of the paper and
+// random corpora.
 //
 // On divergence, the minimal shrunk case is automatically replayed once per
 // backend with a flight recorder attached and the per-backend Chrome traces

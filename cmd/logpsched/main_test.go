@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -206,6 +209,34 @@ func TestReportMatchesSim(t *testing.T) {
 		}
 		if len(r.Timeseries) == 0 {
 			t.Fatalf("%s: report has no time series summaries", op)
+		}
+	}
+}
+
+// TestTraceBytesPinned pins the -trace file of two replays: the paper's
+// Fig. 1 broadcast and a P = 1000 reduce. The simulator writes its spans
+// and in-flight counters as arrivals pop, so these digests hold the
+// in-flight queue's pop order fixed, ties on one arrival instant included.
+func TestTraceBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-op", "broadcast", "-P", "8", "-L", "6", "-o", "2", "-g", "4"},
+			"40189fa3bc14bfc8aab0b51e01123d174885756b3d81d3f80aed7f3c9cd58237"},
+		{[]string{"-op", "reduce", "-P", "1000", "-L", "6", "-o", "2", "-g", "4"},
+			"79c44c7a47e53c4d84b07365be002b3293f33165f65679336356d559ec9609cf"},
+	} {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		if _, err := exec(t, append(tc.args, "-trace", path)...); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.want {
+			t.Errorf("%v: -trace sha256 %s, want %s", tc.args, got, tc.want)
 		}
 	}
 }

@@ -85,8 +85,8 @@ var scalePs = []int{1_000, 100_000, 1_000_000}
 
 // BenchmarkScaleSimBroadcast replays the paper's optimal broadcast on one
 // recycled simulator engine at P up to 1e6. The warm path must hold O(1)
-// allocs/op regardless of P — that is the acceptance bar for the sharded
-// flight queue and slab reuse.
+// allocs/op regardless of P — that is the acceptance bar for the in-flight
+// queue and slab reuse.
 func BenchmarkScaleSimBroadcast(b *testing.B) {
 	for _, p := range scalePs {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {

@@ -57,9 +57,24 @@ func TestCleanCaseIndexesOnce(t *testing.T) {
 	oncePerCleanCase(t, mIndexes, "indexes")
 }
 
+// TestCleanCaseComparesTracesOnce requires Check to walk each trace of a
+// paper or scale case that is clean in both modes once: each of the four
+// traces after the first is compared with it on lookup, and the trace
+// diffs answer every pair from the shared entry.
+func TestCleanCaseComparesTracesOnce(t *testing.T) {
+	perCleanCase(t, mTraceCompares, "trace comparisons", 4)
+}
+
 // oncePerCleanCase requires counter to rise by exactly one in each Check of
 // a paper or scale case that is clean in both modes.
 func oncePerCleanCase(t *testing.T, counter *obs.Counter, what string) {
+	t.Helper()
+	perCleanCase(t, counter, what, 1)
+}
+
+// perCleanCase requires counter to rise by exactly want in each Check of a
+// paper or scale case that is clean in both modes.
+func perCleanCase(t *testing.T, counter *obs.Counter, what string, want int64) {
 	t.Helper()
 	ck := NewChecker()
 	clean := 0
@@ -72,8 +87,8 @@ func oncePerCleanCase(t *testing.T, counter *obs.Counter, what string) {
 			continue
 		}
 		clean++
-		if n != 1 {
-			t.Errorf("%s: clean case made %d %s, want 1", c.Name, n, what)
+		if n != want {
+			t.Errorf("%s: clean case made %d %s, want %d", c.Name, n, what, want)
 		}
 	}
 	if clean < 16 {

@@ -95,8 +95,8 @@ func PaperCases() []Case {
 // on a general LogP machine and the reduction (summation tree) on a postal
 // machine, at each requested processor count. These are the cases the
 // million-processor engine work is graded on — the backends must stay in
-// lockstep not just on the small paper instances but where the sharded
-// flight queue and the worker-pool runtime actually engage. The trees come
+// lockstep not just on the small paper instances but where the in-flight
+// queues hold the most and the worker-pool runtime actually engages. The trees come
 // from the production counting construction (internal/logtime), which
 // builds the heap search's trees event for event (TestScaleCasesMatchSearch).
 func ScaleCases(ps ...int) []Case {

@@ -21,6 +21,7 @@ var (
 	mAnalyses       = obs.Default.Counter("conform.analyses")       // critical-path analyses made by Check
 	mIndexes        = obs.Default.Counter("conform.indexes")        // trace indexes built, one per distinct trace of a Check
 	mAvailabilities = obs.Default.Counter("conform.availabilities") // availability tables built, one per distinct trace of a Check
+	mTraceCompares  = obs.Default.Counter("conform.trace_compares") // event-by-event trace comparisons: content lookups and trace diffs
 )
 
 // Checker replays cases on all five backends and diffs the results. One
@@ -195,16 +196,16 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 	// so their executed traces must match even on dirty cases. (The
 	// validator is excluded here: it drops nothing, so its derived trace
 	// only matches on clean cases.)
-	if msg := traceDiff(simS.Trace, rtS.Trace); msg != "" {
+	if msg := t.diff(simS.Trace, rtS.Trace); msg != "" {
 		add("strict execution trace: sim vs runtime: %s", msg)
 	}
-	if msg := traceDiff(simB.Trace, rtB.Trace); msg != "" {
+	if msg := t.diff(simB.Trace, rtB.Trace); msg != "" {
 		add("buffered execution trace: sim vs runtime: %s", msg)
 	}
 
 	if simS.Clean() {
 		for _, r := range []Result{rtS, val} {
-			if msg := traceDiff(simS.Trace, r.Trace); msg != "" {
+			if msg := t.diff(simS.Trace, r.Trace); msg != "" {
 				add("strict trace: %s vs %s: %s", simS.Backend, r.Backend, msg)
 			}
 			if simS.Finish != r.Finish {
@@ -220,7 +221,7 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 		}
 	}
 	if simB.Clean() {
-		if msg := traceDiff(simB.Trace, rtB.Trace); msg != "" {
+		if msg := t.diff(simB.Trace, rtB.Trace); msg != "" {
 			add("buffered trace: %s vs %s: %s", simB.Backend, rtB.Backend, msg)
 		}
 		if simB.Finish != rtB.Finish {
@@ -250,7 +251,7 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 		add("buffered critical path: sim vs runtime: %q vs %q", sigB[0], sigB[1])
 	}
 	if simS.Clean() && simB.Clean() {
-		if msg := traceDiff(simS.Trace, simB.Trace); msg != "" {
+		if msg := t.diff(simS.Trace, simB.Trace); msg != "" {
 			add("strict vs buffered trace on a clean schedule: %s", msg)
 		}
 	}
@@ -302,6 +303,7 @@ func statsDiff(a, b schedule.Stats, queues bool) string {
 // traceDiff compares two traces, both in the event order,
 // event by event and describes the first difference ("" when equal).
 func traceDiff(a, b *schedule.Schedule) string {
+	mTraceCompares.Inc()
 	ae, be := a.Events, b.Events
 	n := min(len(ae), len(be))
 	for i := 0; i < n; i++ {

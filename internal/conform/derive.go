@@ -96,6 +96,19 @@ func (t *traces) of(s *schedule.Schedule) *derived {
 	return t.all[i]
 }
 
+// diff is traceDiff(a, b), answered without a walk when a and b share one
+// entry, that is, when their lookups already found them equal.
+func (t *traces) diff(a, b *schedule.Schedule) string {
+	t.mu.Lock()
+	d, ok := t.seen[a]
+	same := ok && t.seen[b] == d
+	t.mu.Unlock()
+	if same {
+		return ""
+	}
+	return traceDiff(a, b)
+}
+
 func (t *traces) index(d *derived) *schedule.Index {
 	d.indexOnce.Do(func() {
 		mIndexes.Inc()
@@ -145,5 +158,6 @@ func (t *traces) signature(s *schedule.Schedule) string {
 // sameTrace reports whether two sorted traces have the same machine and the
 // same events, which is all that the parts derived from a trace read.
 func sameTrace(a, b *schedule.Schedule) bool {
+	mTraceCompares.Inc()
 	return a.M == b.M && slices.Equal(a.Events, b.Events)
 }

@@ -15,9 +15,10 @@ import (
 // TestScaleCasesConform runs the backend-equivalence contract at the
 // processor counts the million-processor engine work targets: broadcast and
 // reduction at P = 64 and 1024 always, and P = 1e4 and 1e5 unless -short.
-// This is where the sharded flight queue (sim) and the parallel ready list
-// (runtime) take over from the small-machine code paths, so lockstep here
-// means the rework preserved the step semantics, not just the small cases.
+// This is where the in-flight queues hold the most messages at one instant
+// and the parallel ready list (runtime) takes over from the small-machine
+// code path, so lockstep here means the engines keep the step semantics at
+// scale, not just on the small cases.
 func TestScaleCasesConform(t *testing.T) {
 	ps := []int{64, 1024}
 	if !testing.Short() {

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"math/bits"
+
 	"logpopt/internal/logp"
 	"logpopt/internal/slab"
 )
@@ -117,65 +119,74 @@ type due struct {
 	wake bool
 }
 
-func dueBefore(a, b due) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// dueQueue holds the pending visits in a monotone radix queue. Every visit
+// is pushed for a time later than the current instant (a wake only when at
+// > now, a port-free check at max(now+1, ...)), and the clock never goes
+// back, so no visit is ever earlier than the last instant popped, last.
+// Bucket i holds the visits whose time first differs from last at bit i-1
+// (bucket 0: equal to last), so a visit only moves to lower buckets, and
+// each bucket keeps its minimum, which min reads without moving last. A
+// processor may hold several visits; the ready list's readyAt mark keeps
+// one instant from running it twice.
+type dueQueue struct {
+	buckets [64][]due
+	mins    [64]logp.Time
+	used    uint64 // bit i set when bucket i is non-empty
+	last    logp.Time
+	n, peak int
+}
+
+func (q *dueQueue) len() int { return q.n }
+
+// bucket is the bucket of a visit at time at: one plus the highest bit
+// where at differs from last. Times are never negative, so it is below 64.
+func (q *dueQueue) bucket(at logp.Time) int {
+	return bits.Len64(uint64(at ^ q.last))
+}
+
+func (q *dueQueue) push(d due) {
+	q.put(q.bucket(d.at), d)
+	q.n++
+	q.peak = max(q.peak, q.n)
+}
+
+func (q *dueQueue) put(i int, d due) {
+	if q.used&(1<<i) == 0 || d.at < q.mins[i] {
+		q.mins[i] = d.at
 	}
-	return a.id < b.id
+	q.buckets[i] = append(q.buckets[i], d)
+	q.used |= 1 << i
 }
 
-// dueHeap is the min-heap of pending visits, ordered by (at, id). A
-// processor may hold several; the ready list's readyAt mark keeps one
-// instant from running it twice.
-type dueHeap struct {
-	s    []due
-	peak int
+// min returns the earliest pending time. It must only be called when len()
+// > 0.
+func (q *dueQueue) min() logp.Time {
+	return q.mins[bits.TrailingZeros64(q.used)]
 }
 
-func (h *dueHeap) len() int { return len(h.s) }
-
-func (h *dueHeap) peek() due { return h.s[0] }
-
-func (h *dueHeap) push(d due) {
-	h.s = append(h.s, d)
-	h.peak = max(h.peak, len(h.s))
-	s := h.s
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !dueBefore(s[i], s[parent]) {
-			break
+// popMin removes and returns every visit due at the earliest pending time,
+// in no particular order. The slice is valid until the next push or popMin.
+// It must only be called when len() > 0.
+func (q *dueQueue) popMin() []due {
+	if i := bits.TrailingZeros64(q.used); i > 0 {
+		// Move the first non-empty bucket's visits below it: with last at
+		// their minimum, they now first differ from last under bit i-1.
+		q.last = q.mins[i]
+		b := q.buckets[i]
+		q.buckets[i], q.used = b[:0], q.used&^(1<<i)
+		for _, d := range b {
+			q.put(q.bucket(d.at), d)
 		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
 	}
+	b := q.buckets[0]
+	q.buckets[0], q.used = b[:0], q.used&^1
+	q.n -= len(b)
+	return b
 }
 
-func (h *dueHeap) pop() due {
-	s := h.s
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	h.s = s
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && dueBefore(s[l], s[least]) {
-			least = l
-		}
-		if r < n && dueBefore(s[r], s[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
+func (q *dueQueue) reset(keep int) {
+	for i := range q.buckets {
+		q.buckets[i] = slab.Reuse(q.buckets[i], keep, 1024)
 	}
-	return top
-}
-
-func (h *dueHeap) reset(keep int) {
-	h.s = slab.Reuse(h.s, keep, 1024)
-	h.peak = 0
+	q.used, q.last, q.n, q.peak = 0, 0, 0, 0
 }

@@ -210,7 +210,7 @@ type Runtime struct {
 	now        logp.Time
 	started    bool // time 0 has been stepped
 	inflight   fifo
-	due        dueHeap
+	due        dueQueue
 	ends       slab.Lists[logp.Time] // every processor's outEnds and inEnds
 	ready      []int32               // processors to run this instant, ascending
 	queued     int                   // total messages sitting in per-processor queues
@@ -542,12 +542,13 @@ func (rt *Runtime) collectReady(now logp.Time) {
 			}
 		}
 	}
-	for rt.due.len() > 0 && rt.due.peek().at <= now {
-		d := rt.due.pop()
-		if d.wake {
-			rt.procs[d.id].wokenAt = now
+	for rt.due.len() > 0 && rt.due.min() <= now {
+		for _, d := range rt.due.popMin() {
+			if d.wake {
+				rt.procs[d.id].wokenAt = now
+			}
+			mark(d.id)
 		}
-		mark(d.id)
 	}
 	if !sorted {
 		slices.Sort(rt.ready)
@@ -746,8 +747,8 @@ func (rt *Runtime) nextDue() (t logp.Time, ok bool) {
 	if rt.inflight.len() > 0 {
 		t, ok = rt.inflight.peek().Arrive, true
 	}
-	if rt.due.len() > 0 && (!ok || rt.due.peek().at < t) {
-		t, ok = rt.due.peek().at, true
+	if rt.due.len() > 0 && (!ok || rt.due.min() < t) {
+		t, ok = rt.due.min(), true
 	}
 	return max(t, rt.now), ok
 }

@@ -1,183 +1,109 @@
 package sim
 
-// flightQueue is the engine's in-flight message store, sharded by destination
-// processor for large P: messages land in per-shard binary min-heaps (shard =
-// To & mask), and a small top-level heap over the shard minima yields the
-// global minimum. Pop order is exactly the single-heap flightBefore order —
-// the comparator is total and the destination pins each message to one shard,
-// so cross-shard minima never tie on the full key with different shards
-// winning (two messages in different shards necessarily differ in To).
+import (
+	"slices"
+	"sort"
+
+	"logpopt/internal/slab"
+)
+
+// flightQueue is the engine's in-flight message store, kept in arrival
+// order. Every message arrives exactly o + L after the instant that sent
+// it, and the clock never goes back, so Send appends messages in
+// nondecreasing Arrive. The messages that share one Arrive (one send
+// instant) form a run; before the first pop from a run, the run is sorted
+// by flightBefore. flightBefore is total and orders by Arrive first, so
+// the pop order is exactly a min-heap's, at the cost of one sort per send
+// instant instead of a heap walk per message.
 //
-// The point of sharding is the heap depth: with P ~ 10^6 a broadcast keeps a
-// constant fraction of P messages in flight, and every push/pop of a single
-// 2^20-element heap walks ~20 cache-missing levels. Sharded, each operation
-// walks log(n/shards) levels in a heap small enough to stay cache-resident,
-// plus a log(shards) fix-up of the tiny top-level heap.
+// The queue is a ring buffer that grows only when full, so a recycled
+// engine replaying the same case again never reallocates it. The first
+// ready messages are the front run, already sorted (0 until a peek or pop
+// sorts it); a push that joins the front run sets ready back to 0, so the
+// next peek sorts the grown run.
 type flightQueue struct {
-	shards []flightHeap
-	mask   int
-	// top is a binary min-heap of shard indices ordered by flightBefore of
-	// the shards' minimum messages; pos[s] is shard s's position in top, -1
-	// when the shard is empty (absent from top).
-	top  []int32
-	pos  []int32
-	size int
-	peak int // high-water total size since the last reset (watermark input)
+	buf     []Msg // length zero or a power of two
+	head, n int
+	ready   int
+	peak    int // high-water length since the last reset (watermark input)
 }
 
-// shardCountFor picks a power-of-two shard count for a machine with p
-// processors: 1 below the sharding threshold (a single heap is already
-// cache-resident and the top-level indirection would be pure overhead), then
-// roughly one shard per 4096 processors, capped at 256.
-func shardCountFor(p int) int {
-	if p <= 4096 {
-		return 1
+// reset empties the queue, releasing its buffer when it has grown to more
+// than 4x the keep messages the retain watermark asks for (so one huge run
+// does not pin its memory for a whole sweep).
+func (q *flightQueue) reset(keep int) {
+	if slab.Oversized(len(q.buf), keep, 1024) {
+		q.buf = nil
 	}
-	n := 1
-	for n < p/4096 && n < 256 {
-		n <<= 1
-	}
-	return n
+	q.head, q.n, q.ready, q.peak = 0, 0, 0, 0
 }
 
-// reset prepares the queue for a machine with p processors, reusing shard
-// storage when the shard count is unchanged.
-func (q *flightQueue) reset(p int) {
-	n := shardCountFor(p)
-	if len(q.shards) != n {
-		q.shards = make([]flightHeap, n)
-		q.top = make([]int32, 0, n)
-		q.pos = make([]int32, n)
-	} else {
-		for i := range q.shards {
-			q.shards[i] = q.shards[i][:0]
-		}
-		q.top = q.top[:0]
-	}
-	for i := range q.pos {
-		q.pos[i] = -1
-	}
-	q.mask = n - 1
-	q.size = 0
-	q.peak = 0
-}
+func (q *flightQueue) len() int { return q.n }
 
-func (q *flightQueue) len() int { return q.size }
+// at returns the i-th message from the front.
+func (q *flightQueue) at(i int) *Msg { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
-// peek returns the globally minimal in-flight message. It must only be
-// called when len() > 0.
+// peek returns the minimal in-flight message. It must only be called when
+// len() > 0.
 func (q *flightQueue) peek() Msg {
-	s := q.top[0]
-	return q.shards[s][0]
+	if q.ready == 0 {
+		q.sortRun()
+	}
+	return q.buf[q.head]
 }
 
-func (q *flightQueue) push(m Msg) {
-	s := m.To & q.mask
-	h := &q.shards[s]
-	wasEmpty := len(*h) == 0
-	oldMin := Msg{}
-	if !wasEmpty {
-		oldMin = (*h)[0]
-	}
-	h.push(m)
-	q.size++
-	if q.size > q.peak {
-		q.peak = q.size
-	}
-	if wasEmpty {
-		q.topInsert(int32(s))
-	} else if flightBefore((*h)[0], oldMin) {
-		q.topUp(q.pos[s])
-	}
-}
-
-// pop removes and returns the globally minimal message.
+// pop removes and returns the minimal message. It must only be called
+// when len() > 0.
 func (q *flightQueue) pop() Msg {
-	s := q.top[0]
-	h := &q.shards[s]
-	m := h.pop()
-	q.size--
-	if len(*h) == 0 {
-		q.topRemoveRoot()
-	} else {
-		q.topDown(0)
-	}
+	m := q.peek()
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	q.ready--
 	return m
 }
 
-// topBefore orders two shards by their minimum messages.
-func (q *flightQueue) topBefore(a, b int32) bool {
-	return flightBefore(q.shards[a][0], q.shards[b][0])
-}
-
-func (q *flightQueue) topInsert(s int32) {
-	q.top = append(q.top, s)
-	i := int32(len(q.top) - 1)
-	q.pos[s] = i
-	q.topUp(i)
-}
-
-func (q *flightQueue) topRemoveRoot() {
-	root := q.top[0]
-	q.pos[root] = -1
-	n := len(q.top) - 1
-	if n > 0 {
-		q.top[0] = q.top[n]
-		q.pos[q.top[0]] = 0
+func (q *flightQueue) push(m Msg) {
+	if q.n == len(q.buf) {
+		grown := make([]Msg, max(2*len(q.buf), 64))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
 	}
-	q.top = q.top[:n]
-	if n > 1 {
-		q.topDown(0)
-	}
-}
-
-func (q *flightQueue) topUp(i int32) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.topBefore(q.top[i], q.top[parent]) {
-			break
-		}
-		q.topSwap(i, parent)
-		i = parent
-	}
-}
-
-func (q *flightQueue) topDown(i int32) {
-	n := int32(len(q.top))
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q.topBefore(q.top[l], q.top[min]) {
-			min = l
-		}
-		if r < n && q.topBefore(q.top[r], q.top[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		q.topSwap(i, min)
-		i = min
-	}
-}
-
-func (q *flightQueue) topSwap(i, j int32) {
-	q.top[i], q.top[j] = q.top[j], q.top[i]
-	q.pos[q.top[i]] = i
-	q.pos[q.top[j]] = j
-}
-
-// shrink releases shard storage whose capacity exceeds keep messages total,
-// proportionally per shard (the Reset watermark decay calls this so one huge
-// run does not pin heap memory for a whole sweep).
-func (q *flightQueue) shrink(keep int) {
-	if len(q.shards) == 0 {
-		return
-	}
-	per := keep/len(q.shards) + 1
-	for i := range q.shards {
-		if cap(q.shards[i]) > 4*per {
-			q.shards[i] = nil
+	i := q.n
+	if i > 0 && m.Arrive < q.at(i-1).Arrive {
+		// Only an arrival that wrapped past the int64 range comes in behind
+		// the tail; it goes where Arrive order puts it.
+		i = sort.Search(q.n, func(j int) bool { return q.at(j).Arrive > m.Arrive })
+		for j := q.n; j > i; j-- {
+			*q.at(j) = *q.at(j - 1)
 		}
 	}
+	*q.at(i) = m
+	q.n++
+	q.peak = max(q.peak, q.n)
+	if m.Arrive == q.buf[q.head].Arrive {
+		q.ready = 0 // m joined the front run: sort it again
+	}
+}
+
+// sortRun sorts the front run, the messages that share the earliest
+// Arrive, by flightBefore. A run that straddles the end of the ring is
+// first rotated to the start, which happens at most once per pass of the
+// head around the ring.
+func (q *flightQueue) sortRun() {
+	at := q.buf[q.head].Arrive
+	r := 1
+	for r < q.n && q.at(r).Arrive == at {
+		r++
+	}
+	if r > 1 {
+		if q.head+r > len(q.buf) {
+			slices.Reverse(q.buf[:q.head])
+			slices.Reverse(q.buf[q.head:])
+			slices.Reverse(q.buf)
+			q.head = 0
+		}
+		slices.SortFunc(q.buf[q.head:q.head+r], compareFlight)
+	}
+	q.ready = r
 }

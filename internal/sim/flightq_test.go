@@ -1,150 +1,124 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
-	"logpopt/internal/core"
 	"logpopt/internal/logp"
 )
 
-// TestFlightQueueMatchesSingleHeap is the sharding correctness property: a
-// flightQueue over many shards must pop messages in exactly the order a
-// single flightHeap would — flightBefore is total and To pins each message
-// to one shard, so the merge over shard minima cannot reorder anything.
-func TestFlightQueueMatchesSingleHeap(t *testing.T) {
-	const p = 1 << 16 // forces 16 shards (shardCountFor threshold is 4096)
-	var q flightQueue
-	q.reset(p)
-	if len(q.shards) < 2 {
-		t.Fatalf("P=%d produced %d shards; property test needs a real shard merge", p, len(q.shards))
-	}
-	var ref flightHeap
-
-	rng := rand.New(rand.NewSource(42))
-	randMsg := func() Msg {
-		return Msg{
-			From:   rng.Intn(p),
-			To:     rng.Intn(p),
-			Item:   rng.Intn(4),
-			Arrive: logp.Time(rng.Intn(64)), // dense range to force ties
-			SendAt: logp.Time(rng.Intn(64)),
+// flightScript drives a flightQueue and a flightHeap through one
+// engine-shaped sequence read from b and fails at the first pop, peek or
+// length where they differ. The first bytes pick the delay o + L, now and
+// then one large enough that later arrivals wrap past the int64 range.
+// Each further byte is an operation:
+//
+//   - a burst of up to 16 sends at the current instant (three more bytes
+//     seed their senders, destinations and items, from small ranges, so one
+//     instant sends many messages that tie on Arrive and one destination is
+//     reached by several (item, sender) pairs);
+//   - a tick that advances the clock and pops every arrival due by then,
+//     as TickTo does (the clock never goes back, so send instants are
+//     nondecreasing);
+//   - a peek, as Replay's lookahead does between instants, or as a caller
+//     driving the engine by hand may do between two sends of one instant;
+//   - a reset, as Engine.Reset does between runs, that starts the clock
+//     again at 0.
+func flightScript(t *testing.T, b []byte) {
+	t.Helper()
+	next := func() int {
+		if len(b) == 0 {
+			return 0
 		}
+		v := int(b[0])
+		b = b[1:]
+		return v
 	}
-
-	// Interleave pushes and pops so the top-level heap exercises insert,
-	// remove-root, sift-up and sift-down against partially drained shards.
-	const ops = 20000
-	for i := 0; i < ops; i++ {
-		if q.len() == 0 || rng.Intn(3) != 0 {
-			m := randMsg()
-			q.push(m)
-			ref.push(m)
-		} else {
-			got, want := q.pop(), ref.pop()
-			if got != want {
-				t.Fatalf("op %d: sharded pop %+v, single-heap pop %+v", i, got, want)
+	var q flightQueue
+	var ref flightHeap
+	delay := logp.Time(1 + next()%6)
+	if next()%8 == 0 {
+		delay = math.MaxInt64 - logp.Time(next()%16)
+	}
+	var now logp.Time
+	for op := 0; len(b) > 0; op++ {
+		switch c := next(); {
+		case c < 150:
+			from, to, item := next(), next(), next()
+			for j := range 1 + c%16 {
+				m := Msg{
+					From: (from + j/4) % 8, To: (to + j) % 4, Item: (item + j/2) % 3,
+					SendAt: now, Arrive: now + delay,
+				}
+				q.push(m)
+				ref.push(m)
 			}
+		case c < 240:
+			now += logp.Time(1 + c%4)
+			for len(ref) > 0 && ref[0].Arrive <= now {
+				if q.len() == 0 || q.peek().Arrive > now {
+					t.Fatalf("op %d at %d: queue has nothing due, heap has %+v", op, now, ref[0])
+				}
+				if got, want := q.pop(), ref.pop(); got != want {
+					t.Fatalf("op %d at %d: queue pops %+v, heap pops %+v", op, now, got, want)
+				}
+			}
+			if q.len() > 0 && q.peek().Arrive <= now {
+				t.Fatalf("op %d at %d: queue still has %+v due", op, now, q.peek())
+			}
+		case c < 250:
+			if q.len() > 0 && q.peek() != ref[0] {
+				t.Fatalf("op %d: queue peeks %+v, heap peeks %+v", op, q.peek(), ref[0])
+			}
+		default:
+			q.reset(next())
+			ref, now = ref[:0], 0
 		}
 		if q.len() != len(ref) {
-			t.Fatalf("op %d: sharded len %d, single-heap len %d", i, q.len(), len(ref))
-		}
-		if q.len() > 0 && q.peek() != ref[0] {
-			t.Fatalf("op %d: sharded peek %+v, single-heap min %+v", i, q.peek(), ref[0])
+			t.Fatalf("op %d: queue holds %d messages, heap %d", op, q.len(), len(ref))
 		}
 	}
-	for q.len() > 0 {
-		got, want := q.pop(), ref.pop()
-		if got != want {
-			t.Fatalf("drain: sharded pop %+v, single-heap pop %+v", got, want)
+	for len(ref) > 0 {
+		if got, want := q.pop(), ref.pop(); got != want {
+			t.Fatalf("drain: queue pops %+v, heap pops %+v", got, want)
 		}
 	}
-	if len(ref) != 0 {
-		t.Fatalf("single heap retained %d messages after sharded queue drained", len(ref))
+	if q.len() != 0 {
+		t.Fatalf("queue holds %d messages after the heap drained", q.len())
 	}
 }
 
-// TestLargePReplayAllocationStability checks the engine's steady state at
-// P=1e5: after one warm-up Reset+Replay of an optimal broadcast, further
-// replays must not allocate proportionally to P or to the event count.
-func TestLargePReplayAllocationStability(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a 100k-processor schedule")
-	}
-	const p = 100_000
-	m := logp.MustNew(p, 6, 2, 4)
-	s := core.BroadcastSchedule(m, 0)
-	og := core.Origins(0)
-	e := New(m, Strict)
-	warm := e.Replay(s, og)
-	if len(warm.Violations) != 0 {
-		t.Fatalf("broadcast replay not clean: %v", warm.Violations[0])
-	}
-	if warm.Finish == 0 {
-		t.Fatal("replay did nothing")
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		e.Reset(m, Strict)
-		rep := e.Replay(s, og)
-		if rep.Finish != warm.Finish {
-			t.Fatalf("recycled finish %d, fresh finish %d", rep.Finish, warm.Finish)
-		}
-	})
-	// The 2P-2 events of the replay must reuse the engine's storage; a
-	// small constant of bookkeeping allocations is fine, O(P) is not.
-	if allocs > 64 {
-		t.Fatalf("warm Reset+Replay at P=%d allocates %.0f times per run; storage is not being recycled", p, allocs)
+// TestFlightQueueMatchesHeap is the arrival-order property: on sequences
+// shaped like the engine's, the queue pops exactly what a flightHeap pops.
+// flightBefore is total and orders by Arrive first, and sends come in
+// nondecreasing Arrive, so sorting each send instant's run once gives the
+// heap's order.
+func TestFlightQueueMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 2000; i++ {
+		flightScript(t, randScript(rng, 1+rng.Intn(1200)))
 	}
 }
 
-// TestResetShrinksAfterHugeRun checks the retain-watermark decay: one huge
-// case must not pin its capacity across a subsequent sweep of small cases.
-func TestResetShrinksAfterHugeRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a 50k-processor schedule")
-	}
-	big := logp.MustNew(50_000, 6, 2, 4)
-	bigSched := core.BroadcastSchedule(big, 0)
-	small := logp.MustNew(8, 6, 2, 4)
-	smallSched := core.BroadcastSchedule(small, 0)
-	og := core.Origins(0)
+// randScript returns n random script bytes. A script of a few hundred bytes
+// sends a thousand or more messages, so the ring wraps and front runs
+// straddle its end.
+func randScript(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	rng.Read(b)
+	return b
+}
 
-	e := New(big, Strict)
-	if rep := e.Replay(bigSched, og); rep.Finish == 0 {
-		t.Fatal("big replay did nothing")
-	}
-	grown := cap(e.executed.Events)
-	if grown < len(bigSched.Events) {
-		t.Fatalf("executed capacity %d did not grow to the big case's %d events", grown, len(bigSched.Events))
-	}
-
-	// The watermark decays by a quarter per Reset; a dozen small cases is
-	// far past the point where every big-run capacity is oversized.
-	for i := 0; i < 16; i++ {
-		e.Reset(small, Strict)
-		if rep := e.Replay(smallSched, og); len(rep.Violations) != 0 {
-			t.Fatalf("small replay %d not clean: %v", i, rep.Violations[0])
-		}
-	}
-	e.Reset(small, Strict)
-	if c := cap(e.executed.Events); c >= grown {
-		t.Errorf("executed capacity still %d after the sweep (big run grew it to %d)", c, grown)
-	}
-	if c := cap(e.procs); c >= big.P {
-		t.Errorf("proc slab capacity still %d after the sweep (big run had P=%d)", c, big.P)
-	}
-	if c := cap(e.avail.entries); c > 4096 {
-		t.Errorf("availability slab capacity still %d after the sweep", c)
-	}
-	total := 0
-	for i := range e.inflight.shards {
-		total += cap(e.inflight.shards[i])
-	}
-	if total > 4096 {
-		t.Errorf("flight shards retain %d total capacity after the sweep", total)
-	}
-	// And the shrunken engine still works.
-	if rep := e.Replay(smallSched, og); len(rep.Violations) != 0 || rep.Finish == 0 {
-		t.Fatalf("engine broken after shrink: %+v", rep)
-	}
+// FuzzFlightQueue checks the queue against flightHeap on fuzzed scripts
+// (see flightScript).
+func FuzzFlightQueue(f *testing.F) {
+	// Delay 3: two instants of sends with ties on one destination, ticks,
+	// a lookahead peek between sends, and a reset.
+	f.Add([]byte{2, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 1, 245, 4, 2, 0, 150, 0, 0, 0, 200, 255, 9, 0, 5, 1, 2, 151})
+	// A delay near 2⁶³: the later sends' arrivals wrap.
+	f.Add([]byte{0, 0, 3, 0, 1, 1, 0, 150, 0, 2, 1, 1, 151, 0, 3, 0, 2, 150, 239, 239})
+	// Long enough for the ring to wrap.
+	f.Add(randScript(rand.New(rand.NewSource(1)), 1500))
+	f.Fuzz(flightScript)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"logpopt/internal/logp"
@@ -129,5 +130,33 @@ func TestCapacityViolationRecorded(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("5 concurrent messages to one proc on capacity-4 machine recorded no violation: %v", rep.Violations)
+	}
+}
+
+// Strict-mode arrivals at one instant are received in the in-flight order
+// (destination, then item, then sender), whatever order they were sent in:
+// the first to pop at a port is received cleanly and the rest violate. The
+// sends below are in the event order (by sender), which is not the
+// in-flight order, so the pinned violations hold only if each instant's
+// arrivals are ordered before they pop.
+func TestSameInstantArrivalsViolationOrder(t *testing.T) {
+	m := logp.Postal(6, 3)
+	s := &schedule.Schedule{M: m}
+	s.Send(0, 0, 1, 5)
+	s.Send(1, 0, 2, 4)
+	s.Send(2, 0, 0, 4)
+	s.Send(3, 0, 0, 5)
+	e := New(m, Strict)
+	e.Inject(0, 1, 0)
+	e.Inject(1, 2, 0)
+	e.Inject(2, 0, 0)
+	e.Inject(3, 0, 0)
+	rep := e.Replay(s, nil)
+	want := []schedule.Violation{
+		{Kind: schedule.VGap, Msg: "sim: proc 4 receive port busy for item 2 arriving at 3"},
+		{Kind: schedule.VGap, Msg: "sim: proc 5 receive port busy for item 1 arriving at 3"},
+	}
+	if !slices.Equal(rep.Violations, want) {
+		t.Fatalf("violations %v, want %v", rep.Violations, want)
 	}
 }

@@ -150,3 +150,84 @@ func BenchmarkSimReplayTimeseriesOn(b *testing.B) {
 		}
 	}
 }
+
+// TestLargePReplayAllocationStability checks the engine's steady state at
+// P=1e5: after one warm-up Reset+Replay of an optimal broadcast, further
+// replays must not allocate proportionally to P or to the event count.
+func TestLargePReplayAllocationStability(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 100k-processor schedule")
+	}
+	const p = 100_000
+	m := logp.MustNew(p, 6, 2, 4)
+	s := core.BroadcastSchedule(m, 0)
+	og := core.Origins(0)
+	e := New(m, Strict)
+	warm := e.Replay(s, og)
+	if len(warm.Violations) != 0 {
+		t.Fatalf("broadcast replay not clean: %v", warm.Violations[0])
+	}
+	if warm.Finish == 0 {
+		t.Fatal("replay did nothing")
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		e.Reset(m, Strict)
+		rep := e.Replay(s, og)
+		if rep.Finish != warm.Finish {
+			t.Fatalf("recycled finish %d, fresh finish %d", rep.Finish, warm.Finish)
+		}
+	})
+	// The 2P-2 events of the replay must reuse the engine's storage; a
+	// small constant of bookkeeping allocations is fine, O(P) is not.
+	if allocs > 64 {
+		t.Fatalf("warm Reset+Replay at P=%d allocates %.0f times per run; storage is not being recycled", p, allocs)
+	}
+}
+
+// TestResetShrinksAfterHugeRun checks the retain-watermark decay: one huge
+// case must not pin its capacity across a subsequent sweep of small cases.
+func TestResetShrinksAfterHugeRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 50k-processor schedule")
+	}
+	big := logp.MustNew(50_000, 6, 2, 4)
+	bigSched := core.BroadcastSchedule(big, 0)
+	small := logp.MustNew(8, 6, 2, 4)
+	smallSched := core.BroadcastSchedule(small, 0)
+	og := core.Origins(0)
+
+	e := New(big, Strict)
+	if rep := e.Replay(bigSched, og); rep.Finish == 0 {
+		t.Fatal("big replay did nothing")
+	}
+	grown := cap(e.executed.Events)
+	if grown < len(bigSched.Events) {
+		t.Fatalf("executed capacity %d did not grow to the big case's %d events", grown, len(bigSched.Events))
+	}
+
+	// The watermark decays by a quarter per Reset; a dozen small cases is
+	// far past the point where every big-run capacity is oversized.
+	for i := 0; i < 16; i++ {
+		e.Reset(small, Strict)
+		if rep := e.Replay(smallSched, og); len(rep.Violations) != 0 {
+			t.Fatalf("small replay %d not clean: %v", i, rep.Violations[0])
+		}
+	}
+	e.Reset(small, Strict)
+	if c := cap(e.executed.Events); c >= grown {
+		t.Errorf("executed capacity still %d after the sweep (big run grew it to %d)", c, grown)
+	}
+	if c := cap(e.procs); c >= big.P {
+		t.Errorf("proc slab capacity still %d after the sweep (big run had P=%d)", c, big.P)
+	}
+	if c := cap(e.avail.entries); c > 4096 {
+		t.Errorf("availability slab capacity still %d after the sweep", c)
+	}
+	if c := cap(e.inflight.buf); c > 4096 {
+		t.Errorf("in-flight queue retains %d capacity after the sweep", c)
+	}
+	// And the shrunken engine still works.
+	if rep := e.Replay(smallSched, og); len(rep.Violations) != 0 || rep.Finish == 0 {
+		t.Fatalf("engine broken after shrink: %+v", rep)
+	}
+}

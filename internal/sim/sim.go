@@ -18,6 +18,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -44,7 +45,7 @@ var (
 	// — strict-mode receptions and immediate drains stay off the histogram's
 	// mutex, keeping the hot path to plain counter tallies.
 	mRecvWait = obs.Default.Histogram("sim.recv.wait.cycles")
-	// Live in-flight heap size, refreshed on the amortized event flush so a
+	// Live in-flight message count, refreshed on the amortized event flush so a
 	// scraper polling /metrics mid-replay sees the drain progressing.
 	gInflight = obs.Default.Gauge("sim.inflight")
 )
@@ -94,18 +95,23 @@ type procState struct {
 // Send is on the per-message hot path of every replay.
 type flightHeap []Msg
 
-func flightBefore(a, b Msg) bool {
+// compareFlight is the in-flight order: by arrival, then destination, item
+// and sender. One sender starts at most one send per instant, so the order
+// is total.
+func compareFlight(a, b Msg) int {
 	if a.Arrive != b.Arrive {
-		return a.Arrive < b.Arrive
+		return cmp.Compare(a.Arrive, b.Arrive)
 	}
 	if a.To != b.To {
-		return a.To < b.To
+		return cmp.Compare(a.To, b.To)
 	}
 	if a.Item != b.Item {
-		return a.Item < b.Item
+		return cmp.Compare(a.Item, b.Item)
 	}
-	return a.From < b.From
+	return cmp.Compare(a.From, b.From)
 }
+
+func flightBefore(a, b Msg) bool { return compareFlight(a, b) < 0 }
 
 func (h *flightHeap) push(m Msg) {
 	*h = append(*h, m)
@@ -148,8 +154,8 @@ func (h *flightHeap) pop() Msg {
 // Engine is a running LogP machine. Create one with New, inject origin items,
 // then either replay a schedule with Run or drive it interactively:
 // repeatedly TickTo / Send. A finished engine can be recycled for another
-// run with Reset, which reuses every internal allocation (the sharded
-// flight queue, the availability slab, per-processor buffers, and
+// run with Reset, which reuses every internal allocation (the in-flight
+// queue, the availability slab, per-processor buffers, and
 // executed-event storage), bounded by decayed retain watermarks so a
 // one-off huge case does not pin memory for the rest of a sweep.
 type Engine struct {
@@ -159,7 +165,7 @@ type Engine struct {
 
 	// Tracer, when non-nil, receives a flight recorder of the run: one span
 	// per port overhead (per-processor busy tracks), instants for
-	// violations, and counters for the flight-heap size and total buffered
+	// violations, and counters for the in-flight count and total buffered
 	// queue depth. Timestamps are LogP cycles. TracePID selects the trace
 	// process id (defaults to 1); set distinct pids to overlay several
 	// engines in one trace. Both survive Reset, like BufferCap.
@@ -167,7 +173,7 @@ type Engine struct {
 	TracePID int
 
 	// TS, when non-nil, receives a simulated-time series of the run: the
-	// engine registers probes for its clock, in-flight heap size, drained
+	// engine registers probes for its clock, in-flight count, drained
 	// events, buffered depth, and violation count, and samples them once per
 	// configured window of virtual cycles (Collector.SetWindow; every cycle
 	// when unset). Probes read engine state without synchronization, which is
@@ -210,7 +216,7 @@ func New(m logp.Machine, mode Mode) *Engine {
 
 // Reset reinitializes the engine for machine m in the given mode, reusing
 // the allocations of any previous run: the per-processor states (including
-// their buffers), the sharded in-flight queue, the availability slab, and
+// their buffers), the in-flight queue, the availability slab, and
 // the executed-event slice all keep their capacity. BufferCap is preserved.
 //
 // Reuse is bounded by decayed retain watermarks: each Reset folds the
@@ -235,8 +241,7 @@ func (e *Engine) Reset(m logp.Machine, mode Mode) {
 	e.violations = slab.Reuse(e.violations, hwViol, 64)
 	e.buffered = slab.Reuse(e.buffered, hwProcs, 1024)
 	e.ends.Reset(hwEnds)
-	e.inflight.reset(m.P)
-	e.inflight.shrink(hwFlight)
+	e.inflight.reset(hwFlight)
 	if slab.Oversized(cap(e.avail.entries), hwAvail, 1024) {
 		e.avail.entries = nil
 	}
@@ -467,7 +472,7 @@ func (e *Engine) enqueue(msg Msg) {
 // drain lets every buffered processor whose receive port is free take its
 // earliest buffered message, in processor order. Duplicates (already-held
 // items) are received too — schedules decide what they send; the engine
-// just models the machine. Each buffer is a heap in the flight heap's total
+// just models the machine. Each buffer is a heap in the in-flight total
 // order (flightBefore), so ties on (Arrive, Item) resolve by sender, never
 // by buffer position.
 func (e *Engine) drain() {
