@@ -13,6 +13,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"logpopt/internal/serve/sched"
 )
 
 // servd is the end-to-end proof that a real logpservd process behaves: it
@@ -22,8 +24,9 @@ import (
 // that together fit the cache budget both stay cached, that a POST and a
 // GET leaving out o and l get the same key, that a key whose solve fails
 // answers the same 400 twice, the second time from the cache, checks the
-// RED series made it to /metrics, and shuts the process down with SIGTERM
-// expecting a clean exit.
+// RED series made it to /metrics beside the soft memory limit the default
+// cache budget sets, and shuts the process down with SIGTERM expecting a
+// clean exit.
 //
 // With -sched pointing at a built logpsched, it also diffs the CLI and the
 // service byte-for-byte: `logpsched -render json` solving locally must
@@ -33,14 +36,14 @@ func servd(args []string, _ io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("logpcheck servd", flag.ExitOnError)
 	fs.SetOutput(stderr)
 	bin := fs.String("bin", "", "`path` to the logpservd binary to smoke-test")
-	sched := fs.String("sched", "", "`path` to a logpsched binary; when set, diff its local solve against -remote byte-for-byte")
+	schedBin := fs.String("sched", "", "`path` to a logpsched binary; when set, diff its local solve against -remote byte-for-byte")
 	n := fs.Int("n", 32, "concurrent identical requests to fire at one cold key")
 	fs.Parse(args) //nolint:errcheck // ExitOnError: 0 after -h, 2 on a bad flag
 	if *bin == "" {
 		fmt.Fprintln(stderr, "logpcheck servd: -bin is required (path to a built logpservd)")
 		return 1
 	}
-	if err := smoke(*bin, *sched, *n, stdout, stderr); err != nil {
+	if err := smoke(*bin, *schedBin, *n, stdout, stderr); err != nil {
 		fmt.Fprintf(stderr, "logpcheck servd: %v\n", err)
 		return 1
 	}
@@ -48,7 +51,7 @@ func servd(args []string, _ io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func smoke(bin, sched string, n int, stdout, stderr io.Writer) error {
+func smoke(bin, schedBin string, n int, stdout, stderr io.Writer) error {
 	dir, err := os.MkdirTemp("", "logpcheck-servd")
 	if err != nil {
 		return err
@@ -58,6 +61,9 @@ func smoke(bin, sched string, n int, stdout, stderr io.Writer) error {
 
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addrfile", addrFile)
 	cmd.Stderr = stderr
+	// The daemon leaves a GOMEMLIMIT it inherits alone; without one it sets
+	// the limit its budget implies, which the /metrics check expects.
+	cmd.Env = append(os.Environ(), "GOMEMLIMIT=")
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("starting %s: %w", bin, err)
 	}
@@ -210,16 +216,22 @@ func smoke(bin, sched string, n int, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "servd smoke: RED series present on /metrics")
 
+	limit := fmt.Sprintf("logpopt_servd_memory_limit_bytes %d\n", sched.MemoryLimit(sched.DefaultCacheBytes))
+	if !strings.Contains(metrics, limit) {
+		return fmt.Errorf("/metrics lacks %q: the default budget's soft memory limit", strings.TrimSpace(limit))
+	}
+	fmt.Fprintln(stdout, "servd smoke: soft memory limit is the default budget plus the allowance")
+
 	// CLI/service agreement: a local solve and a -remote fetch of the same
 	// key must be byte-identical, below and above P = 512 alike.
-	if sched != "" {
+	if schedBin != "" {
 		for _, p := range []string{"300", "3000"} {
 			args := []string{"-op", "broadcast", "-P", p, "-render", "json"}
-			local, err := exec.Command(sched, args...).Output()
+			local, err := exec.Command(schedBin, args...).Output()
 			if err != nil {
 				return fmt.Errorf("local logpsched P=%s: %w", p, err)
 			}
-			remote, err := exec.Command(sched, append(args, "-remote", base)...).Output()
+			remote, err := exec.Command(schedBin, append(args, "-remote", base)...).Output()
 			if err != nil {
 				return fmt.Errorf("remote logpsched P=%s: %w", p, err)
 			}

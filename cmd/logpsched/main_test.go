@@ -73,6 +73,20 @@ func TestRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestSummationOverflowFails: a deadline whose n(t) overflows int64 is an
+// error naming the overflow, with nothing on stdout, not a panic.
+func TestSummationOverflowFails(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("logpsched panicked: %v", r)
+		}
+	}()
+	out, err := exec(t, "-op", "summation", "-P", "4", "-L", "6", "-o", "2", "-g", "4", "-t", "9223372036854775807")
+	if err == nil || !strings.Contains(err.Error(), "overflows int64") || out != "" {
+		t.Fatalf("stdout %q, err %v; want no output and an overflow error", out, err)
+	}
+}
+
 // TestConstructorsEmitIdenticalSchedules pins the single-constructor
 // contract: the JSON logpsched emits through the search-free construction
 // is byte-identical to the same op compiled on the heap-search oracle, on

@@ -29,6 +29,14 @@
 // only after the warmup solves, so load balancers never route to a cold
 // process.
 //
+// The cache budget (-cache-bytes, default 256 MiB) also bounds the heap:
+// the daemon sets the runtime's soft memory limit to the budget plus a
+// fixed working allowance (sched.MemoryLimit), so a nearly full cache is
+// collected before the heap reaches twice its size. A GOMEMLIMIT in the
+// environment wins over it, and -cache-bytes 0 (unbounded) sets no limit.
+// /metrics reports the limit in effect as servd.memory.limit.bytes, and
+// /timeseries and /dashboard plot it beside the live heap.
+//
 // Every optimal tree is built by the search-free counting construction
 // (internal/logtime). A request's constructor field (auto, search, or
 // logtime) is still accepted and changes nothing; any other value is a 400.
@@ -41,6 +49,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -67,7 +76,7 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "listen `address` (:0 picks a free port)")
 		addrFile   = fs.String("addrfile", "", "write the bound address to `file` once listening (for scripts using -addr :0)")
-		cacheBytes = fs.Int64("cache-bytes", 256<<20, "schedule-cache budget in bytes of serialized schedules: past it the least-recently-used entry is evicted; an answer larger than the budget is served but not cached (0 = unbounded)")
+		cacheBytes = fs.Int64("cache-bytes", sched.DefaultCacheBytes, "schedule-cache budget in bytes (each entry is charged its serialized schedule plus a fixed overhead): past it the least-recently-used entry is evicted, and an answer larger than the budget is served but not cached. It also sets the soft memory limit to the budget plus 64 MiB, unless GOMEMLIMIT is set (0 = unbounded cache, no limit)")
 		slow       = fs.Duration("slow", 500*time.Millisecond, "log requests at or above this duration as warnings (0 disables)")
 		traceOut   = fs.String("trace", "", cliutil.TraceUsage)
 		sample     = fs.Int64("tracesample", 1, "with -trace: keep request spans for a seeded 1-in-N sample of requests; counter graphs thin by the same factor. 1 keeps everything")
@@ -81,6 +90,15 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 	if *sample < 1 {
 		return fmt.Errorf("-tracesample must be at least 1, got %d", *sample)
 	}
+
+	// The budget bounds the heap, not only the cache: past the limit the
+	// collector runs before the heap doubles. run restores the previous
+	// limit on return, for the tests that call it in-process.
+	if os.Getenv("GOMEMLIMIT") == "" && *cacheBytes > 0 {
+		defer debug.SetMemoryLimit(debug.SetMemoryLimit(sched.MemoryLimit(*cacheBytes)))
+	}
+	limit := obs.Default.Gauge("servd.memory.limit.bytes")
+	limit.Set(debug.SetMemoryLimit(-1))
 
 	// Request spans stream straight to the trace file, sampled at the
 	// request level, so a day of production traffic stays a bounded file.
@@ -116,6 +134,7 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal) error {
 		}
 	}
 	ts := cliutil.StandardCollector()
+	ts.ProbeGauge("servd.memory.limit.bytes", limit)
 	srv.SetTimeseries(ts)
 	srv.OnClose(ts.Start(time.Second))
 	for _, rt := range api.Routes() {

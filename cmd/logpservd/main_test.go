@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"logpopt/internal/serve/sched"
 )
 
 // startDaemon runs run() in a goroutine on an ephemeral port, waits for the
@@ -184,6 +189,55 @@ func TestDaemonFlagValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestDaemonMemoryLimit: while run() serves, the runtime's soft memory
+// limit is sched.MemoryLimit of the cache budget, /metrics reports the
+// limit in effect and /timeseries plots it beside the live heap; on return
+// the previous limit is back. A GOMEMLIMIT in the environment and an
+// unbounded cache leave the limit alone, and a budget near MaxInt64
+// saturates instead of wrapping.
+func TestDaemonMemoryLimit(t *testing.T) {
+	const prev = 3 << 30 // stands in for whatever limit the process had
+	orig := debug.SetMemoryLimit(prev)
+	t.Cleanup(func() { debug.SetMemoryLimit(orig) })
+	cases := []struct {
+		name, gomemlimit string
+		args             []string
+		want             int64
+	}{
+		{"default budget", "", nil, sched.MemoryLimit(sched.DefaultCacheBytes)},
+		{"set budget", "", []string{"-cache-bytes", "1000000"}, sched.MemoryLimit(1000000)},
+		{"GOMEMLIMIT wins", "3GiB", []string{"-cache-bytes", "1000000"}, prev},
+		{"unbounded cache", "", []string{"-cache-bytes", "0"}, prev},
+		{"huge budget saturates", "", []string{"-cache-bytes", strconv.FormatInt(math.MaxInt64-1, 10)}, math.MaxInt64},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Setenv("GOMEMLIMIT", tc.gomemlimit)
+			base, stop, done := startDaemon(t, tc.args...)
+			if got := debug.SetMemoryLimit(-1); got != tc.want {
+				t.Errorf("memory limit while serving = %d, want %d", got, tc.want)
+			}
+			_, metrics := fetch(t, base+"/metrics")
+			if line := fmt.Sprintf("logpopt_servd_memory_limit_bytes %d\n", tc.want); !strings.Contains(metrics, line) {
+				t.Errorf("/metrics lacks %q", line)
+			}
+			_, series := fetch(t, base+"/timeseries")
+			for _, name := range []string{`"servd.memory.limit.bytes"`, `"process.heap.live.bytes"`} {
+				if !strings.Contains(series, name) {
+					t.Errorf("/timeseries lacks the series %s", name)
+				}
+			}
+			stop <- syscall.SIGTERM
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if got := debug.SetMemoryLimit(-1); got != prev {
+				t.Errorf("memory limit after run = %d, want the previous %d", got, prev)
+			}
+		})
 	}
 }
 

@@ -2,12 +2,19 @@ package bench
 
 import (
 	"io"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
+	"logpopt/internal/logp"
 	"logpopt/internal/obs"
+	"logpopt/internal/obs/timeseries"
 	"logpopt/internal/serve/sched"
 )
 
@@ -109,4 +116,83 @@ func BenchmarkServdBatchSweep(b *testing.B) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(b.N)*32/s, "req/sec")
 	}
+}
+
+// BenchmarkServdColdFill fills a 64 MiB schedule cache with two budgets'
+// worth of distinct keys shaped like perfbench's serve_cold (broadcast,
+// reduce, scan and binomial; P from 16 to 2·10⁴, log-spaced below 512;
+// L 1…12, o 0…4, g 1…8), under the soft memory limit logpservd sets for
+// that budget. One op is one fill of a new cache. heapgoal/budget is the
+// largest heap goal the collector set during the fills over the budget: it
+// stays under MemoryLimit's (budget + allowance) / budget instead of the
+// pacer's twice the live cache. live/charged is the live heap a filled
+// cache adds, after a collection, over the bytes it charges: at most 1 when
+// the per-entry charge covers what an entry pins.
+func BenchmarkServdColdFill(b *testing.B) {
+	const budget = 64 << 20
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(sched.MemoryLimit(budget)))
+	keys := coldFillKeys(b, 4000)
+	goal := []metrics.Sample{{Name: "/gc/heap/goal:bytes"}}
+	var maxGoal uint64
+	fill := func() *sched.Cache {
+		c := sched.NewCache(budget, obs.NewRegistry())
+		var filled int64
+		for i := 0; filled < 2*budget; i++ {
+			if i == len(keys) {
+				b.Fatalf("%d keys fill only %d bytes", len(keys), filled)
+			}
+			res, _, err := c.Get(keys[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			filled += int64(len(res.JSON))
+			metrics.Read(goal)
+			maxGoal = max(maxGoal, goal[0].Value.Uint64())
+		}
+		return c
+	}
+	fill() // grow logtime's per-shape tables outside the measurement
+	var live, charged int64
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		runtime.GC()
+		before := timeseries.LiveHeapBytes()
+		b.StartTimer()
+		c := fill()
+		b.StopTimer()
+		runtime.GC()
+		live += timeseries.LiveHeapBytes() - before
+		charged += c.Stats().Bytes
+		runtime.KeepAlive(c)
+	}
+	b.ReportMetric(float64(maxGoal)/budget, "heapgoal/budget")
+	b.ReportMetric(float64(live)/float64(charged), "live/charged")
+}
+
+// coldFillKeys draws n distinct canonical keys the way serve_cold does:
+// the ops in turn, P cycling through 16 bands (four log-spaced from 16 to
+// 512, twelve even ones from 512 to 2·10⁴), and a random machine.
+func coldFillKeys(b *testing.B, n int) []sched.Key {
+	ops := []string{"broadcast", "reduce", "scan", "binomial"}
+	rng := rand.New(rand.NewPCG(11, 1))
+	seen := make(map[sched.Key]bool)
+	var keys []sched.Key
+	for i := 0; len(keys) < n; i++ {
+		u := float64(i/len(ops)%16) + rng.Float64()
+		p := 512 + int((20000-512)*(u-4)/12)
+		if u < 4 {
+			p = int(16 * math.Exp(math.Log(512.0/16)*u/4))
+		}
+		k, err := sched.Canonicalize(sched.Request{Op: ops[i%len(ops)], P: p,
+			L: logp.Time(1 + rng.IntN(12)), O: logp.Time(rng.IntN(5)), G: logp.Time(1 + rng.IntN(8))}, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }

@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	goruntime "runtime"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"sync"
@@ -392,9 +393,22 @@ func RSSBytes() int64 {
 	return pages * int64(os.Getpagesize())
 }
 
+// LiveHeapBytes reads the heap the last garbage collection found live
+// (runtime/metrics /gc/heap/live:bytes): the settled figure that RSS and
+// the heap goal grow from, free of the garbage awaiting the next cycle.
+func LiveHeapBytes() int64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return int64(s[0].Value.Uint64())
+}
+
 // ProbeProcess registers the standard process-level series: resident set
-// size (bytes) and live goroutine count.
+// size and live heap (bytes) and live goroutine count.
 func (c *Collector) ProbeProcess() {
 	c.Probe("process.rss.bytes", RSSBytes)
+	c.Probe("process.heap.live.bytes", LiveHeapBytes)
 	c.Probe("process.goroutines", func() int64 { return int64(goruntime.NumGoroutine()) })
 }

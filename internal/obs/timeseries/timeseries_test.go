@@ -3,6 +3,7 @@ package timeseries
 import (
 	"bytes"
 	"encoding/json"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +179,15 @@ func TestWriteJSONShape(t *testing.T) {
 	hits := doc.Series[1].Points
 	if len(hits) != 2 || hits[0] != [2]int64{100, 7} || hits[1] != [2]int64{200, 8} {
 		t.Fatalf("hits points %v", hits)
+	}
+}
+
+// TestLiveHeapBytes: after a collection the live-heap probe reads the
+// runtime's settled figure, which is never zero in a running program.
+func TestLiveHeapBytes(t *testing.T) {
+	goruntime.GC()
+	if got := LiveHeapBytes(); got <= 0 {
+		t.Fatalf("LiveHeapBytes() = %d after a GC, want > 0", got)
 	}
 }
 

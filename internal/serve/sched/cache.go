@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -55,6 +56,45 @@ type entry struct {
 	err   error
 	elem  *list.Element // LRU position once ready; nil while in flight
 	bytes int64
+}
+
+// entryOverhead is what one ready entry pins besides its body (or its
+// error text): the entry, its ready channel, the Result, the LRU element,
+// the map slot, a request's op string, and the size-class rounding of a
+// small body. 4000 P = 16 broadcasts (~1.5 KB bodies) pin ~630 bytes each
+// beyond their bodies; TestCacheChargesWhatEntriesPin holds the charge
+// between the live heap such a cache grows by and 10% above it.
+const entryOverhead = 704
+
+// charge is what the budget counts for an entry whose body or error text
+// is n bytes long. A body past the runtime's 32 KiB small-object classes
+// occupies whole 8 KiB pages, so it is charged its pages.
+func charge(n int) int64 {
+	if n > 32<<10 {
+		n = (n + 8<<10 - 1) &^ (8<<10 - 1)
+	}
+	return int64(n) + entryOverhead
+}
+
+// DefaultCacheBytes is logpservd's default -cache-bytes budget.
+const DefaultCacheBytes = 256 << 20
+
+// memoryAllowance is the heap a daemon may use beyond its cache's budget
+// before the collector works harder: requests in flight, bodies being
+// written, the counting tables and the runtime's own structures.
+const memoryAllowance = 64 << 20
+
+// MemoryLimit is the soft memory limit for a process whose schedule cache
+// has the budget cacheBytes: the budget plus a fixed working allowance,
+// saturating at math.MaxInt64, which is also the answer for an unbounded
+// cache (cacheBytes <= 0) and the runtime's "no limit". The limit only
+// bites as the cache nears its budget: below it the heap goal is the
+// collector's usual twice the live heap.
+func MemoryLimit(cacheBytes int64) int64 {
+	if cacheBytes <= 0 || cacheBytes > math.MaxInt64-memoryAllowance {
+		return math.MaxInt64
+	}
+	return cacheBytes + memoryAllowance
 }
 
 // ShardStats is the cache's counters: the totals row of /debug/cache.
@@ -126,9 +166,9 @@ func (e *SolvePanic) Error() string {
 // requests race) and caching the result. The returned Outcome says whether
 // this request hit, missed (and solved), or coalesced onto another
 // request's solve. A failed solve is cached like an answer, charged
-// len(err.Error())+64 bytes, so a repeat of the key is a hit with the same
-// error; a solve that panicked (*SolvePanic) is not: every waiter gets the
-// error, and the next request retries. Neither is an answer larger than the
+// charge(len(err.Error())) bytes, so a repeat of the key is a hit with the
+// same error; a solve that panicked (*SolvePanic) is not: every waiter gets
+// the error, and the next request retries. Neither is an answer larger than the
 // whole budget: this request and its waiters get it, and the slot is
 // dropped without evicting anything else.
 func (c *Cache) Get(k Key) (*Result, Outcome, error) {
@@ -163,9 +203,9 @@ func (c *Cache) Get(k Key) (*Result, Outcome, error) {
 	var sp *SolvePanic
 	panicked := errors.As(err, &sp)
 	if err == nil {
-		e.bytes = int64(len(res.JSON)) + 64
+		e.bytes = charge(len(res.JSON))
 	} else {
-		e.bytes = int64(len(err.Error())) + 64
+		e.bytes = charge(len(err.Error()))
 	}
 	c.mu.Lock()
 	if !panicked && (c.maxBytes <= 0 || e.bytes <= c.maxBytes) {
@@ -215,8 +255,8 @@ func (c *Cache) fill(k Key) (res *Result, err error) {
 // solve answers the key and serializes it once. Broadcast, reduce, scan and
 // binomial stream from the counting tables (Stream); every other op is
 // compiled and its events encoded. Either way AppendSeqJSON sizes the bytes
-// exactly, so the entry's footprint is the len(JSON) the byte budget
-// charges, with no spare capacity.
+// exactly, so the body leaves no spare capacity outside the budget's
+// charge.
 func (c *Cache) solve(k Key) (*Result, error) {
 	start := time.Now()
 	m := k.Machine()

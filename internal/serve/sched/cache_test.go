@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"logpopt/internal/logp"
 	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
 )
@@ -112,8 +114,9 @@ func TestCacheHitServesSameBytes(t *testing.T) {
 }
 
 // TestCacheEntriesExactSize: a cached body holds no spare capacity, so the
-// byte budget (len(JSON)+64 per entry) charges what the entry really pins,
-// and the body is exactly what WriteJSON streams for the compiled schedule.
+// byte budget charges each entry charge(len(JSON)), its body plus the fixed
+// per-entry overhead, and the body is exactly what WriteJSON streams for the
+// compiled schedule.
 func TestCacheEntriesExactSize(t *testing.T) {
 	c := NewCache(0, obs.NewRegistry())
 	var charged int64
@@ -142,7 +145,7 @@ func TestCacheEntriesExactSize(t *testing.T) {
 				t.Errorf("%s P=%d: cached events %d finish %d bound %d baseline %v, compiled %d %d %d %v", op, p,
 					res.Events, res.Finish, res.Bound, res.Baseline, len(comp.S.Events), comp.S.Makespan(), comp.Bound, comp.Baseline)
 			}
-			charged += int64(len(res.JSON)) + 64
+			charged += charge(len(res.JSON))
 		}
 	}
 	if got := c.Stats().Bytes; got != charged {
@@ -173,6 +176,74 @@ func TestCachedResultHoldsOnlyJSON(t *testing.T) {
 			grew, len(res.JSON), limit)
 	}
 	runtime.KeepAlive(c)
+}
+
+// TestCacheChargesWhatEntriesPin: the budget's per-entry charge covers
+// what a small entry really pins. 4000 P = 16 broadcasts on distinct
+// machines (L 1…40, o 0…9, g 1…10), whose ~1.5 KB bodies make the fixed
+// overhead a third of each entry, must grow the live heap by no more than
+// the cache charges for them, and by at least 90% of it. logtime's builder
+// cache is filled to its cap first, so the solves retain no new builder
+// and the growth is the cache's.
+func TestCacheChargesWhatEntriesPin(t *testing.T) {
+	for i := range 1024 {
+		logtime.For(logp.Machine{P: 1, L: 1<<21 + logp.Time(i), O: 2, G: 4})
+	}
+	var keys []Key
+	for l := logp.Time(1); l <= 40; l++ {
+		for o := logp.Time(0); o < 10; o++ {
+			for g := logp.Time(1); g <= 10; g++ {
+				keys = append(keys, testKey(t, Request{Op: "broadcast", P: 16, L: l, O: o, G: g, K: 1}))
+			}
+		}
+	}
+	n := len(keys)
+	c := NewCache(0, obs.NewRegistry())
+	before := liveHeap()
+	for _, k := range keys {
+		if _, _, err := c.Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grew := liveHeap() - before
+	st := c.Stats()
+	t.Logf("%d entries: live heap +%d bytes, charged %d (%.1f bytes/entry pinned beyond the charge)",
+		st.Size, grew, st.Bytes, float64(grew-st.Bytes)/float64(n))
+	if st.Size != n || grew > st.Bytes {
+		t.Fatalf("%d entries grew the live heap by %d bytes, charged %d: the per-entry overhead (%d) is too small",
+			st.Size, grew, st.Bytes, entryOverhead)
+	}
+	if grew < st.Bytes*9/10 {
+		t.Fatalf("%d entries grew the live heap by only %d bytes, charged %d: the per-entry overhead (%d) overcharges by more than 10%%",
+			st.Size, grew, st.Bytes, entryOverhead)
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestMemoryLimit: the soft memory limit is the budget plus the working
+// allowance, and saturates at MaxInt64 (no limit) for an unbounded cache
+// and for budgets the addition would overflow.
+func TestMemoryLimit(t *testing.T) {
+	for _, tc := range []struct{ budget, want int64 }{
+		{DefaultCacheBytes, DefaultCacheBytes + memoryAllowance},
+		{1, 1 + memoryAllowance},
+		{0, math.MaxInt64},
+		{math.MaxInt64 - memoryAllowance, math.MaxInt64},
+		{math.MaxInt64 - memoryAllowance + 1, math.MaxInt64},
+		{math.MaxInt64, math.MaxInt64},
+	} {
+		if got := MemoryLimit(tc.budget); got != tc.want {
+			t.Errorf("MemoryLimit(%d) = %d, want %d", tc.budget, got, tc.want)
+		}
+	}
+}
+
+// liveHeap is the heap's live bytes after a full collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // TestCacheEviction fills a tiny cache past its byte budget and checks LRU
@@ -231,11 +302,32 @@ func TestCacheKeepsSolveError(t *testing.T) {
 		t.Fatalf("second failed request outcome = %q, want hit (errors are cached)", out)
 	}
 	total := c.Stats()
-	if want := int64(len(err.Error())) + 64; total.Size != 1 || total.Bytes != want || total.Misses != 1 {
+	if want := charge(len(err.Error())); total.Size != 1 || total.Bytes != want || total.Misses != 1 {
 		t.Fatalf("cache after a failed solve and its repeat: %+v, want 1 entry of %d bytes and 1 miss", total, want)
 	}
 	if got := reg.Counter("servd.cache.solve.errors").Value(); got != 1 {
 		t.Fatalf("solve error counter = %d, want 1", got)
+	}
+}
+
+// TestSummationOverflowAnswers400: a summation deadline whose n(t)
+// overflows int64 is the request's fault. The solve fails instead of
+// panicking, so the key answers 400 naming the overflow, and the repeat is
+// a hit on the cached error.
+func TestSummationOverflowAnswers400(t *testing.T) {
+	a, _ := newTestAPI(t)
+	h := a.Handler()
+	url := "/v1/schedule?op=summation&p=4&l=6&o=2&g=4&t=9223372036854775807"
+	var bodies [2]string
+	for i := range bodies {
+		rec, body := get(t, h, url)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(string(body), "overflows int64") {
+			t.Fatalf("request %d: status %d, body %q; want 400 naming the overflow", i, rec.Code, body)
+		}
+		bodies[i] = string(body)
+	}
+	if st := a.cache.Stats(); bodies[0] != bodies[1] || st.Size != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("bodies %q and %q, cache %+v; want one body, one entry, one miss and one hit", bodies[0], bodies[1], st)
 	}
 }
 
@@ -266,8 +358,8 @@ func TestSolveErrorMentionsOp(t *testing.T) {
 	}
 }
 
-// TestSolvePanicAnswers500 drives a key whose solve panics — a summation
-// whose deadline 2⁶³−1 overflows the capacity table — through a running
+// TestSolvePanicAnswers500 drives a key whose solve panics — a broadcast
+// whose latency 2⁶³−1 overflows the counting tables — through a running
 // server twice. Each request must get a prompt 500, the cache must keep no
 // slot for the key and count both failed solves, and once the server closes
 // no goroutine may be left parked on the key.
@@ -276,7 +368,7 @@ func TestSolvePanicAnswers500(t *testing.T) {
 	base := runtime.NumGoroutine()
 	srv := httptest.NewServer(a.Handler())
 	client := &http.Client{Timeout: 5 * time.Second}
-	url := srv.URL + "/v1/schedule?op=summation&p=4&l=6&o=2&g=4&t=9223372036854775807"
+	url := srv.URL + "/v1/schedule?op=broadcast&p=4&l=9223372036854775807&o=2&g=4"
 	for i := range 2 {
 		start := time.Now()
 		resp, err := client.Get(url)
@@ -311,14 +403,14 @@ func TestSolvePanicAnswers500(t *testing.T) {
 }
 
 // charged is what the cache charges for k's answer: its body plus the
-// per-entry overhead.
+// per-entry overhead (charge).
 func charged(t *testing.T, k Key) int64 {
 	t.Helper()
 	res, _, err := NewCache(0, obs.NewRegistry()).Get(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return int64(len(res.JSON)) + 64
+	return charge(len(res.JSON))
 }
 
 // wantOutcome fetches k and fails unless the cache answers with want.
@@ -333,12 +425,16 @@ func wantOutcome(t *testing.T, c *Cache, k Key, want Outcome) {
 // reaches the request that solved it and every request coalesced onto it,
 // but the cache keeps no slot for it and evicts nothing to make room.
 func TestCacheOversizedServedNotCached(t *testing.T) {
-	c := NewCache(2048, obs.NewRegistry())
 	var small []Key
+	var budget int64
 	for p := 2; p < 6; p++ {
 		k := testKey(t, Request{Op: "broadcast", P: p, L: 6, O: 2, G: 4, K: 1})
-		wantOutcome(t, c, k, Miss)
 		small = append(small, k)
+		budget += charged(t, k)
+	}
+	c := NewCache(budget, obs.NewRegistry())
+	for _, k := range small {
+		wantOutcome(t, c, k, Miss)
 	}
 	before := c.Stats()
 	big := testKey(t, Request{Op: "broadcast", P: 3000, L: 6, O: 2, G: 4, K: 1})

@@ -206,7 +206,8 @@ func Build(m logp.Machine, t logp.Time) (*Plan, error) {
 // return ß(p) as logtime.Tree does. The tree's size depends on t, so the
 // builder, not a prebuilt tree, is the parameter. The tests and the
 // conformance differential pass core.OptimalTree; the plan's operand count
-// is checked against the closed-form Capacity either way.
+// is checked against the closed-form Capacity either way. A deadline whose
+// n(t) does not fit in int64 is an error, not Capacity's panic.
 func BuildWith(m logp.Machine, t logp.Time, tb core.TreeBuilder) (*Plan, error) {
 	if err := Validate(m); err != nil {
 		return nil, err
@@ -215,7 +216,11 @@ func BuildWith(m logp.Machine, t logp.Time, tb core.TreeBuilder) (*Plan, error) 
 		return nil, fmt.Errorf("summation: negative deadline %d", t)
 	}
 	p := size(m, t)
-	n, tr := Capacity(m, t), tb(Lazy(m), p)
+	n, ok := capacity(m, t, p)
+	if !ok {
+		return nil, fmt.Errorf("summation: n(%d) on %v overflows int64", t, m)
+	}
+	tr := tb(Lazy(m), p)
 	pl := &Plan{M: m, T: t, Tree: tr, N: n}
 	pl.SendAt = make([]logp.Time, tr.P())
 	pl.Locals = make([]int64, tr.P())
