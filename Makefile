@@ -112,7 +112,7 @@ servd-smoke:
 # schedules (against the materialized tree's schedules), the
 # conformance harness, the causal analyzer (against its map-based oracle),
 # the checks that share one trace index (against the standalone calls), and
-# the engines' in-flight and wake queues (against reference heaps).
+# the engines' in-flight, wake and receive queues (against reference heaps).
 fuzz:
 	$(GO) test -fuzz=FuzzValidate -fuzztime=30s ./internal/schedule/
 	$(GO) test -fuzz=FuzzValidatorConsistency -fuzztime=30s ./internal/schedule/
@@ -125,6 +125,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzIndexedChecks -fuzztime=30s ./internal/obs/causal/
 	$(GO) test -fuzz=FuzzFlightQueue -fuzztime=10s ./internal/sim/
 	$(GO) test -fuzz=FuzzDueQueue -fuzztime=10s ./internal/runtime/
+	$(GO) test -fuzz=FuzzRecvQueue -fuzztime=10s ./internal/runtime/
 
 # Differential conformance: replay paper constructors and 500 random seeds on
 # the simulator (strict/buffered), the goroutine runtime (strict/buffered),

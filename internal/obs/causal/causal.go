@@ -39,6 +39,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"logpopt/internal/logp"
@@ -222,14 +223,20 @@ func (r *Report) CriticalProcs() map[int]bool {
 // Signature renders the critical path as one canonical line, usable for
 // equality checks across backends (the conformance harness diffs it between
 // the simulator's and the runtime's executed traces).
+// It appends into one byte slice, without fmt: Check builds one per
+// distinct trace, and fmt would cost an allocation per step.
 func (r *Report) Signature() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "finish=%d", r.Finish)
+	b := make([]byte, 0, 16+32*len(r.Path))
+	b = strconv.AppendInt(append(b, "finish="...), int64(r.Finish), 10)
 	for _, st := range r.Path {
 		e := st.Event
-		fmt.Fprintf(&b, " %s:P%d@%d/%s/i%d", st.Kind, e.Proc, e.Time, e.Op, e.Item)
+		b = append(append(append(b, ' '), st.Kind.String()...), ":P"...)
+		b = strconv.AppendInt(b, int64(e.Proc), 10)
+		b = strconv.AppendInt(append(b, '@'), int64(e.Time), 10)
+		b = append(append(append(b, '/'), e.Op.String()...), "/i"...)
+		b = strconv.AppendInt(b, int64(e.Item), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the report as the -explain listing: the path, one event

@@ -1,10 +1,13 @@
 package causal_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"logpopt/internal/baseline"
+	"logpopt/internal/combine"
+	"logpopt/internal/conform"
 	"logpopt/internal/continuous"
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
@@ -195,5 +198,43 @@ func TestSetBoundRejectsMismatch(t *testing.T) {
 	rep := causal.Analyze(core.BroadcastSchedule(m, 0), core.Origins(0))
 	if err := rep.SetBound(10, causal.Breakdown{Latency: 3}); err == nil {
 		t.Fatal("SetBound accepted a reference that does not total the bound")
+	}
+}
+
+// fmtSignature is the reference for Report.Signature: the same line built
+// with fmt, one formatted step at a time.
+func fmtSignature(r *causal.Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "finish=%d", r.Finish)
+	for _, st := range r.Path {
+		e := st.Event
+		fmt.Fprintf(&b, " %s:P%d@%d/%s/i%d", st.Kind, e.Proc, e.Time, e.Op, e.Item)
+	}
+	return b.String()
+}
+
+// TestSignatureMatchesFmt requires Signature's bytes to equal the fmt
+// reference on the paper cases, the scale cases at P = 1024 and a flat
+// tree's hub, broadcast and reversed reduce.
+func TestSignatureMatchesFmt(t *testing.T) {
+	cases := append(conform.PaperCases(), conform.ScaleCases(1024)...)
+	m := logp.MustNew(256, 6, 2, 4)
+	flat, err := baseline.Schedule(baseline.FlatTree(m, m.P), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatRed := combine.ReduceScheduleWith(baseline.FlatTree(m, m.P))
+	cases = append(cases,
+		conform.Case{Name: "flat-broadcast", S: flat, Origins: core.Origins(0)},
+		conform.Case{Name: "flat-reduce", S: flatRed, Origins: schedule.DerivedOrigins(flatRed)},
+	)
+	for _, c := range cases {
+		r := causal.Analyze(c.S, c.Origins)
+		if len(r.Path) == 0 {
+			t.Fatalf("%s: empty critical path", c.Name)
+		}
+		if got, want := r.Signature(), fmtSignature(r); got != want {
+			t.Errorf("%s: Signature\n %s\nwant\n %s", c.Name, got, want)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"logpopt/internal/logp"
 	"logpopt/internal/slab"
@@ -54,61 +56,75 @@ func (q *fifo) reset(keep int) {
 	q.head, q.peak = 0, 0
 }
 
-// msgBefore orders a processor's queued arrivals: by arrival, then item,
+// compareRecv is a processor's reception order: by arrival, then item,
 // then sender. One sender starts at most one send per instant, so the key
 // is total among messages to one destination.
-func msgBefore(a, b *Message) bool {
+func compareRecv(a, b Message) int {
 	if a.Arrive != b.Arrive {
-		return a.Arrive < b.Arrive
+		return cmp.Compare(a.Arrive, b.Arrive)
 	}
 	if a.Item != b.Item {
-		return a.Item < b.Item
+		return cmp.Compare(a.Item, b.Item)
 	}
-	return a.From < b.From
+	return cmp.Compare(a.From, b.From)
 }
 
-// msgHeap is a processor's receive queue: a binary min-heap in msgBefore
-// order, so the discipline takes the next reception in O(log n) instead of
-// re-sorting the queue every instant.
-type msgHeap []Message
-
-func (h *msgHeap) push(m Message) {
-	*h = append(*h, m)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !msgBefore(&s[i], &s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
+// recvQueue is a processor's receive queue, a slice FIFO read from head.
+// Its arrivals come from the in-flight fifo, which pops them in
+// nondecreasing Arrive but hands one instant's arrivals over in sender
+// order. So, as in the simulator's in-flight queue, the messages that
+// share the front's Arrive form a run that is sorted by compareRecv before
+// the first pop from it, and the pop order is compareRecv order. The first
+// ready messages are the sorted front run (0 until a pop sorts it). No push
+// joins a sorted run: a pop at instant t comes after every arrival due by
+// t was pushed, and later arrivals are due after t.
+type recvQueue struct {
+	buf         []Message
+	head, ready int32
 }
 
-func (h *msgHeap) pop() Message {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = Message{}
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && msgBefore(&s[l], &s[least]) {
-			least = l
-		}
-		if r < n && msgBefore(&s[r], &s[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
+func (q *recvQueue) len() int { return len(q.buf) - int(q.head) }
+
+func (q *recvQueue) push(m Message) {
+	if len(q.buf) == cap(q.buf) && 2*int(q.head) >= len(q.buf) {
+		// At least half the slice is popped: slide the queue down instead
+		// of growing it, so a queue that never empties stays bounded.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
 	}
-	return top
+	q.buf = append(q.buf, m)
+}
+
+// pop removes and returns the first message in compareRecv order. It must
+// only be called when len() > 0.
+func (q *recvQueue) pop() Message {
+	if q.ready == 0 {
+		run := q.buf[q.head:]
+		r := 1
+		for r < len(run) && run[r].Arrive == run[0].Arrive {
+			r++
+		}
+		slices.SortFunc(run[:r], compareRecv)
+		q.ready = int32(r)
+	}
+	m := q.buf[q.head]
+	q.buf[q.head] = Message{} // release the payload to the collector
+	q.head++
+	q.ready--
+	if int(q.head) == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return m
+}
+
+// reset empties the queue, dropping what a cut-short run left queued
+// (payloads included), and releases its slice when it has grown past 4x
+// the keep messages the processor queued at most.
+func (q *recvQueue) reset(keep int) {
+	clear(q.buf[q.head:])
+	q.buf = slab.Reuse(q.buf, keep, 64)
+	q.head, q.ready = 0, 0
 }
 
 // due is a pending visit to processor id at time at: a wake its handler

@@ -130,3 +130,128 @@ func FuzzDueQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 1, 3, 1, 2, 1, 3, 0, 0, 250, 161, 164, 4, 1, 1, 255, 9, 0, 2, 0, 5, 161})
 	f.Fuzz(dueScript)
 }
+
+// refRecv is the reference for recvQueue: a container/heap min-heap of
+// messages in compareRecv order.
+type refRecv []Message
+
+func (h refRecv) Len() int           { return len(h) }
+func (h refRecv) Less(i, j int) bool { return compareRecv(h[i], h[j]) < 0 }
+func (h refRecv) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refRecv) Push(x any)        { *h = append(*h, x.(Message)) }
+func (h *refRecv) Pop() any {
+	old := *h
+	m := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return m
+}
+
+// recvScript drives four processors' receive queues and a reference heap
+// each through one runtime-shaped sequence read from b, and fails at the
+// first pop or length where they differ. The first byte picks the
+// discipline (even: Strict, odd: Buffered). Each further byte is an
+// operation:
+//
+//   - a burst of up to 16 arrivals at the current instant, as collectReady
+//     pushes them (three more bytes seed their senders, destinations and
+//     items, from small ranges, so one instant's arrivals come in no
+//     particular (Item, From) order and several reach one queue; Arrive
+//     is the instant, so it never decreases);
+//   - a step, as runChunk's discipline runs after the instant's arrivals:
+//     Strict drains every queue, Buffered pops one message from each
+//     queue whose port is free (a queue is busy in some instants); then
+//     the clock moves on;
+//   - a reset, as Runtime.Reset does between runs, that starts the clock
+//     again at 0.
+func recvScript(t *testing.T, b []byte) {
+	t.Helper()
+	next := func() int {
+		if len(b) == 0 {
+			return 0
+		}
+		v := int(b[0])
+		b = b[1:]
+		return v
+	}
+	var qs [4]recvQueue
+	var refs [4]refRecv
+	check := func(op, d int, want Message) {
+		t.Helper()
+		if got := qs[d].pop(); got != want {
+			t.Fatalf("op %d: queue %d pops %+v, heap pops %+v", op, d, got, want)
+		}
+	}
+	strict := next()%2 == 0
+	var now logp.Time
+	for op := 0; len(b) > 0; op++ {
+		switch c := next(); {
+		case c < 150:
+			from, to, item := next(), next(), next()
+			for j := range 1 + c%16 {
+				d := (to + j*(1+to%3)) % 4
+				m := Message{
+					From: (from + j*5) % 12, To: d, Item: (item + j*(item%4)) % 3,
+					SentAt: now - 3, Arrive: now,
+				}
+				qs[d].push(m)
+				heap.Push(&refs[d], m)
+			}
+		case c < 245:
+			for d := range qs {
+				switch {
+				case strict:
+					for len(refs[d]) > 0 {
+						check(op, d, heap.Pop(&refs[d]).(Message))
+					}
+				case len(refs[d]) > 0 && (c+d)%3 != 0:
+					check(op, d, heap.Pop(&refs[d]).(Message))
+				}
+			}
+			now += logp.Time(1 + c%3)
+		default:
+			keep := next()
+			for d := range qs {
+				qs[d].reset(keep)
+				refs[d] = refs[d][:0]
+			}
+			now = 0
+		}
+		for d := range qs {
+			if qs[d].len() != len(refs[d]) {
+				t.Fatalf("op %d: queue %d holds %d messages, heap %d", op, d, qs[d].len(), len(refs[d]))
+			}
+		}
+	}
+	for d := range qs {
+		for len(refs[d]) > 0 {
+			check(-1, d, heap.Pop(&refs[d]).(Message))
+		}
+		if qs[d].len() != 0 {
+			t.Fatalf("queue %d holds %d messages after the heap drained", d, qs[d].len())
+		}
+	}
+}
+
+// TestRecvQueueMatchesHeap is the receive queue's property: on sequences
+// shaped like the runtime's, it pops exactly what a min-heap in
+// compareRecv order pops. Arrivals come in nondecreasing Arrive, so
+// sorting each front run once gives the heap's order.
+func TestRecvQueueMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, 1+rng.Intn(800))
+		rng.Read(b)
+		recvScript(t, b)
+	}
+}
+
+// FuzzRecvQueue checks the receive queue against the reference heap on
+// fuzzed scripts (see recvScript).
+func FuzzRecvQueue(f *testing.F) {
+	// Buffered: two bursts at one instant with ties on one queue, steps
+	// with busy ports, and a reset.
+	f.Add([]byte{1, 7, 3, 0, 2, 5, 1, 1, 1, 150, 2, 4, 200, 201, 202, 250, 9, 3, 0, 1, 2, 160})
+	// Strict: bursts, steps that drain, a far step.
+	f.Add([]byte{0, 15, 2, 1, 0, 200, 9, 5, 3, 1, 244, 15, 7, 7, 7, 160, 161})
+	f.Fuzz(recvScript)
+}

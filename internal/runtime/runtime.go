@@ -18,7 +18,7 @@
 //
 // Each executed instant runs in three phases. Phase A (coordinator):
 // arrivals due now move from the in-flight queue to per-processor receive
-// heaps, and due wakes are popped; together they form the sorted ready
+// queues, and due wakes are popped; together they form the sorted ready
 // list. Phase B (parallel): workers claim chunks of the ready list and, per
 // processor, apply the reception discipline and run the handler, touching
 // only that processor's state. Phase C (coordinator): receptions, sends,
@@ -85,10 +85,11 @@ type Proc struct {
 	State any // handler-owned state
 
 	c *chunk // the chunk that runs this processor and logs its output
-	// queue starts as a one-element window carved from the runtime's
-	// message slab; only a processor that outgrows it (a hub's receive
-	// queue, say) gets a slice of its own, kept across Reset.
-	queue msgHeap // arrived but not yet received, min-heap on (Arrive, Item, From)
+	// queue holds what arrived but is not yet received. Its slice starts
+	// as a one-element window carved from the runtime's message slab; only
+	// a processor that outgrows it (a hub's receive queue, say) gets a
+	// slice of its own, kept across Reset.
+	queue recvQueue
 	// This instant's receptions are c.in[inLo:inHi].
 	inLo, inHi int32
 	maxQueue   int32
@@ -338,7 +339,7 @@ func (rt *Runtime) Reset(m logp.Machine, mode Mode, handlers []Handler) error {
 		p := &rt.procs[i]
 		p.ID, p.State, p.c = i, nil, &rt.chunks[i/rt.chunkSize]
 		p.inLo, p.inHi = 0, 0
-		p.queue = slab.Reuse(p.queue, int(p.maxQueue), 64)
+		p.queue.reset(int(p.maxQueue))
 		p.lastSendStart, p.lastRecvStart, p.busyUntil = minusInf, minusInf, minusInf
 		p.maxQueue = 0
 		p.readyAt, p.wokenAt = minusInf, minusInf
@@ -354,7 +355,7 @@ func (rt *Runtime) carveProcs(p int) {
 	rt.procs = make([]Proc, p)
 	msgs := make([]Message, p)
 	for i := range rt.procs {
-		rt.procs[i].queue = msgs[i : i : i+1]
+		rt.procs[i].queue.buf = msgs[i : i : i+1]
 	}
 }
 
@@ -446,7 +447,7 @@ func (rt *Runtime) collect(c *chunk, now logp.Time) {
 			}
 		}
 		p.inLo, p.inHi = 0, 0
-		if len(p.queue) > 0 {
+		if p.queue.len() > 0 {
 			// Buffered only: strict discipline empties the queue. Come back
 			// when the receive port frees.
 			rt.due.push(due{at: max(now+1, p.recvFree()), id: id})
@@ -512,7 +513,7 @@ func (rt *Runtime) begin() {
 }
 
 // collectReady is phase A: it moves the arrivals due now into their
-// destinations' receive heaps, pops the wakes and port-free checks due now,
+// destinations' receive queues, pops the wakes and port-free checks due now,
 // and leaves the processors to run in rt.ready, ascending.
 func (rt *Runtime) collectReady(now logp.Time) {
 	sorted := true
@@ -526,12 +527,12 @@ func (rt *Runtime) collectReady(now logp.Time) {
 		msg := rt.inflight.pop()
 		p := &rt.procs[msg.To]
 		p.queue.push(msg)
-		p.maxQueue = max(p.maxQueue, int32(len(p.queue)))
+		p.maxQueue = max(p.maxQueue, int32(p.queue.len()))
 		rt.queued++
 		switch {
 		case rt.mode == Strict || p.readyAt == now:
 			mark(int32(msg.To))
-		case len(p.queue) == 1:
+		case p.queue.len() == 1:
 			// A buffered queue that was empty: receive now if the port is
 			// free, else come back when it frees. A non-empty queue already
 			// has its check pending.
@@ -648,7 +649,7 @@ func (rt *Runtime) runChunk(c *chunk, now logp.Time) {
 	for _, id := range rt.ready[c.rlo:c.rhi] {
 		p := &rt.procs[id]
 		p.inLo = int32(len(c.in))
-		if len(p.queue) > 0 {
+		if p.queue.len() > 0 {
 			c.dequeued += rt.discipline(p, now)
 		}
 		p.inHi = int32(len(c.in))
@@ -668,8 +669,8 @@ func (rt *Runtime) discipline(p *Proc, now logp.Time) int {
 		// Everything that has arrived must be received now; a busy port is
 		// a violation but the reception still happens, exactly as in the
 		// simulator.
-		n := len(p.queue)
-		for len(p.queue) > 0 {
+		n := p.queue.len()
+		for p.queue.len() > 0 {
 			msg := p.queue.pop()
 			if now < p.lastRecvStart+rt.m.G || now < p.busyUntil {
 				p.Violate(schedule.VGap, "runtime: proc %d: receive port busy for item %d at %d",

@@ -1,18 +1,35 @@
 package sim
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
 	"logpopt/internal/slab"
 )
 
+// compareFlight is the in-flight order: by arrival, then destination, item
+// and sender. One sender starts at most one send per instant, so the order
+// is total.
+func compareFlight(a, b Msg) int {
+	if a.Arrive != b.Arrive {
+		return cmp.Compare(a.Arrive, b.Arrive)
+	}
+	if a.To != b.To {
+		return cmp.Compare(a.To, b.To)
+	}
+	if a.Item != b.Item {
+		return cmp.Compare(a.Item, b.Item)
+	}
+	return cmp.Compare(a.From, b.From)
+}
+
 // flightQueue is the engine's in-flight message store, kept in arrival
 // order. Every message arrives exactly o + L after the instant that sent
 // it, and the clock never goes back, so Send appends messages in
 // nondecreasing Arrive. The messages that share one Arrive (one send
 // instant) form a run; before the first pop from a run, the run is sorted
-// by flightBefore. flightBefore is total and orders by Arrive first, so
+// by compareFlight. compareFlight is total and orders by Arrive first, so
 // the pop order is exactly a min-heap's, at the cost of one sort per send
 // instant instead of a heap walk per message.
 //
@@ -87,7 +104,7 @@ func (q *flightQueue) push(m Msg) {
 }
 
 // sortRun sorts the front run, the messages that share the earliest
-// Arrive, by flightBefore. A run that straddles the end of the ring is
+// Arrive, by compareFlight. A run that straddles the end of the ring is
 // first rotated to the start, which happens at most once per pass of the
 // head around the ring.
 func (q *flightQueue) sortRun() {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,22 @@ import (
 	"logpopt/internal/logp"
 )
 
-// flightScript drives a flightQueue and a flightHeap through one
+// refFlight is the reference for flightQueue: a container/heap min-heap of
+// messages in compareFlight order.
+type refFlight []Msg
+
+func (h refFlight) Len() int           { return len(h) }
+func (h refFlight) Less(i, j int) bool { return compareFlight(h[i], h[j]) < 0 }
+func (h refFlight) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refFlight) Push(x any)        { *h = append(*h, x.(Msg)) }
+func (h *refFlight) Pop() any {
+	old := *h
+	m := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return m
+}
+
+// flightScript drives a flightQueue and the reference heap through one
 // engine-shaped sequence read from b and fails at the first pop, peek or
 // length where they differ. The first bytes pick the delay o + L, now and
 // then one large enough that later arrivals wrap past the int64 range.
@@ -36,7 +52,7 @@ func flightScript(t *testing.T, b []byte) {
 		return v
 	}
 	var q flightQueue
-	var ref flightHeap
+	var ref refFlight
 	delay := logp.Time(1 + next()%6)
 	if next()%8 == 0 {
 		delay = math.MaxInt64 - logp.Time(next()%16)
@@ -52,7 +68,7 @@ func flightScript(t *testing.T, b []byte) {
 					SendAt: now, Arrive: now + delay,
 				}
 				q.push(m)
-				ref.push(m)
+				heap.Push(&ref, m)
 			}
 		case c < 240:
 			now += logp.Time(1 + c%4)
@@ -60,7 +76,7 @@ func flightScript(t *testing.T, b []byte) {
 				if q.len() == 0 || q.peek().Arrive > now {
 					t.Fatalf("op %d at %d: queue has nothing due, heap has %+v", op, now, ref[0])
 				}
-				if got, want := q.pop(), ref.pop(); got != want {
+				if got, want := q.pop(), heap.Pop(&ref).(Msg); got != want {
 					t.Fatalf("op %d at %d: queue pops %+v, heap pops %+v", op, now, got, want)
 				}
 			}
@@ -80,7 +96,7 @@ func flightScript(t *testing.T, b []byte) {
 		}
 	}
 	for len(ref) > 0 {
-		if got, want := q.pop(), ref.pop(); got != want {
+		if got, want := q.pop(), heap.Pop(&ref).(Msg); got != want {
 			t.Fatalf("drain: queue pops %+v, heap pops %+v", got, want)
 		}
 	}
@@ -90,8 +106,8 @@ func flightScript(t *testing.T, b []byte) {
 }
 
 // TestFlightQueueMatchesHeap is the arrival-order property: on sequences
-// shaped like the engine's, the queue pops exactly what a flightHeap pops.
-// flightBefore is total and orders by Arrive first, and sends come in
+// shaped like the engine's, the queue pops exactly what a min-heap in
+// compareFlight order pops. compareFlight is total and orders by Arrive first, and sends come in
 // nondecreasing Arrive, so sorting each send instant's run once gives the
 // heap's order.
 func TestFlightQueueMatchesHeap(t *testing.T) {
@@ -110,7 +126,7 @@ func randScript(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// FuzzFlightQueue checks the queue against flightHeap on fuzzed scripts
+// FuzzFlightQueue checks the queue against the reference heap on fuzzed scripts
 // (see flightScript).
 func FuzzFlightQueue(f *testing.F) {
 	// Delay 3: two instants of sends with ties on one destination, ticks,

@@ -11,24 +11,44 @@ import (
 // The buffered drain used to pick among same-instant arrivals with a
 // comparator keyed only on (Arrive, Item), so two copies of one item from
 // different senders drained in buffer-insertion order instead of by sender.
-// The drain must use the flight heap's full comparator: ties on arrival time
-// and item resolve by the lower sender id.
+// Ties on arrival time and item must resolve by the lower sender id, however
+// the sends were issued: here the higher sender sends first, by hand and in
+// the schedule a replay reads.
 func TestBufferedDrainTieBreakBySender(t *testing.T) {
 	m := logp.Postal(3, 2)
+	check := func(how string, e *Engine) {
+		t.Helper()
+		var recvs []schedule.Event
+		for _, ev := range e.Executed().Events {
+			if ev.Op == schedule.OpRecv {
+				recvs = append(recvs, ev)
+			}
+		}
+		if len(recvs) != 2 || recvs[0].Peer != 1 || recvs[1].Peer != 2 || recvs[0].Time >= recvs[1].Time {
+			t.Fatalf("%s: receptions %v, want sender 1 drained first, then sender 2", how, recvs)
+		}
+	}
+
 	e := New(m, Buffered)
-	// Two same-instant arrivals of the same item, queued out of sender
-	// order, exactly as a flight-heap pop pattern could leave them.
-	e.now = 2
-	e.enqueue(Msg{From: 2, To: 0, Item: 5, SendAt: 0, Arrive: 2})
-	e.enqueue(Msg{From: 1, To: 0, Item: 5, SendAt: 0, Arrive: 2})
-	e.processArrivals()
-	evs := e.executed.Events
-	if len(evs) != 1 || evs[0].Op != schedule.OpRecv {
-		t.Fatalf("one drain step produced %v", evs)
+	e.Inject(1, 5, 0)
+	e.Inject(2, 5, 0)
+	for _, from := range []int{2, 1} {
+		if err := e.Send(from, 5, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if evs[0].Peer != 1 {
-		t.Fatalf("drained sender %d first, want 1 (lower sender id wins ties)", evs[0].Peer)
+	e.Drain(20)
+	check("Send", e)
+
+	s := &schedule.Schedule{M: m}
+	s.Send(2, 0, 5, 0)
+	s.Send(1, 0, 5, 0)
+	e.Reset(m, Buffered)
+	e.Inject(2, 5, 0)
+	if rep := e.Replay(s, map[int]schedule.Origin{5: {Proc: 1}}); len(rep.Violations) != 0 {
+		t.Fatalf("replay: %v", rep.Violations)
 	}
+	check("Replay", e)
 }
 
 // Report.Violations and the Violations() accessor used to alias the

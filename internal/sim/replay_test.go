@@ -204,6 +204,16 @@ func TestResetShrinksAfterHugeRun(t *testing.T) {
 	if grown < len(bigSched.Events) {
 		t.Fatalf("executed capacity %d did not grow to the big case's %d events", grown, len(bigSched.Events))
 	}
+	// The same case in Buffered mode queues thousands of same-instant
+	// arrivals at once in the buffered-message slab.
+	e.Reset(big, Buffered)
+	if rep := e.Replay(bigSched, og); len(rep.Violations) != 0 {
+		t.Fatalf("big buffered replay not clean: %v", rep.Violations[0])
+	}
+	msgsGrown := msgSlabCap(e)
+	if msgsGrown <= 4096 {
+		t.Fatalf("buffered-message slab grew only to %d on the big case", msgsGrown)
+	}
 
 	// The watermark decays by a quarter per Reset; a dozen small cases is
 	// far past the point where every big-run capacity is oversized.
@@ -226,8 +236,17 @@ func TestResetShrinksAfterHugeRun(t *testing.T) {
 	if c := cap(e.inflight.buf); c > 4096 {
 		t.Errorf("in-flight queue retains %d capacity after the sweep", c)
 	}
+	if c := msgSlabCap(e); c > 4096 {
+		t.Errorf("buffered-message slab retains %d capacity after the sweep (big run grew it to %d)", c, msgsGrown)
+	}
 	// And the shrunken engine still works.
 	if rep := e.Replay(smallSched, og); len(rep.Violations) != 0 || rep.Finish == 0 {
 		t.Fatalf("engine broken after shrink: %+v", rep)
 	}
+}
+
+// msgSlabCap returns the capacity of the engine's buffered-message slab,
+// whose record slice is unexported in package slab.
+func msgSlabCap(e *Engine) int {
+	return reflect.ValueOf(&e.msgs).Elem().FieldByName("recs").Cap()
 }

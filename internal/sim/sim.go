@@ -18,7 +18,6 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -79,9 +78,12 @@ type Msg struct {
 type procState struct {
 	lastSendStart logp.Time // start of most recent send; -inf if none
 	lastRecvStart logp.Time
-	busyUntil     logp.Time  // end of current overhead/compute interval
-	buffer        flightHeap // arrived, not yet received (Buffered mode), in flightBefore order
-	maxBuffer     int
+	busyUntil     logp.Time // end of current overhead/compute interval
+	// Arrived, not yet received (Buffered mode), queued in the engine's
+	// message slab. It is filled only from the in-flight queue's pops, so
+	// it is in compareFlight order: FIFO is the drain order.
+	buffer    slab.List
+	maxBuffer int
 	// In-network interval end times (sendAt+o+L) of messages currently in
 	// transit from / to this processor, for the capacity bound ceil(L/g),
 	// queued in the engine's ends slab. Sends happen in nondecreasing time
@@ -89,73 +91,11 @@ type procState struct {
 	outEnds, inEnds slab.List
 }
 
-// flightHeap is a binary min-heap of in-flight messages ordered by arrival
-// time, then deterministic tie-break. It is hand-rolled rather than built on
-// container/heap so pushes do not box every Msg into an interface value —
-// Send is on the per-message hot path of every replay.
-type flightHeap []Msg
-
-// compareFlight is the in-flight order: by arrival, then destination, item
-// and sender. One sender starts at most one send per instant, so the order
-// is total.
-func compareFlight(a, b Msg) int {
-	if a.Arrive != b.Arrive {
-		return cmp.Compare(a.Arrive, b.Arrive)
-	}
-	if a.To != b.To {
-		return cmp.Compare(a.To, b.To)
-	}
-	if a.Item != b.Item {
-		return cmp.Compare(a.Item, b.Item)
-	}
-	return cmp.Compare(a.From, b.From)
-}
-
-func flightBefore(a, b Msg) bool { return compareFlight(a, b) < 0 }
-
-func (h *flightHeap) push(m Msg) {
-	*h = append(*h, m)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !flightBefore(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *flightHeap) pop() Msg {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && flightBefore(s[l], s[min]) {
-			min = l
-		}
-		if r < n && flightBefore(s[r], s[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
 // Engine is a running LogP machine. Create one with New, inject origin items,
 // then either replay a schedule with Run or drive it interactively:
 // repeatedly TickTo / Send. A finished engine can be recycled for another
 // run with Reset, which reuses every internal allocation (the in-flight
-// queue, the availability slab, per-processor buffers, and
+// queue, the availability slab, the buffered-message slab, and
 // executed-event storage), bounded by decayed retain watermarks so a
 // one-off huge case does not pin memory for the rest of a sweep.
 type Engine struct {
@@ -190,12 +130,13 @@ type Engine struct {
 	sendBuf    []schedule.Event // Replay scratch, reused across runs
 	sorter     schedule.EventSorter
 	ends       slab.Lists[logp.Time]
+	msgs       slab.Lists[Msg] // the Buffered-mode buffers' messages
 	// buffered lists the processors with non-empty buffers (Buffered mode),
 	// so a drain visits them instead of all P.
 	buffered []int32
 
 	// Decayed high-water marks feeding the Reset shrink policy (see Reset).
-	hwProcs, hwInflight, hwAvail, hwExecuted, hwSendBuf, hwViol, hwEnds slab.Watermark
+	hwProcs, hwInflight, hwAvail, hwExecuted, hwSendBuf, hwViol, hwEnds, hwMsgs slab.Watermark
 
 	// Run-local metric tallies, flushed to obs.Default by Replay (with an
 	// amortized live flush every liveFlushEvery drained events; flushedEvents
@@ -215,9 +156,9 @@ func New(m logp.Machine, mode Mode) *Engine {
 }
 
 // Reset reinitializes the engine for machine m in the given mode, reusing
-// the allocations of any previous run: the per-processor states (including
-// their buffers), the in-flight queue, the availability slab, and
-// the executed-event slice all keep their capacity. BufferCap is preserved.
+// the allocations of any previous run: the per-processor states, the
+// in-flight queue, the capacity-end and buffered-message slabs, the
+// availability slab, and the executed-event slice all keep their capacity. BufferCap is preserved.
 //
 // Reuse is bounded by decayed retain watermarks: each Reset folds the
 // finished run's usage into a per-resource high-water mark, decays it, and
@@ -232,6 +173,7 @@ func (e *Engine) Reset(m logp.Machine, mode Mode) {
 	hwAvail := e.hwAvail.Update(len(e.avail.entries))
 	hwProcs := e.hwProcs.Update(m.P)
 	hwEnds := e.hwEnds.Update(e.ends.Peak())
+	hwMsgs := e.hwMsgs.Update(e.msgs.Peak())
 
 	e.M, e.Mode = m, mode
 	e.now = 0
@@ -241,6 +183,7 @@ func (e *Engine) Reset(m logp.Machine, mode Mode) {
 	e.violations = slab.Reuse(e.violations, hwViol, 64)
 	e.buffered = slab.Reuse(e.buffered, hwProcs, 1024)
 	e.ends.Reset(hwEnds)
+	e.msgs.Reset(hwMsgs)
 	e.inflight.reset(hwFlight)
 	if slab.Oversized(cap(e.avail.entries), hwAvail, 1024) {
 		e.avail.entries = nil
@@ -258,9 +201,8 @@ func (e *Engine) Reset(m logp.Machine, mode Mode) {
 		ps.lastSendStart = minusInf
 		ps.lastRecvStart = minusInf
 		ps.busyUntil = minusInf
-		ps.buffer = slab.Reuse(ps.buffer, ps.maxBuffer, 64)
 		ps.maxBuffer = 0
-		ps.outEnds, ps.inEnds = slab.List{}, slab.List{}
+		ps.buffer, ps.outEnds, ps.inEnds = slab.List{}, slab.List{}, slab.List{}
 	}
 }
 
@@ -449,18 +391,18 @@ func (e *Engine) processArrivals() {
 // enqueue puts an arrival into its destination's input buffer.
 func (e *Engine) enqueue(msg Msg) {
 	ps := &e.procs[msg.To]
-	if len(ps.buffer) == 0 {
+	if ps.buffer.Len() == 0 {
 		e.buffered = append(e.buffered, int32(msg.To))
 	}
-	ps.buffer.push(msg)
-	ps.maxBuffer = max(ps.maxBuffer, len(ps.buffer))
+	e.msgs.Push(&ps.buffer, msg)
+	ps.maxBuffer = max(ps.maxBuffer, ps.buffer.Len())
 	e.bufferedNow++
 	if e.Tracer != nil {
 		pid := e.tracePID()
 		e.Tracer.Counter(pid, "inflight", int64(e.now), int64(e.inflight.len()))
 		e.Tracer.Counter(pid, "buffered", int64(e.now), int64(e.bufferedNow))
 	}
-	if e.BufferCap > 0 && len(ps.buffer) > e.BufferCap {
+	if e.BufferCap > 0 && ps.buffer.Len() > e.BufferCap {
 		e.violate(msg.To, schedule.Violation{
 			Kind: schedule.VCapacity,
 			Msg: fmt.Sprintf("sim: proc %d buffer exceeds cap %d at time %d",
@@ -469,12 +411,11 @@ func (e *Engine) enqueue(msg Msg) {
 	}
 }
 
-// drain lets every buffered processor whose receive port is free take its
-// earliest buffered message, in processor order. Duplicates (already-held
-// items) are received too — schedules decide what they send; the engine
-// just models the machine. Each buffer is a heap in the in-flight total
-// order (flightBefore), so ties on (Arrive, Item) resolve by sender, never
-// by buffer position.
+// drain lets every buffered processor whose receive port is free take the
+// front of its buffer, in processor order. Duplicates (already-held items)
+// are received too — schedules decide what they send; the engine just
+// models the machine. A buffer is in the in-flight total order
+// (compareFlight), so ties on (Arrive, Item) resolve by sender.
 func (e *Engine) drain() {
 	if !slices.IsSorted(e.buffered) {
 		slices.Sort(e.buffered)
@@ -483,14 +424,15 @@ func (e *Engine) drain() {
 	for _, p := range e.buffered {
 		ps := &e.procs[p]
 		if e.canRecvAt(int(p), e.now) {
-			msg := ps.buffer.pop()
+			msg := e.msgs.Front(&ps.buffer)
+			e.msgs.Pop(&ps.buffer)
 			e.bufferedNow--
 			if e.Tracer != nil {
 				e.Tracer.Counter(e.tracePID(), "buffered", int64(e.now), int64(e.bufferedNow))
 			}
 			e.receive(msg, e.now)
 		}
-		if len(ps.buffer) > 0 {
+		if ps.buffer.Len() > 0 {
 			keep = append(keep, p)
 		}
 	}
