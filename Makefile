@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race bench bench-json bench-gate bench-scale trace-smoke report-smoke report-diff-smoke servd-smoke fuzz conform conform-logtime conform-scale emit-smoke vet fmt examples reproduce clean
+.PHONY: all check build test race bench bench-json bench-gate bench-scale trace-smoke report-smoke report-diff-smoke servd-smoke fuzz conform conform-logtime conform-scale emit-smoke loc vet fmt examples reproduce clean
 
 all: build test
 
@@ -166,6 +166,13 @@ emit-smoke:
 		[ -n "$$want" ] && [ "$$pipe" = "$$want" ] && [ "$$file" = "$$want" ] || exit 1; \
 	done
 	@rm -f emit-smoke-bin emit-smoke.json
+
+# Non-test Go lines per package directory and in total (wc -l; the
+# perfbench harness is excluded), the size figure each change reports.
+loc:
+	@find . -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print | sort | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 vet:
 	$(GO) vet ./...

@@ -133,8 +133,7 @@ func TestCapacityQueriesAllocateNoTimeTable(t *testing.T) {
 }
 
 // TestReachableRetainsNoTables: Reachable counts to its cap on a private
-// builder when the shared per-shape tables do not hold the answer, so the
-// label points a postal machine with L = 2^16 needs to reach the default
+// builder, so the label points a postal machine with L = 2^16 needs to reach the default
 // cap (tens of MB) are garbage once the call returns.
 func TestReachableRetainsNoTables(t *testing.T) {
 	m := logpopt.Postal(2, 1<<16)

@@ -59,7 +59,7 @@ func TestJSONRenderStreams(t *testing.T) {
 	}
 	for _, op := range []string{"broadcast", "reduce", "scan", "binomial"} {
 		args := []string{"-op", op, "-P", "200000"}
-		if err := run(args, io.Discard, io.Discard); err != nil { // grows the shared tables
+		if err := run(args, io.Discard, io.Discard); err != nil { // pays the process's one-time setup
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
@@ -75,14 +75,14 @@ func TestJSONRenderStreams(t *testing.T) {
 }
 
 // TestStreamedMetrics: -metrics prints the snapshot on the streaming path
-// too, with the builder counters the stream touched.
+// too, with the table counter the stream touched.
 func TestStreamedMetrics(t *testing.T) {
 	for _, op := range []string{"broadcast", "reduce", "scan"} {
 		var stdout, stderr bytes.Buffer
 		if err := run([]string{"-op", op, "-P", "64", "-metrics"}, &stdout, &stderr); err != nil {
 			t.Fatal(err)
 		}
-		if stdout.Len() == 0 || !strings.Contains(stderr.String(), "counter logtime.builder.hits ") {
+		if stdout.Len() == 0 || !strings.Contains(stderr.String(), "counter logtime.points.admitted ") {
 			t.Fatalf("%s -metrics: %d schedule bytes, stderr %q", op, stdout.Len(), stderr.String())
 		}
 	}

@@ -17,11 +17,12 @@ import (
 	"logpopt/internal/summation"
 )
 
-// The theorem sweeps below fan out one task per grid point on up to
-// par.Limit() workers (see cmd/logpbench's -parallel flag) and merge rows in
-// input order, so the rendered tables are byte-identical at every
-// parallelism level. Row cells are computed inside the worker; Table.Add
-// only does the final formatting on the merged slice.
+// The theorem sweeps below fan out one task per grid point (per latency for
+// Theorem 2.2, whose points share a builder) on up to par.Limit() workers
+// (see cmd/logpbench's -parallel flag) and merge rows in input order, so the
+// rendered tables are byte-identical at every parallelism level. Row cells
+// are computed inside the worker; Table.Add only does the final formatting
+// on the merged slice.
 
 // gridRows evaluates one row per input in parallel, in input order.
 func gridRows[T any](in []T, f func(T) []any) [][]any {
@@ -36,23 +37,26 @@ func Theorem22(lMax, tMax int) *Table {
 		Title:  "Theorem 2.2: P(t; L,0,1) = f_t  (and B = InvF)",
 		Header: []string{"L", "t", "P(t) via DP", "f_t", "B(f_t)", "match"},
 	}
-	type point struct{ l, t int }
-	var grid []point
-	for l := 1; l <= lMax; l++ {
-		for t := 0; t <= tMax; t++ {
-			grid = append(grid, point{l, t})
-		}
+	ls := make([]int, lMax)
+	for i := range ls {
+		ls[i] = i + 1
 	}
-	for _, row := range gridRows(grid, func(pt point) []any {
-		seq := core.NewSeq(pt.l)
-		m := logp.Postal(2, logp.Time(pt.l))
-		p := logtime.For(m).Count(logp.Time(pt.t), 0)
-		ft := seq.F(pt.t)
-		b := seq.InvF(ft)
-		pass := p == ft && (ft == 1 || b == pt.t)
-		return []any{pt.l, pt.t, p, ft, b, ok(pass)}
+	for _, rows := range par.Map(ls, func(l int) [][]any {
+		seq := core.NewSeq(l)
+		b := logtime.MustBuilder(logp.Postal(2, logp.Time(l)))
+		var rows [][]any
+		for t := 0; t <= tMax; t++ {
+			p := b.Count(logp.Time(t), 0)
+			ft := seq.F(t)
+			bt := seq.InvF(ft)
+			pass := p == ft && (ft == 1 || bt == t)
+			rows = append(rows, []any{l, t, p, ft, bt, ok(pass)})
+		}
+		return rows
 	}) {
-		tb.Add(row...)
+		for _, row := range rows {
+			tb.Add(row...)
+		}
 	}
 	return tb
 }

@@ -151,7 +151,7 @@ func BenchmarkServdColdFill(b *testing.B) {
 		}
 		return c
 	}
-	fill() // grow logtime's per-shape tables outside the measurement
+	fill() // one warm-up fill outside the measurement
 	var live, charged int64
 	b.ResetTimer()
 	for range b.N {

@@ -225,7 +225,7 @@ func StandardCollector() *timeseries.Collector {
 	for _, name := range []string{
 		"sim.events.processed", "sim.replays", "sim.sends", "sim.violations",
 		"par.portfolio.races", "par.portfolio.attempts",
-		"logtime.builder.hits", "logtime.builder.misses",
+		"logtime.points.admitted",
 	} {
 		ts.ProbeCounter(name, obs.Default.Counter(name))
 	}

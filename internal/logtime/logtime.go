@@ -1,6 +1,6 @@
 // Package logtime builds the universal optimal broadcast tree ß(P) without
-// search, in O(log P) time per processor after a small shared
-// precomputation — the repository's implementation of the construction idea
+// search, in O(log P) time per processor after a small precomputation that
+// the query owns — the repository's implementation of the construction idea
 // in Träff's "Optimal Broadcast Schedules in Logarithmic Time" (arXiv
 // 2407.18004), specialized to the KSSS93 universal optimal broadcast tree.
 //
@@ -43,7 +43,11 @@
 //
 // A Builder holds the label points with their N, G and class-cumulative R
 // values for one machine shape (d, stride); the tables are independent of P
-// and grow lazily as larger P are queried. On top of it, Node answers
+// and grow lazily as larger P are queried. Tables are owned per query: the
+// package functions (Tree, B, Node, BroadcastSchedule, Seq) each build a
+// private Builder that is garbage once they return, and nothing caches
+// builders across calls, so a caller that asks one shape many questions
+// holds one Builder itself. On top of it, Node answers
 // per-rank queries in O(log P), Tree materializes ß(p) in O(p) — node for
 // node identical to core.OptimalTree, which the tests assert — and BTime,
 // Count and LabelSum return B(p), P(t) and ß(p)'s label sum without
@@ -54,7 +58,6 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
-	"sync"
 
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
@@ -62,16 +65,10 @@ import (
 	"logpopt/internal/schedule"
 )
 
-// Builder-cache and table-growth metrics: how often For reuses a per-shape
-// builder versus constructing one, and how many label points the lazily
-// grown counting tables have admitted process-wide. Admissions happen at
-// most O(log P) times per shape, so the atomic add is nowhere near a hot
-// path; the /timeseries probes sample these to show memoization working.
-var (
-	mBuilderHits   = obs.Default.Counter("logtime.builder.hits")
-	mBuilderMisses = obs.Default.Counter("logtime.builder.misses")
-	mPoints        = obs.Default.Counter("logtime.points.admitted")
-)
+// mPoints counts the label points the counting tables have admitted
+// process-wide, the tables' total build work. Admissions are far fewer than
+// tree nodes, so the atomic add is nowhere near a hot path.
+var mPoints = obs.Default.Counter("logtime.points.admitted")
 
 // satCap bounds every node count so the exponentially growing N(τ) can never
 // overflow int64 arithmetic, mirroring core.Pt's saturation.
@@ -108,14 +105,14 @@ func (h *labelHeap) push(t logp.Time)  { heap.Push(h, t) }
 func (h *labelHeap) pop() logp.Time    { return heap.Pop(h).(logp.Time) }
 
 // Builder precomputes the counting structure of the universal optimal
-// broadcast tree for one machine shape. It is safe for concurrent use; the
-// tables grow lazily and are shared across every P queried.
+// broadcast tree for one machine shape. Its tables grow lazily and serve
+// every P queried on it. A Builder is for one goroutine at a time: queries
+// grow the tables, and nothing guards them.
 type Builder struct {
 	M      logp.Machine
 	d      logp.Time // parent-to-child delay L + 2o
 	stride logp.Time // send spacing max(g, o)
 
-	mu       sync.Mutex
 	pts      []point               // label points, ascending
 	classes  map[logp.Time][]int32 // residue class -> indices into pts, ascending
 	frontier labelHeap             // pending candidate labels
@@ -185,7 +182,7 @@ func (b *Builder) schedule(t logp.Time) {
 }
 
 // ensure grows the point tables until the total node count reaches p (or
-// saturates), so that every label up to B(p) is materialized. Callers hold mu.
+// saturates), so that every label up to B(p) is materialized.
 func (b *Builder) ensure(p int64) {
 	for b.pts[len(b.pts)-1].n < p && b.pts[len(b.pts)-1].n < satCap && b.frontier.Len() > 0 {
 		b.admit(b.frontier.pop())
@@ -202,7 +199,7 @@ func mod(a, m logp.Time) logp.Time {
 }
 
 // classCount returns R(x, c): the number of universal-tree nodes with label
-// <= x in residue class c, from the class-cumulative table. Callers hold mu.
+// <= x in residue class c, from the class-cumulative table.
 func (b *Builder) classCount(x logp.Time, c logp.Time) int64 {
 	idxs := b.classes[c]
 	// Last class point with label <= x.
@@ -222,7 +219,6 @@ func (b *Builder) classCount(x logp.Time, c logp.Time) int64 {
 }
 
 // pointAt returns the index of the point with exactly the given label, or -1.
-// Callers hold mu.
 func (b *Builder) pointAt(t logp.Time) int {
 	i := sort.Search(len(b.pts), func(i int) bool { return b.pts[i].label >= t })
 	if i < len(b.pts) && b.pts[i].label == t {
@@ -232,7 +228,7 @@ func (b *Builder) pointAt(t logp.Time) int {
 }
 
 // prevN returns N just below point pi: the node count strictly before its
-// label group. Callers hold mu.
+// label group.
 func (b *Builder) prevN(pi int) int64 {
 	if pi == 0 {
 		return 0
@@ -252,33 +248,17 @@ func (b *Builder) checkP(p int) {
 // tables themselves saturate, counts as 1<<62, so a larger cap never gives a
 // smaller answer. It reads the sparse label points, never a per-time table.
 func (b *Builder) Count(t logp.Time, maxCount int64) int64 {
-	n, _ := b.count(t, maxCount, true)
-	return n
-}
-
-// CountHeld is Count when the tables already hold the answer. When Count
-// would have to admit more label points, it grows nothing and ok is false.
-func (b *Builder) CountHeld(t logp.Time, maxCount int64) (n int64, ok bool) {
-	return b.count(t, maxCount, false)
-}
-
-func (b *Builder) count(t logp.Time, maxCount int64, grow bool) (int64, bool) {
 	if maxCount <= 0 {
 		maxCount = 1 << 40
 	}
 	maxCount = min(maxCount, satCap)
 	if t < 0 {
-		return 0, true
+		return 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	// Grow until the last point passes t or the count passes maxCount.
 	for b.pts[len(b.pts)-1].label <= t && b.pts[len(b.pts)-1].n < maxCount && b.frontier.Len() > 0 {
 		if b.frontier[0] > t {
 			break
-		}
-		if !grow {
-			return 0, false
 		}
 		b.admit(b.frontier.pop())
 	}
@@ -287,7 +267,7 @@ func (b *Builder) count(t logp.Time, maxCount int64, grow bool) (int64, bool) {
 	if i > 0 {
 		n = b.pts[i-1].n
 	}
-	return min(n, maxCount), true
+	return min(n, maxCount)
 }
 
 // BTime returns the optimal broadcast time B(p): the label of the p-th
@@ -295,8 +275,6 @@ func (b *Builder) count(t logp.Time, maxCount int64, grow bool) (int64, bool) {
 // materializing any tree.
 func (b *Builder) BTime(p int) logp.Time {
 	b.checkP(p)
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.ensure(int64(p))
 	i := sort.Search(len(b.pts), func(i int) bool { return b.pts[i].n >= int64(p) })
 	return b.pts[i].label
@@ -336,8 +314,6 @@ func (b *Builder) Node(p, rank int) NodeInfo {
 	if rank < 0 || rank >= p {
 		panic(fmt.Sprintf("logtime: rank %d out of range for P=%d", rank, p))
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.ensure(int64(p))
 	info := NodeInfo{Rank: rank, Parent: -1}
 	// Label and position within the label group.
@@ -395,8 +371,6 @@ func (b *Builder) Node(p, rank int) NodeInfo {
 // parent them.
 func (b *Builder) Tree(p int) *core.Tree {
 	b.checkP(p)
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.ensure(int64(p))
 	t := &core.Tree{M: b.M, Nodes: make([]core.Node, 0, p)}
 	t.Nodes = append(t.Nodes, core.Node{Label: 0, Parent: -1})
@@ -430,60 +404,14 @@ func (b *Builder) Tree(p int) *core.Tree {
 	return t
 }
 
-// builders caches one Builder per machine shape (L, o, g): the counting
-// tables are independent of P, so every query against the same shape shares
-// the same lazily grown tables. The cache holds at most maxShapes builders,
-// so a stream of distinct machine shapes (one per request, say) cannot grow
-// it without bound; past the cap, For hands out uncached builders.
-var (
-	builders   sync.Map   // key shapeKey -> *Builder
-	buildersMu sync.Mutex // serializes inserts so the cap is exact
-	nShapes    int        // entries in builders; guarded by buildersMu
-)
-
-// maxShapes caps the builder cache. It sits well above the few hundred
-// shapes a realistic parameter sweep touches (12 L × 5 o × 8 g = 480).
-const maxShapes = 1024
-
-type shapeKey struct{ l, o, g logp.Time }
-
-// For returns the shared builder for m's shape, creating it on first use.
-// Once maxShapes shapes are cached, a new shape gets a fresh builder that is
-// not retained. The machine must be valid (it panics otherwise, like
-// core.OptimalTree).
-func For(m logp.Machine) *Builder {
-	k := shapeKey{m.L, m.O, m.G}
-	if b, ok := builders.Load(k); ok {
-		mBuilderHits.Inc()
-		return b.(*Builder)
-	}
-	buildersMu.Lock()
-	defer buildersMu.Unlock()
-	if b, ok := builders.Load(k); ok {
-		mBuilderHits.Inc()
-		return b.(*Builder)
-	}
-	mBuilderMisses.Inc()
-	b := MustBuilder(m)
-	if nShapes < maxShapes {
-		builders.Store(k, b)
-		nShapes++
-	}
-	return b
-}
-
-// Tree builds ß(p) for m through the shared per-shape builder. It is the
-// one tree builder production code uses: every broadcast, reduce, scan,
-// summation, k-item and continuous construction takes its tree from here,
-// and core.OptimalTree's heap search, which builds the same tree node for
-// node, is kept only as the oracle the tests and the conformance
-// differential compare against. The shared builder carries the first
-// machine seen for the shape, so the tree is restamped with the caller's
-// machine (same L, o, g; possibly different P).
+// Tree builds ß(p) for m on a private builder. It is the one tree builder
+// production code uses: every broadcast, reduce, scan, summation, k-item and
+// continuous construction takes its tree from here, and core.OptimalTree's
+// heap search, which builds the same tree node for node, is kept only as the
+// oracle the tests and the conformance differential compare against. The
+// machine must be valid (it panics otherwise, like core.OptimalTree).
 func Tree(m logp.Machine, p int) *core.Tree {
-	t := For(m).Tree(p)
-	t.M = m
-	return t
+	return MustBuilder(m).Tree(p)
 }
 
 // BroadcastSchedule returns the optimal single-item broadcast schedule for
@@ -500,10 +428,10 @@ func BroadcastSchedule(m logp.Machine, item int) *schedule.Schedule {
 // B returns the optimal single-item broadcast time B(p; L,o,g) without
 // constructing a tree — the search-free equivalent of core.B.
 func B(m logp.Machine, p int) logp.Time {
-	return For(m).BTime(p)
+	return MustBuilder(m).BTime(p)
 }
 
-// Node answers a per-rank query against ß(p) for m in O(log P).
+// Node answers a per-rank query against ß(p) for m on a private builder.
 func Node(m logp.Machine, p, rank int) NodeInfo {
-	return For(m).Node(p, rank)
+	return MustBuilder(m).Node(p, rank)
 }

@@ -97,31 +97,6 @@ func TestCountSaturatesAtCap(t *testing.T) {
 	}
 }
 
-// TestCountHeld: CountHeld answers what Count answers once the tables hold
-// it, and before that reports false without growing them.
-func TestCountHeld(t *testing.T) {
-	for _, m := range shapes {
-		b := MustBuilder(m)
-		for tau := logp.Time(-1); tau <= 40; tau++ {
-			before := len(b.pts)
-			n, ok := b.CountHeld(tau, 1<<20)
-			if len(b.pts) != before {
-				t.Fatalf("%v: CountHeld(%d) grew the tables", m, tau)
-			}
-			want := b.Count(tau, 1<<20)
-			if ok && n != want {
-				t.Fatalf("%v: CountHeld(%d) = %d, Count = %d", m, tau, n, want)
-			}
-			if n, ok := b.CountHeld(tau, 1<<20); !ok || n != want {
-				t.Fatalf("%v: after Count, CountHeld(%d) = %d, %v; want %d", m, tau, n, ok, want)
-			}
-		}
-		if _, ok := b.CountHeld(1<<20, 0); ok {
-			t.Errorf("%v: CountHeld(2^20) held before anything counted that far", m)
-		}
-	}
-}
-
 // TestNodeMatchesTree checks the O(log P) per-rank answers against the
 // materialized tree: label, parent, child position, send time, children.
 func TestNodeMatchesTree(t *testing.T) {
@@ -230,38 +205,6 @@ func TestDegenerate(t *testing.T) {
 	}
 }
 
-// TestBuilderCacheBounded pins the shape-cache cap: a stream of distinct
-// machine shapes (a client varying L per request, say) fills the shared
-// cache to maxShapes and no further, and the uncached builders For hands out
-// past the cap still build the search tree node for node.
-func TestBuilderCacheBounded(t *testing.T) {
-	resetBuilders()
-	t.Cleanup(resetBuilders)
-	for i := 0; i < maxShapes+64; i++ {
-		m := logp.MustNew(20, logp.Time(1+i), logp.Time(i%3), logp.Time(1+i%5))
-		got := Tree(m, m.P)
-		if i%64 != 0 && i < maxShapes {
-			continue
-		}
-		if want := core.OptimalTree(m, m.P); !reflect.DeepEqual(got.Nodes, want.Nodes) {
-			t.Fatalf("shape %d %v: logtime tree differs from search tree", i, m)
-		}
-	}
-	n := 0
-	builders.Range(func(any, any) bool { n++; return true })
-	if n != maxShapes {
-		t.Fatalf("builder cache holds %d shapes after %d distinct ones, want the cap %d", n, maxShapes+64, maxShapes)
-	}
-}
-
-// resetBuilders empties the shared builder cache.
-func resetBuilders() {
-	buildersMu.Lock()
-	defer buildersMu.Unlock()
-	builders.Range(func(k, _ any) bool { builders.Delete(k); return true })
-	nShapes = 0
-}
-
 // lastAvail is the broadcast finish: the latest reception + o.
 func lastAvail(s *schedule.Schedule) logp.Time {
 	var mx logp.Time
@@ -303,7 +246,7 @@ func TestWalkMatchesTree(t *testing.T) {
 
 // TestWalkStops: once yield returns false the walk yields nothing more.
 func TestWalkStops(t *testing.T) {
-	es := For(logp.ProfilePaperFig1).edges(1000)
+	es := MustBuilder(logp.ProfilePaperFig1).edges(1000)
 	for _, stop := range []int{1, 2, 500, 998} {
 		n := 0
 		if es.walk(func(int, int, logp.Time) bool { n++; return n < stop }) {

@@ -7,10 +7,9 @@ import (
 	"logpopt/internal/schedule"
 )
 
-// edges is ß(p)'s edge set, held as a snapshot of the label points up to
-// B(p) instead of a tree. The points are append-only, so the snapshot stays
-// valid while the shared builder keeps growing for other queries, and walk
-// runs without the builder's lock.
+// edges is ß(p)'s edge set, held as the label points up to B(p) instead of
+// a tree. The points are append-only, so the slice stays valid if the
+// builder grows further, and it is all a walk keeps of the builder.
 type edges struct {
 	p int
 	b logp.Time // B(p): the largest label in ß(p)
@@ -19,12 +18,9 @@ type edges struct {
 	pts       []point // label points up to B(p), ascending
 }
 
-// edges snapshots ß(p). It holds the builder's lock only to grow the tables
-// to B(p) and slice them.
+// edges grows the tables to B(p) and slices ß(p)'s label points.
 func (b *Builder) edges(p int) edges {
 	b.checkP(p)
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.ensure(int64(p))
 	i := sort.Search(len(b.pts), func(i int) bool { return b.pts[i].n >= int64(p) })
 	return edges{p: p, b: b.pts[i].label, d: b.d, stride: b.stride, pts: b.pts[: i+1 : i+1]}
@@ -98,12 +94,13 @@ const (
 
 // Seq returns op's schedule on m as an event sequence: event for event
 // what the oracle expands from Tree(m, m.P), with neither the tree nor the
-// events materialized. Each call of the sequence snapshots ß(P) afresh.
+// events materialized. It builds ß(P)'s label points once, on a private
+// builder, and every walk of the sequence reads them.
 func Seq(m logp.Machine, op Collective) schedule.Seq {
 	d, ol := m.D(), m.O+m.L
+	es := MustBuilder(m).edges(m.P)
+	T := es.b
 	return func(yield func(schedule.Event) bool) {
-		es := For(m).edges(m.P)
-		T := es.b
 		switch op {
 		case Broadcast:
 			es.walk(func(parent, child int, label logp.Time) bool {

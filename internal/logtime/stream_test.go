@@ -123,20 +123,6 @@ func TestStreamMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestStreamHeadUsesCallerMachine: the shared builder for a shape keeps the
-// machine it was first built with, P included. The stream's head must carry
-// the caller's P, not the builder's.
-func TestStreamHeadUsesCallerMachine(t *testing.T) {
-	shape := logp.MustNew(1, 7, 3, 5) // used by no other test
-	logtime.For(shape.WithP(50)).BTime(50)
-	for _, p := range []int{3000, 20} {
-		m := shape.WithP(p)
-		for _, so := range streamOps {
-			checkStream(t, m, so.op, so.oracle(logtime.Tree(m, m.P)))
-		}
-	}
-}
-
 // failAfter accepts n bytes, then fails every write. offered counts every
 // byte it was asked to write.
 type failAfter struct {
@@ -189,14 +175,13 @@ func TestStreamWriteErrorEndsWalk(t *testing.T) {
 }
 
 // TestStreamAllocs: at P = 10⁶ each collective streams with under 1 MiB of
-// allocation — the chunk buffer and the per-group child list, not the tree
-// or the events.
+// allocation — the counting tables, the chunk buffer and the per-group
+// child list, not the tree or the events.
 func TestStreamAllocs(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("P = 10⁶ stream; allocation counts are not meaningful under the race detector")
 	}
 	m := logp.ProfilePaperFig1.WithP(1000000)
-	logtime.For(m).BTime(m.P) // table growth is the builder's, shared by every query
 	for _, so := range streamOps {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -214,12 +199,11 @@ func TestStreamAllocs(t *testing.T) {
 	}
 }
 
-// TestStreamConcurrent: eight goroutines stream different P on one shape
-// while a ninth grows the same shared builder through Node and BTime. Every
-// stream must equal the heap-search oracle, which proves the walk reads its
-// snapshot safely without holding the builder's lock.
+// TestStreamConcurrent: eight goroutines stream different P on one shape at
+// once. Every stream must equal the heap-search oracle: each walks tables of
+// its own, so the streams share nothing.
 func TestStreamConcurrent(t *testing.T) {
-	shape := logp.MustNew(1, 9, 2, 3) // used by no other test, so For starts cold
+	shape := logp.MustNew(1, 9, 2, 3)
 	ps := []int{100, 500, 900, 1300, 1700, 2100, 2500, 3000}
 	want := make([][]string, len(ps))
 	for i, p := range ps {
@@ -232,23 +216,7 @@ func TestStreamConcurrent(t *testing.T) {
 			want[i] = append(want[i], w.sum())
 		}
 	}
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		b := logtime.For(shape)
-		for p := 2; ; p += 97 {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			b.Node(p, p-1)
-			b.BTime(p * 10)
-		}
-	}()
-	errs := make(chan error, len(ps))
+	errs := make(chan error, len(ps)*len(streamOps))
 	var streams sync.WaitGroup
 	for i, p := range ps {
 		streams.Add(1)
@@ -268,8 +236,6 @@ func TestStreamConcurrent(t *testing.T) {
 		}()
 	}
 	streams.Wait()
-	close(done)
-	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)

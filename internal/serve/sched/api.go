@@ -25,7 +25,7 @@ const maxBatch = 4096
 // Options configures an API.
 type Options struct {
 	// Cache answers /v1/schedule and /v1/batch; nil builds a default
-	// cache with a 256 MiB budget over Registry.
+	// cache with the DefaultCacheBytes budget over Registry.
 	Cache *Cache
 	// Registry receives the servd.* metrics; nil uses obs.Default.
 	Registry *obs.Registry
@@ -64,7 +64,7 @@ func NewAPI(opts Options) *API {
 	}
 	cache := opts.Cache
 	if cache == nil {
-		cache = NewCache(256<<20, reg)
+		cache = NewCache(DefaultCacheBytes, reg)
 	}
 	log := opts.Log
 	if log == nil {

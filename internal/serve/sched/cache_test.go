@@ -156,11 +156,10 @@ func TestCacheEntriesExactSize(t *testing.T) {
 // TestCachedResultHoldsOnlyJSON: a cached broadcast at P = 10⁵ pins its
 // body and little else. Its 2(P-1) events alone would add ~9.6 MB to the
 // ~11 MB body, so a live-heap growth under 1.25 × len(JSON) across the
-// solve proves the entry retains no event slice.
+// solve, counting tables included, proves the entry retains no event slice.
 func TestCachedResultHoldsOnlyJSON(t *testing.T) {
 	c := NewCache(0, obs.NewRegistry())
 	k := testKey(t, Request{Op: "broadcast", P: 100000, L: 6, O: 2, G: 4, K: 1})
-	logtime.B(k.Machine(), k.P) // grow the shared counting tables outside the measurement
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -182,13 +181,9 @@ func TestCachedResultHoldsOnlyJSON(t *testing.T) {
 // what a small entry really pins. 4000 P = 16 broadcasts on distinct
 // machines (L 1…40, o 0…9, g 1…10), whose ~1.5 KB bodies make the fixed
 // overhead a third of each entry, must grow the live heap by no more than
-// the cache charges for them, and by at least 90% of it. logtime's builder
-// cache is filled to its cap first, so the solves retain no new builder
-// and the growth is the cache's.
+// the cache charges for them, and by at least 90% of it. The solves keep
+// no counting tables, so the growth is the cache's.
 func TestCacheChargesWhatEntriesPin(t *testing.T) {
-	for i := range 1024 {
-		logtime.For(logp.Machine{P: 1, L: 1<<21 + logp.Time(i), O: 2, G: 4})
-	}
 	var keys []Key
 	for l := logp.Time(1); l <= 40; l++ {
 		for o := logp.Time(0); o < 10; o++ {

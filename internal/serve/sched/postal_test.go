@@ -10,6 +10,7 @@ import (
 
 	"logpopt/internal/logp"
 	"logpopt/internal/logtime"
+	"logpopt/internal/obs"
 )
 
 // TestPostalBytesPinned pins the `logpsched -render json` bytes of four
@@ -80,4 +81,34 @@ func TestPostalSolvesRetainNothing(t *testing.T) {
 	if after := live(); after > before+slack {
 		t.Fatalf("live heap grew %d → %d bytes over four solves, want at most %d more", before, after, slack)
 	}
+}
+
+// TestTreeSolvesRetainNothing: a tree-walk cache fill keeps nothing past
+// its body, and a body the budget cannot hold is not kept either. Four
+// fills (broadcast, reduce, scan, binomial) at P = 10⁵ on postal machines
+// with distinct L = 2^16…2^16+3 each build counting tables of some 10⁵
+// label points; through a 1 MiB cache that keeps none of the ~11 MB bodies,
+// the live heap after them and a GC must be back near where it started.
+func TestTreeSolvesRetainNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four P = 10⁵ solves")
+	}
+	c := NewCache(1<<20, obs.NewRegistry())
+	before := liveHeap()
+	for i, op := range []string{"broadcast", "reduce", "scan", "binomial"} {
+		k := testKey(t, Request{Op: op, P: 100000, L: 1<<16 + logp.Time(i), O: 0, G: 1})
+		if _, _, err := c.Get(k); err != nil {
+			t.Fatalf("%s L=%d: %v", op, k.L, err)
+		}
+	}
+	if st := c.Stats(); st.Size != 0 {
+		t.Fatalf("a 1 MiB cache kept %d entries of ~11 MB bodies", st.Size)
+	}
+	const slack = 4 << 20
+	grew := liveHeap() - before
+	t.Logf("live heap +%d bytes after four tree fills", grew)
+	if grew > slack {
+		t.Fatalf("live heap grew %d bytes over four tree fills, want at most %d", grew, slack)
+	}
+	runtime.KeepAlive(c)
 }

@@ -72,7 +72,8 @@ func Capacity(m logp.Machine, t logp.Time) int64 {
 	if t < 0 {
 		return 0
 	}
-	n, ok := capacity(m, t, size(m, t))
+	b := logtime.MustBuilder(Lazy(m))
+	n, ok := capacity(b, t, size(b, t))
 	if !ok {
 		panic(fmt.Sprintf("summation: n(%d) on %v overflows int64", t, m))
 	}
@@ -80,24 +81,26 @@ func Capacity(m logp.Machine, t logp.Time) int64 {
 }
 
 // size returns the number of processors the plan for deadline t uses: the
-// lazy machine's universal-tree nodes with label <= t-o-1, at most m.P, and
-// at least the root, which always works (for t <= o it folds t+1 operands
-// locally).
-func size(m logp.Machine, t logp.Time) int {
-	return int(max(1, logtime.For(Lazy(m)).Count(t-m.O-1, int64(m.P))))
+// lazy machine's universal-tree nodes with label <= t-o-1, at most P, and at
+// least the root, which always works (for t <= o it folds t+1 operands
+// locally). b is a builder for Lazy(m), which keeps m's P and o.
+func size(b *logtime.Builder, t logp.Time) int {
+	return int(max(1, b.Count(t-b.M.O-1, int64(b.M.P))))
 }
 
-// capacity is Lemma 5.1's n(t) for the p-node plan: (o+1) plus each node's
-// t - label - o. ok is false when (o+1) + p(t-o) does not fit in int64.
-func capacity(m logp.Machine, t logp.Time, p int) (n int64, ok bool) {
-	if t <= m.O {
+// capacity is Lemma 5.1's n(t) for the p-node plan on b, a builder for
+// Lazy(m): (o+1) plus each node's t - label - o. ok is false when
+// (o+1) + p(t-o) does not fit in int64.
+func capacity(b *logtime.Builder, t logp.Time, p int) (n int64, ok bool) {
+	o := b.M.O
+	if t <= o {
 		return int64(t) + 1, true // the root alone (p = 1), folding one operand per cycle
 	}
-	hi, lo := bits.Mul64(uint64(p), uint64(t-m.O))
-	if hi != 0 || lo > math.MaxInt64-uint64(m.O)-1 {
+	hi, lo := bits.Mul64(uint64(p), uint64(t-o))
+	if hi != 0 || lo > math.MaxInt64-uint64(o)-1 {
 		return 0, false
 	}
-	return int64(m.O) + 1 + int64(lo) - int64(logtime.For(Lazy(m)).LabelSum(p)), true
+	return int64(o) + 1 + int64(lo) - int64(b.LabelSum(p)), true
 }
 
 // TimeFor returns the minimum t such that Capacity(m, t) >= n (the optimal
@@ -111,10 +114,11 @@ func TimeFor(m logp.Machine, n int64) logp.Time {
 	if n < 1 {
 		panic(fmt.Sprintf("summation: TimeFor requires n >= 1, got %d", n))
 	}
+	b := logtime.MustBuilder(Lazy(m))
 	lo, hi := logp.Time(0), logp.Time(n-1) // one processor alone sums n in n-1
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if c, ok := capacity(m, mid, size(m, mid)); !ok || c >= n {
+		if c, ok := capacity(b, mid, size(b, mid)); !ok || c >= n {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -148,7 +152,8 @@ func Node(m logp.Machine, t logp.Time, rank int) NodeInfo {
 		panic(fmt.Sprintf("summation: negative deadline %d", t))
 	}
 	lm := Lazy(m)
-	ni := logtime.For(lm).Node(size(m, t), rank)
+	b := logtime.MustBuilder(lm)
+	ni := b.Node(size(b, t), rank)
 	sn := NodeInfo{Rank: rank, SendAt: t - ni.Label, Parent: ni.Parent}
 	stride := core.SendStride(lm)
 	busy := int64(0)
@@ -215,8 +220,9 @@ func BuildWith(m logp.Machine, t logp.Time, tb core.TreeBuilder) (*Plan, error) 
 	if t < 0 {
 		return nil, fmt.Errorf("summation: negative deadline %d", t)
 	}
-	p := size(m, t)
-	n, ok := capacity(m, t, p)
+	b := logtime.MustBuilder(Lazy(m))
+	p := size(b, t)
+	n, ok := capacity(b, t, p)
 	if !ok {
 		return nil, fmt.Errorf("summation: n(%d) on %v overflows int64", t, m)
 	}

@@ -21,7 +21,7 @@ func TestFigure6Capacity(t *testing.T) {
 	if n := Capacity(m, 28); n != 79 {
 		t.Fatalf("n(28) = %d, want 79", n)
 	}
-	tr := logtime.Tree(Lazy(m), size(m, 28))
+	tr := logtime.Tree(Lazy(m), size(logtime.MustBuilder(Lazy(m)), 28))
 	if tr.P() != 8 {
 		t.Fatalf("summation tree uses %d processors, want 8", tr.P())
 	}
@@ -434,7 +434,8 @@ func TestTimeForLargeN(t *testing.T) {
 	for _, m := range []logp.Machine{logp.ProfilePaperFig6, logp.MustNew(1, 3, 1, 2), logp.Postal(64, 1)} {
 		for _, n := range []int64{1 << 62, math.MaxInt64 - 1, math.MaxInt64} {
 			tt := TimeFor(m, n)
-			c, ok := capacity(m, tt, size(m, tt))
+			b := logtime.MustBuilder(Lazy(m))
+			c, ok := capacity(b, tt, size(b, tt))
 			if ok && c < n || Capacity(m, tt-1) >= n {
 				t.Fatalf("%v: TimeFor(%d) = %d is not the minimal deadline", m, n, tt)
 			}

@@ -128,16 +128,11 @@ var (
 // Reachable returns P(t; L,o,g), the maximum number of processors reachable
 // in t steps (Definition 2.2, Theorem 2.2), saturating at maxCount (<= 0
 // selects 1<<40). It is read off the counting tables behind
-// OptimalBroadcastTree, in time independent of t. Those tables are shared
-// per machine shape for the life of the process, so Reachable reads them
-// only when they already hold the answer; otherwise it counts on a private
-// builder that is freed on return, so a large maxCount never grows what the
+// OptimalBroadcastTree, in time independent of t. The tables are built for
+// the call and freed on return, so a large maxCount never grows what the
 // process keeps (counting to the default cap takes O(L) label points on
 // postal machines).
 func Reachable(m Machine, t Time, maxCount int64) int64 {
-	if n, ok := logtime.For(m).CountHeld(t, maxCount); ok {
-		return n
-	}
 	return logtime.MustBuilder(m).Count(t, maxCount)
 }
 
@@ -147,14 +142,16 @@ func Reachable(m Machine, t Time, maxCount int64) int64 {
 // answerable in O(log P) without materializing ß(P).
 type (
 	// LogtimeBuilder holds the counting tables of the universal optimal
-	// broadcast tree for one machine shape, shared across every P queried.
+	// broadcast tree for one machine shape, grown lazily for every P
+	// queried on it. It is for one goroutine at a time.
 	LogtimeBuilder = logtime.Builder
 	// LogtimeNodeInfo describes one node of ß(P) by rank: label, parent,
 	// send time, and children, answerable without materializing the tree.
 	LogtimeNodeInfo = logtime.NodeInfo
 )
 
-// LogtimeNode answers a per-rank query against ß(P) in O(log P).
+// LogtimeNode answers a per-rank query against ß(P) without materializing
+// the tree, on counting tables built for the call and freed on return.
 var LogtimeNode = logtime.Node
 
 // k-item broadcast (Sections 3, 3.4, 3.5; internal/kitem).
