@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race bench bench-json bench-gate bench-scale trace-smoke report-smoke report-diff-smoke servd-smoke fuzz conform conform-logtime conform-scale emit-smoke loc vet fmt examples reproduce clean
+.PHONY: all check build test race bench bench-json bench-gate bench-scale trace-smoke report-smoke report-diff-smoke servd-smoke fuzz conform conform-logtime conform-scale conform-rss emit-smoke loc vet fmt examples reproduce clean
 
 all: build test
 
@@ -150,6 +150,18 @@ conform-scale:
 	./conform-scale-bin -paper=false -seeds 0 -scale 64,1024,10000,100000 > conform-scale-n.txt
 	cmp conform-scale-1.txt conform-scale-n.txt
 	@rm -f conform-scale-bin conform-scale-1.txt conform-scale-n.txt
+
+# Memory of the scale check: run the engines' end-to-end check at P = 10^5
+# (the benchmark's replay_1e5) and P = 10^6 as children of `logpcheck rss`,
+# which prints each run's wall time, the child's own max RSS (getrusage)
+# and its own max RSS, so that a high-water mark the child inherited would
+# show as a child figure near the parent's.
+conform-rss:
+	$(GO) build -o conform-rss-bin ./cmd/logpconform
+	$(GO) build -o conform-rss-check ./cmd/logpcheck
+	./conform-rss-check rss -- ./conform-rss-bin -paper=false -seeds 0 -scale 100000
+	./conform-rss-check rss -- ./conform-rss-bin -paper=false -seeds 0 -scale 1000000
+	@rm -f conform-rss-bin conform-rss-check
 
 # Emission byte contract at P = 10^6: broadcast, reduce and scan JSON from
 # logpsched, once through a pipe and once to a file, must hash to the digests

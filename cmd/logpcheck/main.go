@@ -7,13 +7,15 @@
 //	logpcheck reportdiff [thresholds] [-v] [-json] old.json new.json | storeA/ storeB/ | store/
 //	logpcheck trace out.json [more.json ...]
 //	logpcheck servd -bin ./logpservd [-sched ./logpsched] [-n 32]
+//	logpcheck rss -- command [args ...]
 //
 // benchjson and benchdiff build and gate BENCH_*.json (`make bench-json`,
 // `make bench-gate`); report and trace validate the -report and -trace
 // artifacts (`make report-smoke`, `make trace-smoke`); reportdiff gates on
 // drift between run reports (`make report-diff-smoke`); servd boots a built
-// logpservd end to end (`make servd-smoke`). Every comparison gates through
-// internal/gate. Exit status: 0 pass, 1 a check failed or a gate tripped,
+// logpservd end to end (`make servd-smoke`); rss runs one command and
+// prints its wall time and peak RSS (`make conform-rss`). Every comparison
+// gates through internal/gate. Exit status: 0 pass, 1 a check failed or a gate tripped,
 // 2 a usage error or, for benchdiff and reportdiff, an unreadable input.
 package main
 
@@ -33,6 +35,7 @@ var commands = map[string]func(args []string, stdin io.Reader, stdout, stderr io
 	"reportdiff": reportdiff,
 	"trace":      traceCheck,
 	"servd":      servd,
+	"rss":        rss,
 }
 
 func main() {
@@ -43,7 +46,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if len(args) > 0 && commands[args[0]] != nil {
 		return commands[args[0]](args[1:], stdin, stdout, stderr)
 	}
-	fmt.Fprintln(stderr, "usage: logpcheck benchjson|benchdiff|report|reportdiff|trace|servd [flags] [args]")
+	fmt.Fprintln(stderr, "usage: logpcheck benchjson|benchdiff|report|reportdiff|trace|servd|rss [flags] [args]")
 	return 2
 }
 

@@ -148,9 +148,11 @@ func main() {
 			}
 			ps = append(ps, p)
 		}
-		for _, c := range conform.ScaleCases(ps...) {
+		// Each case is built as it is checked, so one is live at a time.
+		conform.EachScaleCase(ps...)(func(c conform.Case) bool {
 			runCase(c)
-		}
+			return true
+		})
 	}
 	for seed := *start; seed < *start+int64(*seeds); seed++ {
 		runCase(conform.Generate(seed))

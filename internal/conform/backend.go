@@ -34,15 +34,24 @@ type Result struct {
 	Trace      *schedule.Schedule // executed (or derived) sends and recvs
 	Finish     logp.Time          // time the last availability lands
 	MaxBuffer  int                // buffer/queue high-water mark (buffered backends)
-	Stats      schedule.Stats     // per-processor breakdown (executing backends only)
+	Queues     []int              // per-processor buffer/queue high-water marks (executing backends)
 }
 
 // Clean reports whether the backend saw no violations.
 func (r Result) Clean() bool { return len(r.Violations) == 0 }
 
+// Stats computes the run's per-processor breakdown from its trace, finish
+// and queue marks, as sim.Engine.Stats and runtime.Runtime.Stats do. It is
+// meaningful for the executing backends only. A Result keeps the inputs
+// rather than the breakdown, which holds several words per processor, so
+// Check holds one pair of breakdowns at a time, while it compares them.
+func (r Result) Stats() schedule.Stats { return schedule.ComputeStats(r.Trace, r.Finish, r.Queues) }
+
 // Backend replays conformance cases on one machine implementation.
 // Backends return traces their caller owns, in the event order
-// (schedule.CompareEvents).
+// (schedule.CompareEvents). Inside a Check, the backends share the case's
+// reference instead (see traces.reference): the validator's trace is the
+// reference, and so is an engine's when its run matched it.
 type Backend interface {
 	Name() string
 	Replay(c Case) Result
@@ -74,20 +83,20 @@ func (b *SimBackend) Name() string {
 	return "sim-strict"
 }
 
-// replayIn is Replay on the case's sends in the event order, which t sorts
-// once for both of a Check's simulator replays.
-func (b *SimBackend) replayIn(c Case, t *traces) Result {
-	if t != nil {
-		c.S = t.sends(c.S)
-	}
-	return b.Replay(c)
-}
+func (b *SimBackend) Replay(c Case) Result { return b.replayIn(c, nil) }
 
-func (b *SimBackend) Replay(c Case) Result {
+// replayIn is Replay on the case's sends in the event order, which t sorts
+// once for both of a Check's simulator replays, run against t's reference.
+func (b *SimBackend) replayIn(c Case, t *traces) Result {
 	if b.eng == nil {
 		b.eng = new(sim.Engine)
 	}
 	b.eng.Reset(c.S.M, b.Mode)
+	if t != nil {
+		b.eng.Expect(t.reference(c.S))
+		c.S = t.sends(c.S)
+		mTraceCompares.Inc()
+	}
 	b.eng.Tracer = b.Tracer
 	b.eng.TracePID = b.TracePID
 	rep := b.eng.Replay(c.S, c.Origins)
@@ -97,7 +106,7 @@ func (b *SimBackend) Replay(c Case) Result {
 		Trace:      b.eng.Executed(),
 		Finish:     rep.Finish,
 		MaxBuffer:  rep.MaxBuffer,
-		Stats:      b.eng.Stats(),
+		Queues:     b.eng.ProcMaxBuffers(),
 	}
 }
 
@@ -152,6 +161,10 @@ func (b *RuntimeBackend) replayIn(c Case, t *traces) Result {
 		return res
 	}
 	rt := b.rt
+	if t != nil {
+		rt.Expect(t.reference(c.S))
+		mTraceCompares.Inc()
+	}
 	rt.Tracer = b.Tracer
 	rt.TracePID = b.TracePID
 	rt.Run(runtime.Horizon(c.S))
@@ -163,7 +176,7 @@ func (b *RuntimeBackend) replayIn(c Case, t *traces) Result {
 	res.Trace = rt.Trace()
 	res.Finish = t.orNew(c).finish(res.Trace)
 	res.MaxBuffer = rt.MaxQueue()
-	res.Stats = rt.Stats(res.Finish)
+	res.Queues = rt.ProcMaxQueues()
 	return res
 }
 
@@ -177,36 +190,18 @@ func (ValidatorBackend) Name() string { return "validator" }
 
 func (v ValidatorBackend) Replay(c Case) Result { return v.replayIn(c, nil) }
 
+// replayIn is Replay whose trace, inside a Check, is the case's reference.
 func (ValidatorBackend) replayIn(c Case, t *traces) Result {
-	m := c.S.M
-	sends := 0
-	for _, ev := range c.S.Events {
-		if ev.Op == schedule.OpSend {
-			sends++
-		}
-	}
-	// Each send derives at most one reception.
-	d := &schedule.Schedule{M: m, Events: make([]schedule.Event, 0, 2*sends)}
-	for _, ev := range c.S.Events {
-		if ev.Op != schedule.OpSend {
-			continue
-		}
-		d.Send(ev.Proc, ev.Time, ev.Item, ev.Peer)
-		if ev.Peer >= 0 && ev.Peer < m.P && ev.Peer != ev.Proc {
-			d.Recv(ev.Peer, ev.Time+m.O+m.L, ev.Item, ev.Proc)
-		}
-	}
-	d.Sort()
-	res := Result{Backend: "validator", Trace: d}
 	if t == nil {
+		d := derive(sortedSends(c.S))
 		// On its own the validator needs only the strict discipline.
 		x := schedule.NewIndex(d)
 		av := x.Availability(c.Origins)
-		res.Violations = append(x.Validate(), av.Check(x)...)
-		res.Finish = av.Latest()
-		return res
+		return Result{Backend: "validator", Trace: d,
+			Violations: append(x.Validate(), av.Check(x)...), Finish: av.Latest()}
 	}
+	d := t.reference(c.S)
 	vs, _, unavail := t.checks(d)
-	res.Violations, res.Finish = append(vs, unavail...), t.finish(d)
-	return res
+	return Result{Backend: "validator", Trace: d,
+		Violations: append(vs, unavail...), Finish: t.finish(d)}
 }

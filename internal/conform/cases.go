@@ -101,20 +101,36 @@ func PaperCases() []Case {
 // builds the heap search's trees event for event (TestScaleCasesMatchSearch).
 func ScaleCases(ps ...int) []Case {
 	var cs []Case
-	for _, p := range ps {
-		m := logp.MustNew(p, 6, 2, 4)
-		cs = append(cs, Case{
-			Name:    fmt.Sprintf("scale-broadcast/p%d", p),
-			S:       logtime.BroadcastSchedule(m, 0),
-			Origins: core.Origins(0),
-		})
-		pm := logp.Postal(p, 3)
-		red := combine.ReduceSchedule(pm, pm.P)
-		cs = append(cs, Case{
-			Name:    fmt.Sprintf("scale-reduce/p%d", p),
-			S:       red,
-			Origins: schedule.DerivedOrigins(red),
-		})
-	}
+	EachScaleCase(ps...)(func(c Case) bool {
+		cs = append(cs, c)
+		return true
+	})
 	return cs
+}
+
+// EachScaleCase yields the cases of ScaleCases one at a time, building each
+// when it is asked for, so that a caller checking them in turn holds one
+// large case at a time. It is an iterator in the shape of iter.Seq[Case].
+func EachScaleCase(ps ...int) func(yield func(Case) bool) {
+	return func(yield func(Case) bool) {
+		for _, p := range ps {
+			m := logp.MustNew(p, 6, 2, 4)
+			if !yield(Case{
+				Name:    fmt.Sprintf("scale-broadcast/p%d", p),
+				S:       logtime.BroadcastSchedule(m, 0),
+				Origins: core.Origins(0),
+			}) {
+				return
+			}
+			pm := logp.Postal(p, 3)
+			red := combine.ReduceSchedule(pm, pm.P)
+			if !yield(Case{
+				Name:    fmt.Sprintf("scale-reduce/p%d", p),
+				S:       red,
+				Origins: schedule.DerivedOrigins(red),
+			}) {
+				return
+			}
+		}
+	}
 }

@@ -21,7 +21,7 @@ var (
 	mAnalyses       = obs.Default.Counter("conform.analyses")       // critical-path analyses made by Check
 	mIndexes        = obs.Default.Counter("conform.indexes")        // trace indexes built, one per distinct trace of a Check
 	mAvailabilities = obs.Default.Counter("conform.availabilities") // availability tables built, one per distinct trace of a Check
-	mTraceCompares  = obs.Default.Counter("conform.trace_compares") // event-by-event trace comparisons: content lookups and trace diffs
+	mTraceCompares  = obs.Default.Counter("conform.trace_compares") // backend traces checked against another: engine runs against the reference, and trace diffs that walk two traces
 )
 
 // Checker replays cases on all five backends and diffs the results. One
@@ -107,17 +107,21 @@ func (ck *Checker) replay(b backend, c Case, t *traces) Result {
 //     recomputed independently from its own trace.
 //
 // The replays and the expensive checks run as a par.Graph on up to
-// par.Limit() workers: the simulator chain (strict, then buffered, on the
-// shared engine, both reading the case's sends sorted once), the runtime
-// chain likewise, the validator, the deferred
-// validation of the buffered trace (after the validator), the finish
-// recomputation, and the critical-path analyses. Every backend returns its trace in the event
-// order, and what the checks derive from a trace — its availability table,
-// its validations and its critical path — depends only on the machine and
-// the events, so Check derives each part once per distinct trace (see
-// traces): a case clean in both modes, whose five traces agree, builds one
-// index and one availability table, validates once for both disciplines
-// and runs one analysis, all reading that index. The analyses form one chain, so at most one is in flight (each
+// par.Limit() workers. The first builds the case's reference, the
+// validator's derived trace, from the case's sends sorted once (see
+// traces.reference). Then come the simulator chain (strict, then buffered,
+// on the shared engine, both reading the sorted sends), the runtime chain
+// likewise, the validator, the deferred validation of the buffered trace
+// (after the validator), the finish recomputation, and the critical-path
+// analyses. Each engine runs against the reference and stores no event while
+// it matches, so on a clean case all five results hold the reference itself.
+// Every backend returns its trace in the event order, and what the checks
+// derive from a trace — its availability table, its validations and its
+// critical path — depends only on the machine and the events, so Check
+// derives each part once per distinct trace (see traces): a case clean in
+// both modes, whose five traces agree, builds one index and one
+// availability table, validates once for both disciplines and runs one
+// analysis, all reading that index. The analyses form one chain, so at most one is in flight (each
 // holds a DAG of the case's size), and a mode's pair starts once both of
 // its traces are clean. The diffs are then assembled on the caller's
 // goroutine in a fixed order, so they are the same at every width. A
@@ -138,9 +142,12 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 	)
 	t := newTraces(c.Origins)
 	var g par.Graph
-	sS := g.Add("sim-strict", func() { simS = ck.replay(ck.simStrict, c, t) })
-	rS := g.Add("runtime-strict", func() { rtS = ck.replay(ck.rtStrict, c, t) })
-	v := g.Add("validator", func() { val = ck.replay(ck.validator, c, t) })
+	// The reference comes first: the engines run against it, and it is the
+	// validator's trace.
+	ref := g.Add("reference", func() { t.reference(c.S) })
+	sS := g.Add("sim-strict", func() { simS = ck.replay(ck.simStrict, c, t) }, ref)
+	rS := g.Add("runtime-strict", func() { rtS = ck.replay(ck.rtStrict, c, t) }, ref)
+	v := g.Add("validator", func() { val = ck.replay(ck.validator, c, t) }, ref)
 	sB := g.Add("sim-buffered", func() { simB = ck.replay(ck.simBuf, c, t) }, sS)
 	rB := g.Add("runtime-buffered", func() { rtB = ck.replay(ck.rtBuf, c, t) }, rS)
 	// On a clean case the validator's derived trace is the buffered
@@ -216,7 +223,7 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 		// simultaneous arrivals through its queue within a step (so its
 		// high-water counts coincident messages) while the simulator never
 		// buffers in strict mode.
-		if msg := statsDiff(simS.Stats, rtS.Stats, false); msg != "" {
+		if msg := statsDiff(simS.Stats(), rtS.Stats(), false); msg != "" {
 			add("strict stats: sim vs runtime: %s", msg)
 		}
 	}
@@ -230,7 +237,7 @@ func (ck *Checker) Check(c Case) (diffs []string) {
 		if simB.MaxBuffer != rtB.MaxBuffer {
 			add("buffer high-water: sim MaxBuffer=%d, runtime MaxQueue=%d", simB.MaxBuffer, rtB.MaxBuffer)
 		}
-		if msg := statsDiff(simB.Stats, rtB.Stats, true); msg != "" {
+		if msg := statsDiff(simB.Stats(), rtB.Stats(), true); msg != "" {
 			add("buffered stats: sim vs runtime: %s", msg)
 		}
 		if len(deferred) != 0 {

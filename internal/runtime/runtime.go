@@ -215,8 +215,7 @@ type Runtime struct {
 	ends       slab.Lists[logp.Time] // every processor's outEnds and inEnds
 	ready      []int32               // processors to run this instant, ascending
 	queued     int                   // total messages sitting in per-processor queues
-	trace      schedule.Schedule
-	sorter     schedule.EventSorter // Trace's scratch
+	rec        schedule.Recorder     // the executed sends and receptions
 	violations []schedule.Violation
 
 	// chunks is the fixed partition of [0, P) into chunkSize ranges; each
@@ -230,7 +229,7 @@ type Runtime struct {
 	wg        sync.WaitGroup
 	work      func() // rt.worker, bound once so `go rt.work()` allocates nothing
 
-	hwProcs, hwFlight, hwDue, hwEnds, hwTrace, hwViol slab.Watermark
+	hwProcs, hwFlight, hwDue, hwEnds, hwViol slab.Watermark
 }
 
 // chunk is one contiguous range of processors. rlo and rhi bound its share
@@ -282,9 +281,10 @@ func New(m logp.Machine, mode Mode, handlers []Handler) (*Runtime, error) {
 // Reset reinitializes the runtime at time 0 for machine m, mode and
 // handlers, reusing the allocations of any previous run: the processor
 // slab and its carved buffers, the in-flight and wake queues, the
-// capacity-end slab and the executed-event storage. Tracer, TracePID and TS
-// are kept. Handles returned by Proc stay valid unless the processor slab
-// had to grow or shrink.
+// capacity-end slab and the executed-event storage not handed over by
+// Trace. Tracer, TracePID and TS are kept; the runtime expects no reference
+// (see Expect). Handles returned by Proc stay valid unless the processor
+// slab had to grow or shrink.
 //
 // Reuse is bounded by decayed retain watermarks, as in sim.Engine.Reset: an
 // allocation that has grown to more than 4x the retained need is freed, so
@@ -300,7 +300,6 @@ func (rt *Runtime) Reset(m logp.Machine, mode Mode, handlers []Handler) error {
 	hwFlight := rt.hwFlight.Update(rt.inflight.peak)
 	hwDue := rt.hwDue.Update(rt.due.peak)
 	hwEnds := rt.hwEnds.Update(rt.ends.Peak())
-	hwTrace := rt.hwTrace.Update(len(rt.trace.Events))
 	hwViol := rt.hwViol.Update(len(rt.violations))
 
 	rt.m, rt.mode, rt.handlers = m, mode, handlers
@@ -309,8 +308,7 @@ func (rt *Runtime) Reset(m logp.Machine, mode Mode, handlers []Handler) error {
 	rt.due.reset(hwDue)
 	rt.ends.Reset(hwEnds)
 	rt.ready = slab.Reuse(rt.ready, hwProcs, 1024)
-	rt.trace.M = m
-	rt.trace.Events = slab.Reuse(rt.trace.Events, hwTrace, 1024)
+	rt.rec.Reset(m)
 	rt.violations = slab.Reuse(rt.violations, hwViol, 64)
 
 	// Partition processors into contiguous chunks: enough per worker for
@@ -428,7 +426,7 @@ func (rt *Runtime) collect(c *chunk, now logp.Time) {
 		}
 		for i := in0; i < in; i++ {
 			msg := &c.in[i]
-			rt.trace.Recv(msg.To, now, msg.Item, msg.From)
+			rt.rec.Record(schedule.Event{Proc: msg.To, Time: now, Op: schedule.OpRecv, Item: msg.Item, Peer: msg.From})
 			if wait := now - msg.Arrive; wait > 0 {
 				mPortWait.Observe(int64(wait))
 			}
@@ -436,7 +434,7 @@ func (rt *Runtime) collect(c *chunk, now logp.Time) {
 		for _, msg := range c.out[out0:out] {
 			rt.checkCapacity(msg.From, msg.To, msg.SentAt)
 			rt.inflight.push(msg)
-			rt.trace.Send(msg.From, msg.SentAt, msg.Item, msg.To)
+			rt.rec.Record(schedule.Event{Proc: msg.From, Time: msg.SentAt, Op: schedule.OpSend, Item: msg.Item, Peer: msg.To})
 		}
 		for ; vi < len(c.viol) && c.viol[vi].id == id; vi++ {
 			rt.violations = append(rt.violations, c.viol[vi].v)
@@ -795,14 +793,23 @@ func (rt *Runtime) Pending() bool {
 	return rt.inflight.len() > 0 || rt.queued > 0
 }
 
-// Trace returns a copy of the executed communication schedule in the event
-// order (schedule.CompareEvents). It sorts with the runtime's scratch, so it
-// must not run concurrently with other calls on the runtime.
-func (rt *Runtime) Trace() *schedule.Schedule {
-	s := &schedule.Schedule{M: rt.m, Events: slices.Clone(rt.trace.Events)}
-	rt.sorter.Sort(s.Events)
-	return s
-}
+// Expect checks the run against ref, the trace it is expected to execute,
+// in the event order: while the run matches it the runtime stores no event,
+// and Trace returns ref itself if the run matched it to the end. A run that
+// departs from ref still gets its own trace, the same as with no reference,
+// in storage sized from ref. Call it after Reset, before the first Step;
+// the runtime reads ref and never modifies it.
+func (rt *Runtime) Expect(ref *schedule.Schedule) { rt.rec.Expect(ref) }
+
+// Trace returns the executed communication schedule in the event order
+// (schedule.CompareEvents). The schedule is the caller's: the runtime hands
+// over its own storage with no copy and keeps no hold on it, so Reset and
+// the next run leave it intact; the reference given to Expect, shared and
+// read-only, is returned when the run matched it. Calling Trace again before
+// the runtime executes more returns the same schedule. It sorts with the
+// runtime's scratch, so it must not run concurrently with other calls on the
+// runtime.
+func (rt *Runtime) Trace() *schedule.Schedule { return rt.rec.Trace() }
 
 // Violations returns a copy of the model violations recorded so far, in the
 // deterministic order the coordinator merged them.
@@ -832,11 +839,11 @@ func (rt *Runtime) ProcMaxQueues() []int {
 	return mq
 }
 
-// Stats computes port-activity statistics from the executed trace via the
-// shared schedule.ComputeStats — the parity method to sim.Engine.Stats, so
+// Stats computes port-activity statistics from the executed trace (Trace)
+// via the shared schedule.ComputeStats — the parity method to sim.Engine.Stats, so
 // the conformance harness can diff the two field by field. The runtime has
 // no origin table, so the caller supplies the span (finish time); pass the
 // finish recomputed from Trace() and the case's origins.
 func (rt *Runtime) Stats(span logp.Time) schedule.Stats {
-	return schedule.ComputeStats(&rt.trace, span, rt.ProcMaxQueues())
+	return schedule.ComputeStats(rt.Trace(), span, rt.ProcMaxQueues())
 }

@@ -200,7 +200,7 @@ func TestResetShrinksAfterHugeRun(t *testing.T) {
 	if rep := e.Replay(bigSched, og); rep.Finish == 0 {
 		t.Fatal("big replay did nothing")
 	}
-	grown := cap(e.executed.Events)
+	grown := e.rec.Retained()
 	if grown < len(bigSched.Events) {
 		t.Fatalf("executed capacity %d did not grow to the big case's %d events", grown, len(bigSched.Events))
 	}
@@ -224,7 +224,7 @@ func TestResetShrinksAfterHugeRun(t *testing.T) {
 		}
 	}
 	e.Reset(small, Strict)
-	if c := cap(e.executed.Events); c >= grown {
+	if c := e.rec.Retained(); c >= grown {
 		t.Errorf("executed capacity still %d after the sweep (big run grew it to %d)", c, grown)
 	}
 	if c := cap(e.procs); c >= big.P {

@@ -96,8 +96,11 @@ type procState struct {
 // repeatedly TickTo / Send. A finished engine can be recycled for another
 // run with Reset, which reuses every internal allocation (the in-flight
 // queue, the availability slab, the buffered-message slab, and
-// executed-event storage), bounded by decayed retain watermarks so a
-// one-off huge case does not pin memory for the rest of a sweep.
+// executed-event storage not handed over by Executed), bounded by decayed
+// retain watermarks so a one-off huge case does not pin memory for the rest
+// of a sweep. Every executed event goes through one schedule.Recorder,
+// which checks the run against a reference trace given to Expect instead
+// of storing it.
 type Engine struct {
 	M         logp.Machine
 	Mode      Mode
@@ -125,7 +128,7 @@ type Engine struct {
 	procs      []procState
 	inflight   flightQueue
 	avail      availStore
-	executed   schedule.Schedule
+	rec        schedule.Recorder // the executed sends and receptions
 	violations []schedule.Violation
 	sendBuf    []schedule.Event // Replay scratch, reused across runs
 	sorter     schedule.EventSorter
@@ -136,14 +139,15 @@ type Engine struct {
 	buffered []int32
 
 	// Decayed high-water marks feeding the Reset shrink policy (see Reset).
-	hwProcs, hwInflight, hwAvail, hwExecuted, hwSendBuf, hwViol, hwEnds, hwMsgs slab.Watermark
+	hwProcs, hwInflight, hwAvail, hwSendBuf, hwViol, hwEnds, hwMsgs slab.Watermark
 
 	// Run-local metric tallies, flushed to obs.Default by Replay (with an
 	// amortized live flush every liveFlushEvery drained events; flushedEvents
 	// tracks how much of nEvents has already been pushed).
 	nEvents, nCapChecks int64
 	flushedEvents       int64
-	bufferedNow         int // total buffered messages across procs (Buffered)
+	nSends, nRecvs      int64 // events recorded
+	bufferedNow         int   // total buffered messages across procs (Buffered)
 }
 
 const minusInf = logp.Time(-1) << 40
@@ -158,7 +162,9 @@ func New(m logp.Machine, mode Mode) *Engine {
 // Reset reinitializes the engine for machine m in the given mode, reusing
 // the allocations of any previous run: the per-processor states, the
 // in-flight queue, the capacity-end and buffered-message slabs, the
-// availability slab, and the executed-event slice all keep their capacity. BufferCap is preserved.
+// availability slab, and the executed-event storage all keep their
+// capacity. A trace handed over by Executed stays the caller's. BufferCap is
+// preserved, and the engine expects no reference (see Expect).
 //
 // Reuse is bounded by decayed retain watermarks: each Reset folds the
 // finished run's usage into a per-resource high-water mark, decays it, and
@@ -166,7 +172,6 @@ func New(m logp.Machine, mode Mode) *Engine {
 // so a single P=10^6 case in the middle of a small-P sweep does not pin
 // hundreds of megabytes for the rest of the process.
 func (e *Engine) Reset(m logp.Machine, mode Mode) {
-	hwExec := e.hwExecuted.Update(len(e.executed.Events))
 	hwSend := e.hwSendBuf.Update(len(e.sendBuf))
 	hwViol := e.hwViol.Update(len(e.violations))
 	hwFlight := e.hwInflight.Update(e.inflight.peak)
@@ -177,8 +182,7 @@ func (e *Engine) Reset(m logp.Machine, mode Mode) {
 
 	e.M, e.Mode = m, mode
 	e.now = 0
-	e.executed.M = m
-	e.executed.Events = slab.Reuse(e.executed.Events, hwExec, 1024)
+	e.rec.Reset(m)
 	e.sendBuf = slab.Reuse(e.sendBuf, hwSend, 1024)
 	e.violations = slab.Reuse(e.violations, hwViol, 64)
 	e.buffered = slab.Reuse(e.buffered, hwProcs, 1024)
@@ -190,6 +194,7 @@ func (e *Engine) Reset(m logp.Machine, mode Mode) {
 	}
 	e.avail.reset(m.P)
 	e.nEvents, e.nCapChecks, e.bufferedNow = 0, 0, 0
+	e.nSends, e.nRecvs = 0, 0
 	e.flushedEvents = 0
 	if cap(e.procs) < m.P || slab.Oversized(cap(e.procs), max(m.P, hwProcs), 1024) {
 		e.procs = make([]procState, m.P)
@@ -292,7 +297,8 @@ func (e *Engine) Send(from, item, to int) error {
 	e.checkCapacity(from, to)
 	msg := Msg{From: from, To: to, Item: item, SendAt: e.now, Arrive: e.now + e.M.O + e.M.L}
 	e.inflight.push(msg)
-	e.executed.Send(from, e.now, item, to)
+	e.rec.Record(schedule.Event{Proc: from, Time: e.now, Op: schedule.OpSend, Item: item, Peer: to})
+	e.nSends++
 	if e.Tracer != nil {
 		pid := e.tracePID()
 		e.Tracer.Span(pid, from, "send", int64(e.now), int64(e.M.O),
@@ -459,7 +465,8 @@ func (e *Engine) receive(msg Msg, t logp.Time) {
 		ps.busyUntil = end
 	}
 	e.avail.setMin(msg.To, msg.Item, t+e.M.O)
-	e.executed.Recv(msg.To, t, msg.Item, msg.From)
+	e.rec.Record(schedule.Event{Proc: msg.To, Time: t, Op: schedule.OpRecv, Item: msg.Item, Peer: msg.From})
+	e.nRecvs++
 	if wait := t - msg.Arrive; wait > 0 {
 		mRecvWait.Observe(int64(wait))
 	}
@@ -493,15 +500,23 @@ func (e *Engine) Violations() []schedule.Violation {
 	return append([]schedule.Violation(nil), e.violations...)
 }
 
-// Executed returns a copy of the executed schedule (all sends and the recvs
-// as they actually happened), in the event order (schedule.CompareEvents).
-// It sorts with the engine's scratch, so it must not run concurrently with
-// other calls on the engine.
-func (e *Engine) Executed() *schedule.Schedule {
-	s := &schedule.Schedule{M: e.M, Events: slices.Clone(e.executed.Events)}
-	e.sorter.Sort(s.Events)
-	return s
-}
+// Expect checks the run against ref, the trace it is expected to execute,
+// in the event order: while the run matches it the engine stores no event,
+// and Executed returns ref itself if the run matched it to the end. A run
+// that departs from ref still gets its own trace, the same as with no
+// reference. Call it after Reset, before the run; the engine reads ref and
+// never modifies it.
+func (e *Engine) Expect(ref *schedule.Schedule) { e.rec.Expect(ref) }
+
+// Executed returns the executed schedule (all sends and the recvs as they
+// actually happened) in the event order (schedule.CompareEvents). The
+// schedule is the caller's: the engine hands over its own storage with no
+// copy and keeps no hold on it, so Reset and the next run leave it intact;
+// the reference given to Expect, shared and read-only, is returned when the
+// run matched it. Calling Executed again before the engine executes more
+// returns the same schedule. It sorts with the engine's scratch, so it must
+// not run concurrently with other calls on the engine.
+func (e *Engine) Executed() *schedule.Schedule { return e.rec.Trace() }
 
 // MaxBuffer returns the largest input-buffer occupancy observed at any
 // processor (0 in Strict mode).
@@ -582,32 +597,39 @@ func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) R
 	for item, og := range origins {
 		e.Inject(og.Proc, item, og.Time)
 	}
-	sends := e.sendBuf[:0]
+	// A schedule of sends alone, in the event order and from time 0 on,
+	// replays as it is; any other is copied into the engine's scratch.
+	sends := s.Events
+	e.sendBuf = e.sendBuf[:0]
+	if !sendsInOrder(sends) {
+		sends = e.sendBuf
+		for _, ev := range s.Events {
+			if ev.Op != schedule.OpSend {
+				continue
+			}
+			if ev.Time < 0 {
+				// The clock starts at 0; a send before then can never
+				// execute. Record it instead of silently spinning past it.
+				e.violate(ev.Proc, schedule.Violation{
+					Kind: "replay",
+					Msg: fmt.Sprintf("sim: proc %d send of item %d at negative time %d",
+						ev.Proc, ev.Item, ev.Time),
+				})
+				continue
+			}
+			sends = append(sends, ev)
+		}
+		if !slices.IsSortedFunc(sends, schedule.CompareEvents) {
+			mSendSorts.Inc()
+			e.sorter.Sort(sends)
+		}
+		e.sendBuf = sends
+	}
+	e.rec.Reserve(2 * len(sends)) // every send and its reception
 	var horizon logp.Time
-	for _, ev := range s.Events {
-		if ev.Op != schedule.OpSend {
-			continue
-		}
-		if ev.Time < 0 {
-			// The clock starts at 0; a send before then can never execute.
-			// Record it instead of silently spinning past it.
-			e.violate(ev.Proc, schedule.Violation{
-				Kind: "replay",
-				Msg: fmt.Sprintf("sim: proc %d send of item %d at negative time %d",
-					ev.Proc, ev.Item, ev.Time),
-			})
-			continue
-		}
-		sends = append(sends, ev)
-		if ev.Time > horizon {
-			horizon = ev.Time
-		}
+	if len(sends) > 0 {
+		horizon = sends[len(sends)-1].Time
 	}
-	if !slices.IsSortedFunc(sends, schedule.CompareEvents) {
-		mSendSorts.Inc()
-		e.sorter.Sort(sends)
-	}
-	e.sendBuf = sends
 	horizon += s.M.O + s.M.L + 1
 	// Safety net against a stuck clock. Buffered drains need up to
 	// max(g, o) cycles per queued message after the last arrival, so the
@@ -660,23 +682,25 @@ func (e *Engine) Replay(s *schedule.Schedule, origins map[int]schedule.Origin) R
 	e.flushedEvents = e.nEvents
 	gInflight.Set(int64(e.inflight.len()))
 	mCapChecks.Add(e.nCapChecks)
-	var nSends, nRecvs int64
-	for _, ev := range e.executed.Events {
-		switch ev.Op {
-		case schedule.OpSend:
-			nSends++
-		case schedule.OpRecv:
-			nRecvs++
-		}
-	}
-	mSends.Add(nSends)
-	mRecvs.Add(nRecvs)
+	mSends.Add(e.nSends)
+	mRecvs.Add(e.nRecvs)
 	mViolations.Add(int64(len(e.violations)))
 	return Report{
 		Finish:     e.finishTime(),
 		MaxBuffer:  e.MaxBuffer(),
 		Violations: append([]schedule.Violation(nil), e.violations...),
 	}
+}
+
+// sendsInOrder reports whether evs are sends alone, in the event order and
+// from time 0 on.
+func sendsInOrder(evs []schedule.Event) bool {
+	for i := range evs {
+		if evs[i].Op != schedule.OpSend || i > 0 && schedule.CompareEvents(evs[i-1], evs[i]) > 0 {
+			return false
+		}
+	}
+	return len(evs) == 0 || evs[0].Time >= 0
 }
 
 func (e *Engine) finishTime() logp.Time {
@@ -711,9 +735,10 @@ func (e *Engine) ProcMaxBuffers() []int {
 	return mb
 }
 
-// Stats computes port-activity statistics from the executed schedule via
-// the shared schedule.ComputeStats, so the result is field-for-field
-// comparable with runtime.Runtime.Stats in the conformance harness.
+// Stats computes port-activity statistics from the executed schedule
+// (Executed) via the shared schedule.ComputeStats, so the result is
+// field-for-field comparable with runtime.Runtime.Stats in the conformance
+// harness.
 func (e *Engine) Stats() Stats {
-	return schedule.ComputeStats(&e.executed, e.finishTime(), e.ProcMaxBuffers())
+	return schedule.ComputeStats(e.Executed(), e.finishTime(), e.ProcMaxBuffers())
 }
