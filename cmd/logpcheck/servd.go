@@ -223,22 +223,31 @@ func smoke(bin, schedBin string, n int, stdout, stderr io.Writer) error {
 	fmt.Fprintln(stdout, "servd smoke: soft memory limit is the default budget plus the allowance")
 
 	// CLI/service agreement: a local solve and a -remote fetch of the same
-	// key must be byte-identical, below and above P = 512 alike.
+	// key must be byte-identical: broadcast below and above P = 512, and one
+	// key from each other op family (tree expansion, closed form, postal
+	// search, deadline-driven).
 	if schedBin != "" {
-		for _, p := range []string{"300", "3000"} {
-			args := []string{"-op", "broadcast", "-P", p, "-render", "json"}
+		for _, key := range []string{
+			"-op broadcast -P 300",
+			"-op broadcast -P 3000",
+			"-op scan -P 3000",
+			"-op alltoall -P 64 -k 2",
+			"-op kitem -P 64 -L 3 -k 8",
+			"-op summation -P 64 -t 28",
+		} {
+			args := append(strings.Fields(key), "-render", "json")
 			local, err := exec.Command(schedBin, args...).Output()
 			if err != nil {
-				return fmt.Errorf("local logpsched P=%s: %w", p, err)
+				return fmt.Errorf("local logpsched %s: %w", key, err)
 			}
 			remote, err := exec.Command(schedBin, append(args, "-remote", base)...).Output()
 			if err != nil {
-				return fmt.Errorf("remote logpsched P=%s: %w", p, err)
+				return fmt.Errorf("remote logpsched %s: %w", key, err)
 			}
 			if string(local) != string(remote) {
-				return fmt.Errorf("logpsched P=%s output differs: local %d bytes, remote %d bytes", p, len(local), len(remote))
+				return fmt.Errorf("logpsched %s output differs: local %d bytes, remote %d bytes", key, len(local), len(remote))
 			}
-			fmt.Fprintf(stdout, "servd smoke: logpsched -remote output byte-identical to local solve at P=%s\n", p)
+			fmt.Fprintf(stdout, "servd smoke: logpsched -remote output byte-identical to local solve for %s\n", key)
 		}
 	}
 

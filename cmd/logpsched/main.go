@@ -49,12 +49,14 @@
 // (internal/logtime) at every P; its schedules are byte-identical to the
 // heap search's, which the conformance tests keep as the oracle.
 //
-// -render json for broadcast, reduce, scan and binomial — without -explain,
-// -trace, -report or -runstore — streams: the schedule's events are
-// generated from the counting tables in output order and encoded in 64 KiB
-// chunks, so neither the tree nor the events are ever held (a P = 10⁶
-// broadcast runs in a few MiB). Every other request compiles the schedule
-// first; the bytes are the same either way. When stdout is a pipe,
+// Every request is canonicalized as logpservd canonicalizes it
+// (sched.Canonicalize), and -render json without -explain, -trace, -report
+// or -runstore encodes sched.Solve's answer for the key, as logpservd's
+// cache fill does: broadcast, reduce, scan and binomial stream their events
+// from the counting tables in 64 KiB chunks, never holding the tree or the
+// events (a P = 10⁶ broadcast runs in a few MiB); other ops compile first.
+// Every other output compiles the schedule; the bytes are the same either
+// way. When stdout is a pipe,
 // logpsched first asks the kernel (on Linux, best effort) to grow it to
 // 1 MiB, so the encoder can run sixteen chunks ahead of its reader. A
 // failed write to stdout, in any render, stops the output and exits
@@ -85,7 +87,6 @@ import (
 
 	logpopt "logpopt"
 	"logpopt/internal/cliutil"
-	"logpopt/internal/logp"
 	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
 	"logpopt/internal/obs/causal"
@@ -133,26 +134,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	m, err := cliutil.Machine(*p, *l, *o, *g, *postal || *op == "kitem" || *op == "continuous")
+	req := sched.Request{Op: *op, P: *p, L: *l, O: *o, G: *g, K: *k, Deadline: *deadline}
+	if *postal {
+		req.O, req.G = 0, 1
+	}
+	key, err := sched.Canonicalize(req, "")
 	if err != nil {
 		return err
 	}
+	m := key.Machine()
 	if *sample < 1 {
 		return fmt.Errorf("-tracesample must be at least 1, got %d", *sample)
 	}
-	if !sched.KnownOp(*op) {
-		return fmt.Errorf("unknown op %q (want one of %v)", *op, sched.Ops)
-	}
-	switch *op {
-	case "kitem", "alltoall", "continuous":
-		if *k < 1 {
-			return fmt.Errorf("-k must be at least 1, got %d", *k)
-		}
-	}
-	if *op == "summation" && *deadline <= 0 {
-		return errors.New("summation requires -t <deadline> (e.g. -t 28 for Figure 6)")
-	}
-	if err := checkRender(*render, *op, *remote != ""); err != nil {
+	if err := checkRender(*render, key.Op, *remote != ""); err != nil {
 		return err
 	}
 
@@ -160,24 +154,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *explain || *traceOut != "" || *reportOut != "" || *storeDir != "" {
 			return errors.New("-remote fetches schedules only; -explain, -trace, -report, and -runstore need a local solve (or use the service's /v1/explain)")
 		}
-		return runRemote(*remote, *op, m, *k, logp.Time(*deadline), *render, stdout)
+		return runRemote(*remote, key, *render, stdout)
 	}
 
 	if *metrics {
 		defer func() { fmt.Fprint(stderr, obs.Default.Snapshot()) }()
 	}
 
-	// A JSON render of a tree-walk collective needs nothing but the bytes,
-	// so it streams them from the counting tables (see the package doc).
-	// -explain, -trace, -report and -runstore analyze or replay the
-	// schedule and take the compiled path below.
+	// A JSON render needs nothing but the bytes, so it encodes the key's
+	// answer as logpservd does (see the package doc). -explain, -trace,
+	// -report and -runstore analyze or replay the schedule and take the
+	// compiled path below.
 	if *render == "json" && !*explain && *traceOut == "" && *reportOut == "" && *storeDir == "" {
-		if seq, _, ok := sched.Stream(m, *op); ok {
-			if _, err := schedule.StreamJSON(stdout, m, seq); err != nil {
-				return cliutil.WriteError("schedule JSON", "stdout", err)
-			}
-			return nil
+		a, err := sched.Solve(key)
+		if err != nil {
+			return err
 		}
+		if _, err := schedule.StreamJSON(stdout, a.M, a.Seq); err != nil {
+			return cliutil.WriteError("schedule JSON", "stdout", err)
+		}
+		return nil
 	}
 
 	// The tracer sees two time bases on separate process tracks: wall-clock
@@ -197,11 +193,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		par.SetTracer(tracer, 4)
 	}
 
-	// The compile layer (internal/serve/sched) is the single source of truth
-	// for "what schedule answers (op, machine, k, t)" — cmd/logpservd runs
-	// the same code behind its cache, which is what makes -remote answers
-	// diffable against local ones byte for byte.
-	c, err := sched.Compile(m, *op, *k, logp.Time(*deadline), logtime.Tree)
+	// The rest needs the whole schedule, compiled for the same key.
+	c, err := sched.Compile(m, key.Op, key.K, key.Deadline, logtime.Tree)
 	if err != nil {
 		return err
 	}
@@ -248,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *reportOut != "" || *storeDir != "" {
-		r := cliutil.BuildReport("logpsched", *op, s, schedule.DerivedOrigins(s), bound, analyze())
+		r := cliutil.BuildReport("logpsched", key.Op, s, schedule.DerivedOrigins(s), bound, analyze())
 		r.Constructor = "logtime"
 		if *reportOut != "" {
 			if err := cliutil.WriteReport("logpsched", r, *reportOut); err != nil {
@@ -278,7 +271,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *render == "tree" || *render == "dot" {
-		text, err := renderStructure(m, *op, *k, logp.Time(*deadline), s, *render)
+		text, err := renderStructure(key, s, *render)
 		if err != nil {
 			return err
 		}
@@ -317,14 +310,15 @@ func checkRender(render, op string, remote bool) error {
 }
 
 // renderStructure returns the structure behind s, the schedule compiled for
-// op: the optimal broadcast tree (Figure 1), the summation communication
+// key: the optimal broadcast tree (Figure 1), the summation communication
 // tree (Figure 6), or the continuous-broadcast blocks, words and block
 // digraph (Figures 2-3). tree prints a headline, then the structure; dot
 // prints the structure alone as GraphViz. The structure is rebuilt here
 // rather than carried in sched.Compiled, so cached answers stay schedule-only.
-func renderStructure(m logp.Machine, op string, k int, deadline logp.Time, s *logpopt.Schedule, render string) (string, error) {
+func renderStructure(key sched.Key, s *logpopt.Schedule, render string) (string, error) {
+	m := key.Machine()
 	var out strings.Builder
-	switch op {
+	switch key.Op {
 	case "broadcast":
 		tr := logtime.Tree(m, m.P)
 		if render == "dot" {
@@ -333,14 +327,14 @@ func renderStructure(m logp.Machine, op string, k int, deadline logp.Time, s *lo
 		fmt.Fprintf(&out, "%v: B(P) = %d\n\nOptimal broadcast tree (node @availability):\n", m, tr.MaxLabel())
 		out.WriteString(tr.String())
 	case "summation":
-		pl, err := summation.Build(m, deadline)
+		pl, err := summation.Build(m, key.Deadline)
 		if err != nil {
 			return "", err
 		}
 		if render == "dot" {
 			return pl.Tree.DOT("summation"), nil
 		}
-		fmt.Fprintf(&out, "%v: n(%d) = %d operands on %d processors\n", m, deadline, pl.N, pl.Tree.P())
+		fmt.Fprintf(&out, "%v: n(%d) = %d operands on %d processors\n", m, key.Deadline, pl.N, pl.Tree.P())
 		out.WriteString("\nCommunication tree (reversed optimal broadcast on L+1):\n")
 		out.WriteString(pl.Tree.String())
 	case "continuous":
@@ -356,12 +350,12 @@ func renderStructure(m logp.Machine, op string, k int, deadline logp.Time, s *lo
 		if render == "dot" {
 			return g.DOT("blocks"), nil
 		}
-		worst, err := logpopt.VerifyContinuousDelay(s, k, inst.Delay())
+		worst, err := logpopt.VerifyContinuousDelay(s, key.K, inst.Delay())
 		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&out, "postal L=%d, %d subscribers, horizon %d: per-item delay %d (worst measured %d), k=%d finishes at %d\n",
-			inst.L, inst.P, inst.T, inst.Delay(), worst, k, s.LastRecv())
+			inst.L, inst.P, inst.T, inst.Delay(), worst, key.K, s.LastRecv())
 		out.WriteString("\nblocks and words (delays):\n")
 		for _, b := range inst.Blocks {
 			fmt.Fprintf(&out, "  size %-3d delay %-3d word %v\n", b.Size, b.Delay, b.Word)
@@ -392,30 +386,30 @@ func renderSchedule(s *logpopt.Schedule, render string, stdout io.Writer) error 
 	return nil
 }
 
-// runRemote is the thin-client mode: ask a running logpservd for the
-// schedule instead of solving locally. The service runs the identical
-// compile layer and serves the exact bytes its schedule.WriteJSON produced,
-// so `-remote -render json` output is byte-identical to a local solve —
-// which the servd smoke test diffs to prove the service is honest. Other
-// renders parse the fetched schedule and render locally.
-func runRemote(base, op string, m logp.Machine, k int, deadline logp.Time, render string, stdout io.Writer) error {
+// runRemote is the thin-client mode: ask a running logpservd for the key's
+// schedule instead of solving locally. The service canonicalizes the query
+// back to the same key and encodes what sched.Solve answers for it, so
+// `-remote -render json` output is byte-identical to a local solve — which
+// the servd smoke test diffs to prove the service is honest. Other renders
+// parse the fetched schedule and render locally.
+func runRemote(base string, key sched.Key, render string, stdout io.Writer) error {
 	u, err := url.Parse(base)
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return fmt.Errorf("-remote %q is not an absolute URL (want e.g. http://127.0.0.1:8080)", base)
 	}
 	q := url.Values{
-		"op":     {op},
-		"p":      {strconv.Itoa(m.P)},
-		"l":      {strconv.FormatInt(int64(m.L), 10)},
-		"o":      {strconv.FormatInt(int64(m.O), 10)},
-		"g":      {strconv.FormatInt(int64(m.G), 10)},
+		"op":     {key.Op},
+		"p":      {strconv.Itoa(key.P)},
+		"l":      {strconv.FormatInt(key.L, 10)},
+		"o":      {strconv.FormatInt(key.O, 10)},
+		"g":      {strconv.FormatInt(key.G, 10)},
 		"format": {"schedule"},
 	}
-	if k != 1 {
-		q.Set("k", strconv.Itoa(k))
+	if key.K != 0 {
+		q.Set("k", strconv.Itoa(key.K))
 	}
-	if deadline != 0 {
-		q.Set("t", strconv.FormatInt(int64(deadline), 10))
+	if key.Deadline != 0 {
+		q.Set("t", strconv.FormatInt(key.Deadline, 10))
 	}
 	u = u.JoinPath("/v1/schedule")
 	u.RawQuery = q.Encode()

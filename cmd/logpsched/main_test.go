@@ -31,21 +31,22 @@ func exec(t *testing.T, args ...string) (string, error) {
 }
 
 // TestRejectsBadFlags pins the flag-validation contract: every malformed
-// invocation must fail with a message naming the offending flag, never
-// panic or emit a schedule.
+// invocation must fail, never panic or emit a schedule. A bad machine, k or
+// deadline fails with the message logpservd answers the same request with
+// (sched.Canonicalize); the CLI's own flags name themselves.
 func TestRejectsBadFlags(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want string // substring of the error
 	}{
-		{"zero P", []string{"-P", "0"}, "-P"},
-		{"negative P", []string{"-P", "-3"}, "-P"},
-		{"postal zero P", []string{"-postal", "-P", "0"}, "-P"},
-		{"zero L", []string{"-L", "0"}, "-L"},
-		{"negative L", []string{"-L", "-2"}, "-L"},
-		{"negative o", []string{"-o", "-1"}, "-o"},
-		{"zero g", []string{"-g", "0"}, "-g"},
+		{"zero P", []string{"-P", "0"}, "p must be at least 1"},
+		{"negative P", []string{"-P", "-3"}, "p must be at least 1"},
+		{"postal zero P", []string{"-postal", "-P", "0"}, "p must be at least 1"},
+		{"zero L", []string{"-L", "0"}, "l must be at least 1"},
+		{"negative L", []string{"-L", "-2"}, "l must be at least 1"},
+		{"negative o", []string{"-o", "-1"}, "logp: o must be non-negative"},
+		{"zero g", []string{"-g", "0"}, "logp: g must be at least 1"},
 		{"unknown op", []string{"-op", "sideways"}, `unknown op "sideways"`},
 		{"unknown constructor", []string{"-constructor", "logtime"}, "flag provided but not defined: -constructor"},
 		{"unknown render", []string{"-render", "hologram"}, "unknown render"},
@@ -53,9 +54,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"dot without structure", []string{"-op", "scan", "-render", "dot"}, "-render dot"},
 		{"zero tracesample", []string{"-tracesample", "0"}, "-tracesample"},
 		{"negative tracesample", []string{"-tracesample", "-3"}, "-tracesample"},
-		{"zero k", []string{"-op", "alltoall", "-k", "0"}, "-k"},
-		{"kitem zero k", []string{"-op", "kitem", "-P", "4", "-L", "3", "-k", "0"}, "-k"},
-		{"summation without t", []string{"-op", "summation", "-L", "6", "-o", "2", "-g", "4"}, "-t"},
+		{"zero k", []string{"-op", "alltoall", "-k", "0"}, "k must be at least 1"},
+		{"kitem zero k", []string{"-op", "kitem", "-P", "4", "-L", "3", "-k", "0"}, "k must be at least 1"},
+		{"summation without t", []string{"-op", "summation", "-L", "6", "-o", "2", "-g", "4"}, "requires a deadline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,6 +69,64 @@ func TestRejectsBadFlags(t *testing.T) {
 			}
 			if out != "" {
 				t.Fatalf("args %v: error case wrote output %q", tc.args, out)
+			}
+		})
+	}
+}
+
+// TestMachineValidation covers the machine flags -P/-L/-o/-g and -postal,
+// which canonicalize as a logpservd request does: each bad value is named
+// in the error, the postal path validates P and L too, and an accepted
+// machine is the one the schedule's header carries.
+func TestMachineValidation(t *testing.T) {
+	cases := []struct {
+		name       string
+		args       []string
+		wantErr    string // "" means the machine must build
+		wantP      int
+		wantPostal bool
+	}{
+		{name: "valid", args: []string{"-P", "8", "-L", "6", "-o", "2", "-g", "4"}, wantP: 8},
+		{name: "P=1 is legal", args: []string{"-P", "1", "-L", "1", "-o", "0", "-g", "1"}, wantP: 1},
+		{name: "zero P", args: []string{"-P", "0"}, wantErr: "p must be at least 1"},
+		{name: "negative P", args: []string{"-P", "-4"}, wantErr: "p must be at least 1"},
+		{name: "zero L", args: []string{"-L", "0"}, wantErr: "l must be at least 1"},
+		{name: "negative L", args: []string{"-L", "-6"}, wantErr: "l must be at least 1"},
+		{name: "negative o", args: []string{"-o", "-1"}, wantErr: "o must be non-negative"},
+		{name: "zero g", args: []string{"-g", "0"}, wantErr: "g must be at least 1"},
+		{name: "postal valid", args: []string{"-postal", "-P", "10", "-L", "3"}, wantP: 10, wantPostal: true},
+		{name: "postal zero P", args: []string{"-postal", "-P", "0", "-L", "3"}, wantErr: "p must be at least 1"},
+		{name: "postal zero L", args: []string{"-postal", "-P", "10", "-L", "0"}, wantErr: "l must be at least 1"},
+		{name: "postal ignores bad o/g", args: []string{"-postal", "-P", "10", "-L", "3", "-o", "-5", "-g", "0"}, wantP: 10, wantPostal: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := exec(t, tc.args...)
+			if tc.wantErr != "" {
+				if err == nil {
+					t.Fatalf("accepted; stdout %d bytes", len(out))
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %q does not say %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := schedule.ReadJSON(strings.NewReader(out))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := s.M
+			if m.P != tc.wantP {
+				t.Fatalf("P = %d, want %d", m.P, tc.wantP)
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatalf("built machine fails Validate: %v", err)
+			}
+			if tc.wantPostal && (m.O != 0 || m.G != 1) {
+				t.Fatalf("postal machine has o=%d g=%d", m.O, m.G)
 			}
 		})
 	}

@@ -22,8 +22,8 @@ func remoteServer(t *testing.T) string {
 }
 
 // TestRemoteByteIdentical: the thin-client contract — `-remote -render json`
-// must emit exactly the bytes a local solve emits, for every op kind
-// (tree-built, closed-form, postal, deadline-driven).
+// must emit exactly the bytes a local solve emits, for every op and for
+// spellings whose extra flags canonicalize away.
 func TestRemoteByteIdentical(t *testing.T) {
 	url := remoteServer(t)
 	cases := [][]string{
@@ -34,6 +34,20 @@ func TestRemoteByteIdentical(t *testing.T) {
 		{"-op", "continuous", "-P", "35", "-L", "2", "-k", "4"}, // Theorem 3.5 fallback
 		{"-op", "summation", "-P", "8", "-L", "6", "-o", "2", "-g", "4", "-t", "28"},
 		{"-op", "broadcast", "-P", "600"},
+		{"-op", "broadcast", "-k", "7", "-t", "5"},
+		{"-op", "kitem", "-o", "3", "-g", "9"},
+		{"-postal", "-op", "scan"},
+		{"-op", "personalized", "-k", "3"},
+	}
+	for _, op := range sched.Ops {
+		args := []string{"-op", op, "-P", "12", "-L", "3", "-o", "1", "-g", "2"}
+		switch {
+		case op == "summation":
+			args = append(args, "-t", "28")
+		case sched.KOp(op):
+			args = append(args, "-k", "3")
+		}
+		cases = append(cases, args)
 	}
 	for _, args := range cases {
 		local, err := exec(t, args...)

@@ -73,7 +73,8 @@ func BenchmarkTreeEmit(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/P%d/stream", o.name, m.P), func(b *testing.B) {
 			b.SetBytes(size)
 			for i := 0; i < b.N; i++ {
-				if _, err := schedule.StreamJSON(io.Discard, m, logtime.Seq(m, o.op)); err != nil {
+				seq, _ := logtime.Seq(m, o.op)
+				if _, err := schedule.StreamJSON(io.Discard, m, seq); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,30 +40,6 @@ const (
 		"-render json emits the service's bytes verbatim (default: solve locally)"
 )
 
-// Machine validates the -P/-L/-o/-g flag values every tool accepts and
-// builds the machine, with flag-shaped messages (the library's Validate
-// reports model constraints; this reports which *flag* is bad). The postal
-// path validates too — logp.Postal itself does not, which used to let
-// `-postal -P 0` reach the schedule constructors.
-func Machine(p int, l, o, g int64, postal bool) (logp.Machine, error) {
-	switch {
-	case p < 1:
-		return logp.Machine{}, fmt.Errorf("-P must be at least 1, got %d", p)
-	case l < 1:
-		return logp.Machine{}, fmt.Errorf("-L must be at least 1, got %d", l)
-	}
-	if postal {
-		return logp.Postal(p, logp.Time(l)), nil
-	}
-	switch {
-	case o < 0:
-		return logp.Machine{}, fmt.Errorf("-o must be non-negative, got %d", o)
-	case g < 1:
-		return logp.Machine{}, fmt.Errorf("-g must be at least 1, got %d", g)
-	}
-	return logp.New(p, logp.Time(l), logp.Time(o), logp.Time(g))
-}
-
 // Fail prints "<cmd>: <err>" to stderr and exits 1 — the uniform fatal-error
 // shape of every tool.
 func Fail(cmd string, err error) {

@@ -6,80 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"logpopt/internal/logp"
 	"logpopt/internal/obs"
 )
-
-// TestMachineValidation covers the shared -P/-L/-o/-g validation every tool
-// routes through: each bad flag is named in the error, and the postal path
-// validates too (it used to bypass validation entirely).
-func TestMachineValidation(t *testing.T) {
-	cases := []struct {
-		name       string
-		p          int
-		l, o, g    int64
-		postal     bool
-		wantErr    string // "" means the machine must build
-		wantP      int
-		wantPostal bool
-	}{
-		{name: "valid", p: 8, l: 6, o: 2, g: 4, wantP: 8},
-		{name: "P=1 is legal", p: 1, l: 1, o: 0, g: 1, wantP: 1},
-		{name: "zero P", p: 0, l: 6, o: 2, g: 4, wantErr: "-P"},
-		{name: "negative P", p: -4, l: 6, o: 2, g: 4, wantErr: "-P"},
-		{name: "zero L", p: 8, l: 0, o: 2, g: 4, wantErr: "-L"},
-		{name: "negative L", p: 8, l: -6, o: 2, g: 4, wantErr: "-L"},
-		{name: "negative o", p: 8, l: 6, o: -1, g: 4, wantErr: "-o"},
-		{name: "zero g", p: 8, l: 6, o: 2, g: 0, wantErr: "-g"},
-		{name: "postal valid", p: 10, l: 3, postal: true, wantP: 10, wantPostal: true},
-		{name: "postal zero P", p: 0, l: 3, postal: true, wantErr: "-P"},
-		{name: "postal zero L", p: 10, l: 0, postal: true, wantErr: "-L"},
-		{name: "postal ignores bad o/g", p: 10, l: 3, o: -5, g: 0, postal: true, wantP: 10, wantPostal: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m, err := Machine(tc.p, tc.l, tc.o, tc.g, tc.postal)
-			if tc.wantErr != "" {
-				if err == nil {
-					t.Fatalf("accepted: %v", m)
-				}
-				if !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("error %q does not name %s", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.P != tc.wantP {
-				t.Fatalf("P = %d, want %d", m.P, tc.wantP)
-			}
-			if err := m.Validate(); err != nil {
-				t.Fatalf("built machine fails Validate: %v", err)
-			}
-			if tc.wantPostal && (m.O != 0 || m.G != 1) {
-				t.Fatalf("postal machine has o=%d g=%d", m.O, m.G)
-			}
-		})
-	}
-}
-
-// TestMachineMatchesLibraryValidation: anything the helper accepts, the
-// model's own Validate accepts, and vice versa for the flag ranges.
-func TestMachineMatchesLibraryValidation(t *testing.T) {
-	for p := -1; p <= 2; p++ {
-		for l := int64(-1); l <= 2; l++ {
-			m, err := Machine(p, l, 1, 1, false)
-			_, lerr := logp.New(p, logp.Time(l), 1, 1)
-			if (err == nil) != (lerr == nil) {
-				t.Fatalf("P=%d L=%d: helper err=%v, logp err=%v", p, l, err, lerr)
-			}
-			if err == nil && m != logp.MustNew(p, logp.Time(l), 1, 1) {
-				t.Fatalf("P=%d L=%d: machines differ", p, l)
-			}
-		}
-	}
-}
 
 func TestWriteError(t *testing.T) {
 	err := WriteError("schedule JSON", "/nope/x.json", os.ErrPermission)

@@ -92,11 +92,12 @@ const (
 	Scan
 )
 
-// Seq returns op's schedule on m as an event sequence: event for event
+// Seq returns op's schedule on m as an event sequence, event for event
 // what the oracle expands from Tree(m, m.P), with neither the tree nor the
-// events materialized. It builds ß(P)'s label points once, on a private
-// builder, and every walk of the sequence reads them.
-func Seq(m logp.Machine, op Collective) schedule.Seq {
+// events materialized, together with B(P), the tree's height. It builds
+// ß(P)'s label points once, on a private builder, and every walk of the
+// sequence reads them.
+func Seq(m logp.Machine, op Collective) (schedule.Seq, logp.Time) {
 	d, ol := m.D(), m.O+m.L
 	es := MustBuilder(m).edges(m.P)
 	T := es.b
@@ -123,5 +124,5 @@ func Seq(m logp.Machine, op Collective) schedule.Seq {
 					yield(schedule.Event{Proc: child, Time: st + ol, Op: schedule.OpRecv, Item: item, Peer: parent})
 			})
 		}
-	}
+	}, T
 }

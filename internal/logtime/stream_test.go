@@ -75,8 +75,12 @@ func checkStream(t *testing.T, m logp.Machine, op logtime.Collective, oracle *sc
 		t.Fatal(err)
 	}
 	wantSum := schedule.Summary{Events: len(oracle.Events), Makespan: oracle.Makespan()}
+	seq, b := logtime.Seq(m, op)
+	if want := logtime.B(m, m.P); b != want {
+		t.Fatalf("%v op %d: Seq's B(P) %d, want %d", m, op, b, want)
+	}
 	got := newHashWriter()
-	sum, err := schedule.StreamJSON(got, m, logtime.Seq(m, op))
+	sum, err := schedule.StreamJSON(got, m, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,7 @@ func checkStream(t *testing.T, m logp.Machine, op logtime.Collective, oracle *sc
 	if m.P > 100000 {
 		return
 	}
-	body, sum := schedule.AppendSeqJSON(nil, m, logtime.Seq(m, op))
+	body, sum := schedule.AppendSeqJSON(nil, m, seq)
 	if !bytes.Equal(body, oracle.AppendJSON(nil)) {
 		t.Fatalf("%v op %d: AppendSeqJSON differs from the oracle", m, op)
 	}
@@ -152,7 +156,7 @@ func TestStreamWriteErrorEndsWalk(t *testing.T) {
 		for _, limit := range []int{0, 100, 200000} {
 			w := &failAfter{n: limit}
 			events := 0
-			seq := logtime.Seq(m, so.op)
+			seq, _ := logtime.Seq(m, so.op)
 			_, err := schedule.StreamJSON(w, m, func(yield func(schedule.Event) bool) {
 				seq(func(e schedule.Event) bool {
 					events++
@@ -185,7 +189,8 @@ func TestStreamAllocs(t *testing.T) {
 	for _, so := range streamOps {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		sum, err := schedule.StreamJSON(io.Discard, m, logtime.Seq(m, so.op))
+		seq, _ := logtime.Seq(m, so.op)
+		sum, err := schedule.StreamJSON(io.Discard, m, seq)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +230,8 @@ func TestStreamConcurrent(t *testing.T) {
 			m := shape.WithP(p)
 			for j, so := range streamOps {
 				w := newHashWriter()
-				if _, err := schedule.StreamJSON(w, m, logtime.Seq(m, so.op)); err != nil {
+				seq, _ := logtime.Seq(m, so.op)
+				if _, err := schedule.StreamJSON(w, m, seq); err != nil {
 					errs <- err
 					return
 				}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"logpopt/internal/logp"
-	"logpopt/internal/logtime"
 	"logpopt/internal/obs"
 	"logpopt/internal/schedule"
 )
@@ -252,28 +251,19 @@ func (c *Cache) fill(k Key) (res *Result, err error) {
 	return c.solve(k)
 }
 
-// solve answers the key and serializes it once. Broadcast, reduce, scan and
-// binomial stream from the counting tables (Stream); every other op is
-// compiled and its events encoded. Either way AppendSeqJSON sizes the bytes
+// solve answers the key through Solve, the path logpsched's JSON render
+// takes too, and serializes the answer once. AppendSeqJSON sizes the bytes
 // exactly, so the body leaves no spare capacity outside the budget's
 // charge.
 func (c *Cache) solve(k Key) (*Result, error) {
 	start := time.Now()
-	m := k.Machine()
-	res := &Result{Key: k}
-	seq, bound, ok := Stream(m, k.Op)
-	if ok {
-		res.Bound, res.Baseline = bound, BaselineOp(k.Op)
-	} else {
-		comp, err := Compile(m, k.Op, k.K, k.Deadline, logtime.Tree)
-		if err != nil {
-			return nil, err
-		}
-		m, seq = comp.S.M, comp.S.Seq()
-		res.Bound, res.Baseline = comp.Bound, comp.Baseline
+	a, err := Solve(k)
+	if err != nil {
+		return nil, err
 	}
+	res := &Result{Key: k, Bound: a.Bound, Baseline: a.Baseline}
 	var sum schedule.Summary
-	res.JSON, sum = schedule.AppendSeqJSON(nil, m, seq)
+	res.JSON, sum = schedule.AppendSeqJSON(nil, a.M, a.Seq)
 	res.Events, res.Finish = sum.Events, sum.Makespan
 	res.SolveMicros = time.Since(start).Microseconds()
 	c.hSolve.Observe(res.SolveMicros)

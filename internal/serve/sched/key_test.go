@@ -3,6 +3,8 @@ package sched
 import (
 	"strings"
 	"testing"
+
+	"logpopt/internal/logp"
 )
 
 func TestCanonicalizeEquivalences(t *testing.T) {
@@ -150,5 +152,23 @@ func TestParseQuery(t *testing.T) {
 	}
 	if _, err := ParseQuery(func(k string) string { return map[string]string{"p": "16", "l": "soon"}[k] }); err == nil || !strings.Contains(err.Error(), `l="soon"`) {
 		t.Fatalf("bad l: err = %v", err)
+	}
+}
+
+// TestCanonicalizeMatchesLibraryValidation: a machine Canonicalize accepts
+// is one the model's own New accepts, and vice versa, and the key rebuilds
+// exactly that machine.
+func TestCanonicalizeMatchesLibraryValidation(t *testing.T) {
+	for p := -1; p <= 2; p++ {
+		for l := logp.Time(-1); l <= 2; l++ {
+			k, err := Canonicalize(Request{Op: "broadcast", P: p, L: l, O: 1, G: 1}, "")
+			_, lerr := logp.New(p, l, 1, 1)
+			if (err == nil) != (lerr == nil) {
+				t.Fatalf("P=%d L=%d: Canonicalize err=%v, logp err=%v", p, l, err, lerr)
+			}
+			if err == nil && k.Machine() != logp.MustNew(p, l, 1, 1) {
+				t.Fatalf("P=%d L=%d: machines differ", p, l)
+			}
+		}
 	}
 }

@@ -7,10 +7,9 @@
 // introspection endpoints (/healthz, /readyz, /debug/inflight,
 // /debug/cache).
 //
-// The compile layer here is the single source of truth for "what schedule
-// answers (op, machine, k, t)": cmd/logpsched calls it for local solves and
-// cmd/logpservd calls it behind the cache, so the thin-client -remote mode
-// can diff service answers against local ones byte for byte.
+// A request becomes a Key in one place (Canonicalize) and a Key becomes
+// schedule JSON in one place (Solve). cmd/logpservd and cmd/logpsched both
+// run the two, so -remote answers diff against local ones byte for byte.
 package sched
 
 import (
@@ -76,14 +75,6 @@ var baselines = map[string]func(logp.Machine, int) *core.Tree{
 	"flat":     baseline.FlatTree,
 	"binary":   baseline.BinaryTree,
 	"binomial": baseline.BinomialTree,
-}
-
-// BaselineOp reports whether op is one of the broadcast baselines, whose
-// bound is the optimal tree's B(P) rather than a closed form of their own
-// (Compiled.Baseline).
-func BaselineOp(op string) bool {
-	_, ok := baselines[op]
-	return ok
 }
 
 // Compiled is one answered schedule question: the schedule, the operation's
@@ -180,29 +171,42 @@ func Compile(m logp.Machine, op string, k int, deadline logp.Time, tb core.TreeB
 	return c, nil
 }
 
-// Stream returns op's schedule on m as an event sequence when that schedule
-// is a fixed expansion of a logtime tree's edges — broadcast, reduce and
-// scan on m's optimal tree, and the binomial baseline, which is the
-// broadcast of the stretched machine baseline.BinomialMachine(m) — together
-// with its bound B(P) (the optimal tree's height on m, as Compile reports).
-// The sequence walks the counting tables (logtime.Seq) and encodes, under
-// m's header, to exactly the bytes of Compile's schedule, without building
-// the tree or the events. ok is false for every other op, which only
-// Compile answers.
-func Stream(m logp.Machine, op string) (seq schedule.Seq, bound logp.Time, ok bool) {
-	walk, c := m, logtime.Broadcast
-	switch op {
-	case "broadcast":
-	case "binomial":
-		walk = baseline.BinomialMachine(m)
-	case "reduce":
-		c = logtime.Reduce
-	case "scan":
-		c = logtime.Scan
-	default:
-		return nil, 0, false
+// Answer is a key's schedule as an event sequence on machine M, with the
+// op's bound and its Baseline flag as Compiled reports them.
+type Answer struct {
+	M        logp.Machine
+	Seq      schedule.Seq
+	Bound    logp.Time
+	Baseline bool
+}
+
+// Solve answers a canonical key with its event sequence, the one path from
+// a Key to schedule JSON (logpservd's cache fill, logpsched's JSON render).
+// Broadcast, reduce and scan walk m's counting tables (logtime.Seq), the
+// binomial baseline those of its stretched machine, and every other op is
+// compiled. The bytes are the compiled schedule's either way.
+func Solve(k Key) (Answer, error) {
+	m := k.Machine()
+	if c, ok := walks[k.Op]; ok {
+		seq, b := logtime.Seq(m, c)
+		return Answer{M: m, Seq: seq, Bound: b}, nil
 	}
-	return logtime.Seq(walk, c), logtime.B(m, m.P), true
+	if k.Op == "binomial" {
+		seq, _ := logtime.Seq(baseline.BinomialMachine(m), logtime.Broadcast)
+		return Answer{M: m, Seq: seq, Bound: logtime.B(m, m.P), Baseline: true}, nil
+	}
+	comp, err := Compile(m, k.Op, k.K, k.Deadline, logtime.Tree)
+	if err != nil {
+		return Answer{}, err
+	}
+	return Answer{M: comp.S.M, Seq: comp.S.Seq(), Bound: comp.Bound, Baseline: comp.Baseline}, nil
+}
+
+// walks maps the ops that expand m's own ß(P) to their logtime walk.
+var walks = map[string]logtime.Collective{
+	"broadcast": logtime.Broadcast,
+	"reduce":    logtime.Reduce,
+	"scan":      logtime.Scan,
 }
 
 // ContinuousInstance solves the continuous-broadcast instance behind

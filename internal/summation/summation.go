@@ -202,9 +202,10 @@ type Plan struct {
 }
 
 // Build constructs the optimal summation plan for deadline t on the lazy
-// machine's ß(p), built by logtime.Tree.
+// machine's ß(p), materialized by the same logtime builder that sizes the
+// plan, so the tables are built once.
 func Build(m logp.Machine, t logp.Time) (*Plan, error) {
-	return BuildWith(m, t, logtime.Tree)
+	return build(m, t, (*logtime.Builder).Tree)
 }
 
 // BuildWith is Build with the tree builder passed in: tb(Lazy(m), p) must
@@ -214,6 +215,12 @@ func Build(m logp.Machine, t logp.Time) (*Plan, error) {
 // is checked against the closed-form Capacity either way. A deadline whose
 // n(t) does not fit in int64 is an error, not Capacity's panic.
 func BuildWith(m logp.Machine, t logp.Time, tb core.TreeBuilder) (*Plan, error) {
+	return build(m, t, func(b *logtime.Builder, p int) *core.Tree { return tb(b.M, p) })
+}
+
+// build is Build and BuildWith: tree(b, p) returns ß(p) for b's machine,
+// Lazy(m), where b is the builder that sized the plan.
+func build(m logp.Machine, t logp.Time, tree func(b *logtime.Builder, p int) *core.Tree) (*Plan, error) {
 	if err := Validate(m); err != nil {
 		return nil, err
 	}
@@ -226,7 +233,7 @@ func BuildWith(m logp.Machine, t logp.Time, tb core.TreeBuilder) (*Plan, error) 
 	if !ok {
 		return nil, fmt.Errorf("summation: n(%d) on %v overflows int64", t, m)
 	}
-	tr := tb(Lazy(m), p)
+	tr := tree(b, p)
 	pl := &Plan{M: m, T: t, Tree: tr, N: n}
 	pl.SendAt = make([]logp.Time, tr.P())
 	pl.Locals = make([]int64, tr.P())

@@ -10,6 +10,7 @@ import (
 	"logpopt/internal/core"
 	"logpopt/internal/logp"
 	"logpopt/internal/logtime"
+	"logpopt/internal/obs"
 	"logpopt/internal/schedule"
 )
 
@@ -474,6 +475,30 @@ func TestNode(t *testing.T) {
 					t.Fatalf("%v t=%d rank %d: folds %v at %v, plan %v", m, tt, r, sn.Folds, sn.Arrive, want)
 				}
 			}
+		}
+	}
+}
+
+// TestBuildGrowsOneBuilder: Build admits exactly the label points that one
+// lazy-machine builder admits to size the plan and materialize its tree:
+// the tree comes from the builder that sized it, not from a second one.
+func TestBuildGrowsOneBuilder(t *testing.T) {
+	admitted := obs.Default.Counter("logtime.points.admitted")
+	m := logp.MustNew(1000, 5, 2, 4)
+	for _, dl := range []logp.Time{28, 200} {
+		before := admitted.Value()
+		if _, err := Build(m, dl); err != nil {
+			t.Fatal(err)
+		}
+		got := admitted.Value() - before
+
+		before = admitted.Value()
+		b := logtime.MustBuilder(Lazy(m))
+		p := size(b, dl)
+		capacity(b, dl, p)
+		b.Tree(p)
+		if want := admitted.Value() - before; got != want {
+			t.Errorf("t=%d: Build admitted %d label points, one builder admits %d", dl, got, want)
 		}
 	}
 }
